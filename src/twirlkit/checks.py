@@ -397,10 +397,12 @@ def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResul
             on_axis = math.hypot(oracle.argmin_direction[0], oracle.argmin_direction[1]) <= 1e-4
             if on_axis and oracle.value > 1e-9:
                 branch_mismatches += 1
-    margin = max(worst_value - config.tol("oracle_agreement"), float(branch_mismatches))
+    # any mismatch fails; with none, the margin is the value gap's distance to its gate
+    margin = float(branch_mismatches) if branch_mismatches else worst_value - config.tol("oracle_agreement")
     return _result(
         "measures_xstate_oracle_agreement", accepted + rejected_checked, margin,
-        f"{branch_mismatches} branch decisions disagree with the oracle argmin",
+        f"{branch_mismatches} branch decisions disagree with the oracle argmin; "
+        f"worst value gap {worst_value:.3e}",
     )
 
 

@@ -53,60 +53,50 @@ class SweepSpec:
     p: float | None = None
 
     def __post_init__(self):
-        if self.family not in ("pure", "werner", "depolarized"):
+        if self.family not in states.FAMILY_PARAMS:
             raise InvalidSpecError(f"unknown family {self.family!r}")
         if not self.grid:
             raise InvalidSpecError("sweep grid must be nonempty")
-        if self.family == "depolarized":
-            if self.p is None and not all(isinstance(g, (tuple, list)) for g in self.grid):
-                raise InvalidSpecError("depolarized sweeps need (gamma, p) pairs or a fixed --p")
+        if self.extra_params and self.p is None and not all(isinstance(g, (tuple, list)) for g in self.grid):
+            names = ", ".join(states.FAMILY_PARAMS[self.family])
+            raise InvalidSpecError(f"{self.family} sweeps need ({names}) pairs or a fixed --p")
         if self.quantities is not None:
             unknown = [q for q in self.quantities if q not in _VALUE_COLUMNS]
             if unknown:
                 raise InvalidSpecError(f"unknown quantities {unknown}; choose from {_VALUE_COLUMNS}")
 
-    def points(self) -> list[tuple[float, float | None]]:
-        if self.family != "depolarized":
-            return [(float(g), None) for g in self.grid]
-        out = []
-        for g in self.grid:
-            if isinstance(g, (tuple, list)):
-                out.append((float(g[0]), float(g[1])))
-            else:
-                out.append((float(g), float(self.p)))
-        return out
+    @property
+    def extra_params(self) -> tuple[str, ...]:
+        """Family parameters after the swept one (from grid pairs or ``p``); each gets a column."""
+        return states.FAMILY_PARAMS[self.family][1:]
+
+    def points(self) -> list[tuple[float, ...]]:
+        """Family parameters of every grid point, in ``states.FAMILY_PARAMS`` order."""
+        fixed = [self.p] * len(self.extra_params)
+        return [tuple(map(float, g if isinstance(g, (tuple, list)) else (g, *fixed))) for g in self.grid]
 
     def columns(self) -> list[str]:
         cols = list(_COLUMNS)
-        if self.family == "depolarized":
-            cols.insert(1, "p")
+        cols[1:1] = self.extra_params
         if self.quantities is None:
             return cols
-        keep = set(self.quantities) | {"param", "p"}
+        keep = set(self.quantities) | {"param", *self.extra_params}
         if "ratio" in keep:
             keep.add("ratio_defined")
         return [c for c in cols if c in keep]
 
 
-def _build_state(spec: SweepSpec, value: float, p: float | None):
-    if spec.family == "pure":
-        return states.pure_state(value)
-    if spec.family == "werner":
-        return states.werner(value)
-    return states.depolarized_pure(value, p)
-
-
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate every sweep column at every grid point."""
     rows = []
-    for value, p in spec.points():
-        state = _build_state(spec, value, p)
+    for point in spec.points():
+        state = states.family_state(spec.family, *point)
         twirled = twirl_analytic(state)
         delta_pure = min_error_rate(state).value
         delta_twirled = min_error_rate(twirled).value
         defined = delta_pure > 0.0
         row = {
-            "param": value,
+            "param": point[0],
             "delta_pure": delta_pure,
             "delta_twirled": delta_twirled,
             "ratio": delta_twirled / delta_pure if defined else float("nan"),
@@ -118,8 +108,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             "eof_pure": entanglement_of_formation(state),
             "eof_twirled": entanglement_of_formation(twirled),
         }
-        if spec.family == "depolarized":
-            row["p"] = p
+        row.update(zip(spec.extra_params, point[1:]))
         rows.append(row)
     return rows
 
@@ -186,8 +175,8 @@ def _parse_direction(text: str) -> MeasurementSetting:
         v = np.array([float(t) for t in text.split(",")], dtype=float)
     except ValueError as exc:
         raise InvalidSpecError(f"direction expects three comma-separated numbers, got {text!r}") from exc
-    if v.shape != (3,) or np.linalg.norm(v) <= 0:
-        raise InvalidSpecError(f"direction expects a nonzero 3-vector, got {text!r}")
+    if v.shape != (3,) or not np.all(np.isfinite(v)) or np.linalg.norm(v) <= 0:
+        raise InvalidSpecError(f"direction expects a finite nonzero 3-vector, got {text!r}")
     return MeasurementSetting(v / np.linalg.norm(v))
 
 
@@ -257,10 +246,15 @@ def _parse_tolerances(pairs) -> dict:
             overrides[name] = float(value)
         except ValueError as exc:
             raise InvalidSpecError(f"--tolerance value must be a number, got {pair!r}") from exc
+        if not math.isfinite(overrides[name]):
+            raise InvalidSpecError(f"--tolerance value must be finite, got {pair!r}")
     return overrides
 
 
 def cmd_check(args) -> int:
+    for dest in ("random_states", "mc_states", "runs", "rounds", "bound_states", "x_states", "range_states"):
+        if getattr(args, dest) < 1:
+            raise InvalidSpecError(f"--{dest.replace('_', '-')} must be at least 1, got {getattr(args, dest)}")
     config = CheckConfig(
         seed=args.seed,
         random_states=args.random_states,
@@ -296,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="parameter sweep over a state family")
-    sweep.add_argument("--family", required=True, choices=["pure", "werner", "depolarized"])
+    sweep.add_argument("--family", required=True, choices=list(states.FAMILY_PARAMS))
     sweep.add_argument("--grid", required=True, help="start:stop:steps (gamma for pure/depolarized, F for werner)")
     sweep.add_argument("--p", type=float, default=None, help="fixed mixing weight for the depolarized family")
     sweep.add_argument("--quantities", default=None, help="comma-separated subset of value columns")

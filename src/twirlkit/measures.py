@@ -20,8 +20,8 @@ import numpy as np
 from .errors import BranchConditionError, ConditionsNotMetError, OutOfRangeError
 from .protocol import min_error_rate
 from .qubit_algebra import (
+    _A_OPS,
     ID2,
-    PAULIS,
     SIGMA_Y,
     TwoQubitState,
     as_unit_vector,
@@ -39,6 +39,13 @@ _TIE = 1e-13
 _SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
 
 
+def _dephase(rho: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """(rho + S rho S)/2 = P rho P + Q rho Q with S = (n.sigma) x I and
+    P, Q = (I +- S)/2, for unit directions ``dirs`` (m, 3); shape (m, 4, 4)."""
+    s = np.einsum("mk,kij->mij", dirs, _A_OPS)
+    return 0.5 * (rho + s @ rho @ s)
+
+
 def cq_state(state: TwoQubitState, direction) -> TwoQubitState:
     """Dephase the first qubit along ``direction``.
 
@@ -46,12 +53,7 @@ def cq_state(state: TwoQubitState, direction) -> TwoQubitState:
     sums, producing the classical-quantum state left invariant by that
     measurement. Idempotent in ``direction``.
     """
-    n = as_unit_vector(direction)
-    p = 0.5 * (ID2 + pauli_sigma(n))
-    q = ID2 - p
-    pa = np.kron(p, ID2)
-    qa = np.kron(q, ID2)
-    return validate_density(pa @ state.rho @ pa + qa @ state.rho @ qa)
+    return validate_density(_dephase(state.rho, as_unit_vector(direction)[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,7 @@ def _sph(theta, phi) -> np.ndarray:
 
 def _cq_residual(rho: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """||rho - chi(n)||^2 for a batch of projector directions (m, 3)."""
-    p = 0.5 * (ID2[None, :, :] + np.einsum("mk,kij->mij", dirs, PAULIS))
-    q = ID2[None, :, :] - p
-    pa = np.einsum("mij,kl->mikjl", p, ID2).reshape(-1, 4, 4)
-    qa = np.einsum("mij,kl->mikjl", q, ID2).reshape(-1, 4, 4)
-    chi = pa @ rho @ pa + qa @ rho @ qa
-    d = rho[None, :, :] - chi
+    d = rho - _dephase(rho, dirs)
     return np.einsum("mij,mij->m", d, d.conj()).real
 
 

@@ -60,7 +60,7 @@ def as_unit_vector(n, atol: float = 1e-12) -> np.ndarray:
     if v.shape != (3,):
         raise OutOfRangeError(f"expected a 3-vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > atol:
+    if not abs(norm - 1.0) <= atol:  # also true for a nan or inf norm
         raise OutOfRangeError(f"vector norm {norm} differs from 1 beyond {atol}")
     return _frozen(v)
 

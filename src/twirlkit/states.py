@@ -17,12 +17,7 @@ import numpy as np
 from .errors import InvalidXParamsError, OutOfRangeError, SchemaError
 from .qubit_algebra import ID4, TwoQubitState, pauli_compose, PauliDecomposition, validate_density
 
-_BELL_VECTORS = {
-    "phi+": np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2),
-    "phi-": np.array([1, 0, 0, -1], dtype=complex) / math.sqrt(2),
-    "psi+": np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2),
-    "psi-": np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2),
-}
+_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
 # (diagonal pair, off-diagonal sign); entries are exact halves so the
 # projectors and everything derived from them stay float-exact.
@@ -48,6 +43,15 @@ def bell(kind: str) -> TwoQubitState:
     return validate_density(m)
 
 
+def _pure_rho(gamma: float) -> np.ndarray:
+    if not 0.0 <= gamma <= math.pi / 2:
+        raise OutOfRangeError(f"gamma must lie in [0, pi/2], got {gamma}")
+    c = math.cos(math.pi / 4 - gamma / 2)
+    s = math.sin(math.pi / 4 - gamma / 2)
+    v = np.array([c, 0.0, 0.0, s], dtype=complex)
+    return np.outer(v, v.conj())
+
+
 def pure_state(gamma: float) -> TwoQubitState:
     """Pure state cos(pi/4 - gamma/2)|uu> + sin(pi/4 - gamma/2)|dd>.
 
@@ -55,12 +59,7 @@ def pure_state(gamma: float) -> TwoQubitState:
     gamma = pi/2 the product state |uu>. Bloch form: x = y = (0, 0, sin g),
     T = diag(cos g, -cos g, 1).
     """
-    if not 0.0 <= gamma <= math.pi / 2:
-        raise OutOfRangeError(f"gamma must lie in [0, pi/2], got {gamma}")
-    c = math.cos(math.pi / 4 - gamma / 2)
-    s = math.sin(math.pi / 4 - gamma / 2)
-    v = np.array([c, 0.0, 0.0, s], dtype=complex)
-    return validate_density(np.outer(v, v.conj()))
+    return validate_density(_pure_rho(gamma))
 
 
 def werner(f: float) -> TwoQubitState:
@@ -71,10 +70,11 @@ def werner(f: float) -> TwoQubitState:
     """
     if not 0.0 <= f <= 1.0:
         raise OutOfRangeError(f"fidelity must lie in [0, 1], got {f}")
-    rho = f * bell("phi+").rho
-    for kind in ("phi-", "psi+", "psi-"):
-        rho = rho + (1.0 - f) / 3.0 * bell(kind).rho
-    return validate_density(rho)
+    # Closed form (Bennett et al. 1996), added in the Bell-projector-sum order: bit for bit that sum.
+    a, c = 0.5 * f, 0.5 * ((1.0 - f) / 3.0)
+    m = np.diag(np.array([a + c, c + c, c + c, a + c], dtype=complex))
+    m[0, 3] = m[3, 0] = a - c
+    return validate_density(m)
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,12 @@ def depolarized_pure(gamma: float, p: float) -> TwoQubitState:
     """Convex mixture p * pure_state(gamma) + (1 - p) * I/4."""
     if not 0.0 <= p <= 1.0:
         raise OutOfRangeError(f"mixing weight must lie in [0, 1], got {p}")
-    rho = p * pure_state(gamma).rho + (1.0 - p) * ID4 / 4.0
-    return validate_density(rho)
+    return validate_density(p * _pure_rho(gamma) + (1.0 - p) * ID4 / 4.0)
 
 
 def fidelity_phi_plus(state: TwoQubitState) -> float:
     """Overlap <phi+| rho |phi+>, a real number in [0, 1]."""
-    v = _BELL_VECTORS["phi+"]
-    value = float(np.real(v.conj() @ state.rho @ v))
+    value = float(np.real(_PHI_PLUS.conj() @ state.rho @ _PHI_PLUS))
     return min(max(value, 0.0), 1.0)
 
 
@@ -159,7 +157,19 @@ def random_state(seed: int) -> TwoQubitState:
     return validate_density(m / np.trace(m).real)
 
 
-_FAMILY_PARAMS = {"pure": ("gamma",), "werner": ("F",), "depolarized": ("gamma", "p")}
+FAMILY_PARAMS = {"pure": ("gamma",), "werner": ("F",), "depolarized": ("gamma", "p")}
+
+
+def family_state(family: str, *values: float) -> TwoQubitState:
+    """Member of a named family; ``values`` follow ``FAMILY_PARAMS[family]``."""
+    # Called by module-level name, so a constructor rebound on the module (a wrapper) is what runs.
+    if family == "pure":
+        return pure_state(*values)
+    if family == "werner":
+        return werner(*values)
+    if family == "depolarized":
+        return depolarized_pure(*values)
+    raise SchemaError(f"unknown family {family!r}; choose from {sorted(FAMILY_PARAMS)}")
 
 
 def _require_number(value, label: str) -> float:
@@ -212,19 +222,14 @@ def state_from_dict(doc: dict) -> TwoQubitState:
         return validate_density(pauli_compose(PauliDecomposition(x, y, T)))
 
     family = doc["family"]
-    if family not in _FAMILY_PARAMS:
-        raise SchemaError(f"unknown family {family!r}; choose from {sorted(_FAMILY_PARAMS)}")
-    needed = _FAMILY_PARAMS[family]
+    if not isinstance(family, str) or family not in FAMILY_PARAMS:
+        raise SchemaError(f"unknown family {family!r}; choose from {sorted(FAMILY_PARAMS)}")
+    needed = FAMILY_PARAMS[family]
     extra = set(doc) - {"family", *needed}
     missing = [k for k in needed if k not in doc]
     if extra or missing:
         raise SchemaError(f"family {family!r} needs keys {needed}; missing {missing}, unexpected {sorted(extra)}")
-    values = {k: _require_number(doc[k], k) for k in needed}
-    if family == "pure":
-        return pure_state(values["gamma"])
-    if family == "werner":
-        return werner(values["F"])
-    return depolarized_pure(values["gamma"], values["p"])
+    return family_state(family, *(_require_number(doc[k], k) for k in needed))
 
 
 def load_state_file(path) -> TwoQubitState:

@@ -1,15 +1,19 @@
 """Command line front end tests: schemas, determinism, exit codes, and
 the property-check subcommand including its fault-injection smoke test."""
 
+import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from twirlkit.cli import main
+import twirlkit
+from twirlkit import InvalidSpecError, checks, states
+from twirlkit.cli import SweepSpec, build_parser, main
 
 EXPECTED_HEADER = (
     "param,delta_pure,delta_twirled,ratio,ratio_defined,"
@@ -133,6 +137,20 @@ class TestSweep:
         assert main(["sweep", "--family", "depolarized", "--grid", "0:1:2"]) == 1
         capsys.readouterr()
 
+    def test_family_choices_are_the_states_table(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        family = next(a for a in sub.choices["sweep"]._actions if a.dest == "family")
+        assert family.choices == list(states.FAMILY_PARAMS)
+        for name, params in states.FAMILY_PARAMS.items():
+            loaded = states.state_from_dict({"family": name, **{k: 0.5 for k in params}})
+            built = states.family_state(name, *[0.5] * len(params))
+            np.testing.assert_array_equal(loaded.rho, built.rho)
+
+    def test_unknown_family_spec_raises(self):
+        # not reachable through argparse, which rejects the name first
+        with pytest.raises(InvalidSpecError):
+            SweepSpec(family="ghz", grid=[0.1])
+
 
 @pytest.fixture
 def werner_file(tmp_path):
@@ -208,6 +226,17 @@ class TestSimulate:
         bad.write_text(json.dumps({"family": "pure"}))
         assert main(["simulate", "--state", str(bad)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("b", ["nan,0,0", "inf,0,0"])
+    def test_non_finite_direction_exits_one(self, tmp_path, werner_file, capsys, b):
+        out = tmp_path / "summary.json"
+        code = main([
+            "simulate", "--state", str(werner_file), "--n", "100",
+            "--b", b, "--b-prime", "0,1,0", "--out", str(out),
+        ])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTwirlCommand:
@@ -306,13 +335,35 @@ class TestCheck:
         assert main(["check", "--tolerance", "nonsense=1"]) == 1
         assert "tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exits_one(self, capsys, value):
+        assert main(["check", *FAST_CHECK_FLAGS, "--tolerance", f"oracle_agreement={value}"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        "--random-states", "--mc-states", "--runs", "--rounds", "--bound-states", "--x-states", "--range-states",
+    ])
+    def test_counts_below_one_exit_one(self, capsys, flag):
+        assert main(["check", *FAST_CHECK_FLAGS, flag, "0"]) == 1
+        assert flag in capsys.readouterr().err
+
+    def test_xstate_margin_is_not_masked(self):
+        result = checks.check_measures_xstate_oracle_agreement(checks.CheckConfig(x_states=6))
+        assert result.status == "pass"
+        assert result.worst_margin < 0.0
+        assert "worst value gap" in result.detail
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the subprocess imports the same twirlkit as this test, not an installed copy
+        src = os.path.dirname(os.path.dirname(twirlkit.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "twirlkit.cli", "sweep", "--family", "pure", "--grid", "0.2:1.2:3"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == EXPECTED_HEADER

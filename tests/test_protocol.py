@@ -332,5 +332,10 @@ class TestMeasurementSetting:
         with pytest.raises(OutOfRangeError):
             MeasurementSetting((1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("n", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)])
+    def test_rejects_non_finite(self, n):
+        with pytest.raises(OutOfRangeError):
+            MeasurementSetting(n)
+
     def test_of_passthrough(self):
         assert MeasurementSetting.of(SETTING_X) is SETTING_X

@@ -80,6 +80,19 @@ class TestWerner:
         with pytest.raises(OutOfRangeError):
             werner(f)
 
+    def test_bit_identical_to_bell_projector_sum(self):
+        def bell_sum(f):
+            rho = f * bell("phi+").rho
+            for kind in ("phi-", "psi+", "psi-"):
+                rho = rho + (1.0 - f) / 3.0 * bell(kind).rho
+            return rho
+
+        rng = np.random.default_rng(11)
+        grid = np.concatenate([[0.0, 0.25, 1.0, 1 / 3, 0.75], np.linspace(0.0, 1.0, 501), rng.uniform(0.0, 1.0, 500)])
+        for f in grid:
+            f = float(f)
+            np.testing.assert_array_equal(werner(f).rho.view(np.uint64), bell_sum(f).view(np.uint64), err_msg=f"F={f!r}")
+
 
 class TestBell:
     @pytest.mark.parametrize(
@@ -227,6 +240,8 @@ class TestStateSchema:
     def test_rejects_unknown_family(self):
         with pytest.raises(SchemaError):
             state_from_dict({"family": "ghz"})
+        with pytest.raises(SchemaError):
+            state_from_dict({"family": ["pure"]})
 
     def test_rejects_missing_parameter(self):
         with pytest.raises(SchemaError):
