@@ -11,7 +11,7 @@ budget is too small to be meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,7 +33,7 @@ DEFAULT_TOLERANCES = {
     "mc_trace_distance": 0.03,
     "sim_fail_fraction": 0.01,
     "eigen_grid_agreement": 1e-9,
-    "oracle_agreement": 1e-6,
+    "oracle_agreement": 1e-9,
     "bound_slack": 1e-9,
     "concurrence_invariance": 1e-10,
     "relation_equality": 1e-8,
@@ -41,23 +41,36 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# Fixed sizes: below MC_MIN_SAMPLES Monte Carlo samples the agreement
+# property is skipped; the first BOUND_CROSS_CHECKS bound states are also
+# run through the grid oracle; family grids have GRID_POINTS points.
+MC_MIN_SAMPLES = 1_000
+BOUND_CROSS_CHECKS = 100
+GRID_POINTS = 50
+# The acceptance grid: GRID_POINTS angles in (0, pi/2].
+OPEN_GAMMA_GRID = np.linspace(0.0, math.pi / 2, GRID_POINTS + 1)[1:]
+
+
+def _flag(default: int, minimum: int | None = 1, help: str | None = None):
+    """A CheckConfig integer that the ``check`` flag of the same name sets;
+    the flag rejects values below ``minimum`` (None: no lower bound)."""
+    return field(default=default, metadata={"minimum": minimum, "help": help})
+
+
 @dataclass
 class CheckConfig:
     """Seeds, sample counts, named tolerance overrides, and the optional
     fault injection hook."""
 
-    seed: int = 7
-    random_states: int = 100
-    mc_states: int = 100
-    mc_samples: int = 100_000
-    mc_min_samples: int = 1_000
-    sim_runs: int = 100
-    sim_rounds: int = 100_000
-    bound_states: int = 10_000
-    bound_cross_checks: int = 100
-    x_states: int = 1_000
-    range_states: int = 10_000
-    grid_points: int = 50
+    seed: int = _flag(7, minimum=None)
+    random_states: int = _flag(100)
+    mc_states: int = _flag(100)
+    mc_samples: int = _flag(100_000, minimum=None)  # below MC_MIN_SAMPLES: skipped
+    runs: int = _flag(100, help="seeded simulator runs")
+    rounds: int = _flag(100_000, help="rounds per simulator run")
+    bound_states: int = _flag(10_000)
+    x_states: int = _flag(1_000)
+    range_states: int = _flag(10_000)
     tolerances: dict | None = None
     inject_fault: str | None = None
 
@@ -65,6 +78,10 @@ class CheckConfig:
         if self.tolerances and name in self.tolerances:
             return float(self.tolerances[name])
         return DEFAULT_TOLERANCES[name]
+
+
+# The CheckConfig fields the ``check`` subcommand exposes as flags, in order.
+FLAG_FIELDS = tuple(f for f in fields(CheckConfig) if "minimum" in f.metadata)
 
 
 @dataclass
@@ -209,7 +226,7 @@ def check_states_constructors_valid(config: CheckConfig) -> PropertyResult:
 
 def check_states_pure_fidelity(config: CheckConfig) -> PropertyResult:
     worst = 0.0
-    gammas = np.linspace(0.0, math.pi / 2, config.grid_points)
+    gammas = np.linspace(0.0, math.pi / 2, GRID_POINTS)
     for g in gammas:
         worst = max(worst, abs(states.fidelity_phi_plus(states.pure_state(g)) - math.cos(g / 2) ** 2))
     return _result("states_pure_fidelity_grid", len(gammas), worst - config.tol("entrywise"))
@@ -272,10 +289,10 @@ def check_twirl_linear(config: CheckConfig) -> PropertyResult:
 
 def check_twirl_mc_agreement(config: CheckConfig) -> PropertyResult:
     name = "twirl_mc_agreement"
-    if config.mc_samples < config.mc_min_samples:
+    if config.mc_samples < MC_MIN_SAMPLES:
         return PropertyResult(
             name, 0, 0.0, "skipped",
-            f"below-threshold: {config.mc_samples} Monte Carlo samples < {config.mc_min_samples}",
+            f"below-threshold: {config.mc_samples} Monte Carlo samples < {MC_MIN_SAMPLES}",
         )
     rng = _rng(config, 19)
     pool = _random_states(config, 20, config.mc_states)
@@ -344,17 +361,36 @@ def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
     delta = mer.value
     rng = _rng(config, 28)
     failures = 0
-    for _ in range(config.sim_runs):
+    for _ in range(config.runs):
         run = protocol.simulate_protocol(
-            state, config.sim_rounds, int(rng.integers(0, 2**62)), mer.b, mer.b_prime
+            state, config.rounds, int(rng.integers(0, 2**62)), mer.b, mer.b_prime
         )
         gate = protocol.binomial_gate(delta, run.m_sifted)
         if abs(run.empirical_delta - delta) > gate:
             failures += 1
-    frac = failures / config.sim_runs
+    frac = failures / config.runs
     return _result(
-        "protocol_simulator_convergence", config.sim_runs, frac - config.tol("sim_fail_fraction"),
-        f"{failures} of {config.sim_runs} runs outside the 4-sigma band",
+        "protocol_simulator_convergence", config.runs, frac - config.tol("sim_fail_fraction"),
+        f"{failures} of {config.runs} runs outside the 4-sigma band",
+    )
+
+
+def check_protocol_twirl_ratio_two_thirds(config: CheckConfig) -> PropertyResult:
+    """Twirling the pure family turns its minimal error rate sin^2(g/2)
+    into the Werner value (2/3) sin^2(g/2)."""
+    worst_ratio = worst_form = 0.0
+    for g in OPEN_GAMMA_GRID:
+        pure = states.pure_state(g)
+        d_pure = protocol.min_error_rate(pure).value
+        d_twirled = protocol.min_error_rate(twirl.twirl_analytic(pure)).value
+        d_werner = protocol.min_error_rate(states.werner(math.cos(g / 2) ** 2)).value
+        s2 = math.sin(g / 2) ** 2
+        worst_ratio = max(worst_ratio, abs(d_twirled / d_pure - 2 / 3))
+        worst_form = max(worst_form, abs(d_pure - s2), abs(d_werner - (2 / 3) * s2))
+    return _result(
+        "protocol_twirl_ratio_two_thirds", len(OPEN_GAMMA_GRID),
+        max(worst_ratio, worst_form) - config.tol("entrywise"),
+        f"worst |ratio - 2/3| {worst_ratio:.3e}, worst closed-form deviation {worst_form:.3e}",
     )
 
 
@@ -448,7 +484,7 @@ def check_measures_discord_error_bound(config: CheckConfig) -> PropertyResult:
         s = states.random_state(i)
         lhs, rhs = measures.discord_error_rate_bound(s, method="eigen")
         worst = max(worst, lhs - rhs)
-        if i < config.bound_cross_checks:
+        if i < BOUND_CROSS_CHECKS:
             lhs_grid, rhs_grid = measures.discord_error_rate_bound(s, method="grid-oracle")
             worst = max(worst, lhs_grid - rhs_grid, abs(lhs_grid - lhs) - 1e-9)
     return _result("measures_discord_error_bound", config.bound_states, worst - config.tol("bound_slack"))
@@ -459,7 +495,7 @@ def check_measures_bound_saturation_families(config: CheckConfig) -> PropertyRes
     route must match the error-rate side exactly."""
     worst = 0.0
     count = 0
-    for g in np.linspace(0.0, math.pi / 2, config.grid_points):
+    for g in np.linspace(0.0, math.pi / 2, GRID_POINTS):
         lhs = _closed_form_value(config, pure_x_params(g))
         _, rhs = measures.discord_error_rate_bound(states.pure_state(g), method="eigen")
         worst = max(worst, abs(lhs - rhs))
@@ -474,7 +510,7 @@ def check_measures_bound_saturation_families(config: CheckConfig) -> PropertyRes
 
 def check_measures_delta_min_relation(config: CheckConfig) -> PropertyResult:
     worst = 0.0
-    targets = [states.pure_state(g) for g in np.linspace(0.0, math.pi / 2, config.grid_points)]
+    targets = [states.pure_state(g) for g in np.linspace(0.0, math.pi / 2, GRID_POINTS)]
     targets += [states.werner(f) for f in np.linspace(0.0, 1.0, 16)]
     targets.append(states.depolarized_pure(0.0, 0.0))
     for s in targets:
@@ -486,16 +522,28 @@ def check_measures_delta_min_relation(config: CheckConfig) -> PropertyResult:
 
 
 def check_measures_twirl_pair_monotonicity(config: CheckConfig) -> PropertyResult:
-    worst = -math.inf
-    gammas = np.linspace(0.0, math.pi / 2, config.grid_points + 1)[1:]  # (0, pi/2]
-    for g in gammas:
+    """Twirling the pure family keeps the concurrence cos g and the
+    entanglement of formation, and raises the oracle discord from
+    cos^2 g / 2 to ((2 cos g + 1) / 3)^2 / 2."""
+    worst_c = worst_e = worst_d = 0.0
+    min_gap = math.inf
+    for g in OPEN_GAMMA_GRID:
         cmp = measures.twirl_discord_comparison(states.pure_state(g))
-        worst = max(
-            worst,
-            abs(cmp.c_before - cmp.c_after) - config.tol("concurrence_invariance"),
-            config.tol("discord_increase") - (cmp.d_after - cmp.d_before),
-        )
-    return _result("measures_twirl_pair_monotonicity", len(gammas), worst)
+        c = math.cos(g)
+        worst_c = max(worst_c, abs(cmp.c_before - cmp.c_after), abs(cmp.c_before - c), abs(cmp.c_after - c))
+        worst_e = max(worst_e, abs(measures._eof(cmp.c_before) - measures._eof(cmp.c_after)))
+        worst_d = max(worst_d, abs(cmp.d_before - 0.5 * c**2), abs(cmp.d_after - 0.5 * ((2 * c + 1) / 3) ** 2))
+        min_gap = min(min_gap, cmp.d_after - cmp.d_before)
+    margin = max(
+        max(worst_c, worst_e) - config.tol("concurrence_invariance"),
+        worst_d - config.tol("oracle_agreement"),
+        config.tol("discord_increase") - min_gap,
+    )
+    return _result(
+        "measures_twirl_pair_monotonicity", len(OPEN_GAMMA_GRID), margin,
+        f"worst concurrence deviation {worst_c:.3e}, worst EoF change {worst_e:.3e}, "
+        f"worst discord closed-form deviation {worst_d:.3e}, smallest discord increase {min_gap:.3e}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +592,7 @@ ALL_CHECKS = (
     ("protocol_partner_optimality", check_protocol_partner_optimality),
     ("protocol_optimal_value_row_norm", check_protocol_optimal_value_row_norm),
     ("protocol_simulator_convergence", check_protocol_simulator_convergence),
+    ("protocol_twirl_ratio_two_thirds", check_protocol_twirl_ratio_two_thirds),
     ("measures_eigen_grid_agreement", check_measures_eigen_grid_agreement),
     ("measures_xstate_oracle_agreement", check_measures_xstate_oracle_agreement),
     ("measures_discord_range", check_measures_discord_range),

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, states
-from .checks import DEFAULT_TOLERANCES, FAULT_NEGATE_RHO14, CheckConfig, run_all
+from .checks import DEFAULT_TOLERANCES, FAULT_NEGATE_RHO14, FLAG_FIELDS, CheckConfig, run_all
 from .errors import InvalidSpecError, TwirlkitError
-from .measures import concurrence, discord_eigen, entanglement_of_formation, twirl_discord_comparison
+from .measures import _eof, concurrence, discord_eigen, twirl_discord_comparison
 from .protocol import MeasurementSetting, error_rate, min_error_rate, simulate_protocol
 from .twirl import twirl_analytic, twirl_monte_carlo
 
@@ -95,6 +95,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         delta_pure = min_error_rate(state).value
         delta_twirled = min_error_rate(twirled).value
         defined = delta_pure > 0.0
+        c_pure, c_twirled = concurrence(state), concurrence(twirled)
         row = {
             "param": point[0],
             "delta_pure": delta_pure,
@@ -103,10 +104,10 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             "ratio_defined": defined,
             "dg_pure": discord_eigen(state).value,
             "dg_twirled": discord_eigen(twirled).value,
-            "concurrence_pure": concurrence(state),
-            "concurrence_twirled": concurrence(twirled),
-            "eof_pure": entanglement_of_formation(state),
-            "eof_twirled": entanglement_of_formation(twirled),
+            "concurrence_pure": c_pure,
+            "concurrence_twirled": c_twirled,
+            "eof_pure": _eof(c_pure),
+            "eof_twirled": _eof(c_twirled),
         }
         row.update(zip(spec.extra_params, point[1:]))
         rows.append(row)
@@ -189,7 +190,7 @@ def cmd_sweep(args) -> int:
     spec = SweepSpec(
         family=args.family,
         grid=_parse_grid(args.grid),
-        quantities=args.quantities.split(",") if args.quantities else None,
+        quantities=args.quantities.split(",") if args.quantities is not None else None,
         p=args.p,
     )
     rows = run_sweep(spec)
@@ -251,20 +252,17 @@ def _parse_tolerances(pairs) -> dict:
     return overrides
 
 
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def cmd_check(args) -> int:
-    for dest in ("random_states", "mc_states", "runs", "rounds", "bound_states", "x_states", "range_states"):
-        if getattr(args, dest) < 1:
-            raise InvalidSpecError(f"--{dest.replace('_', '-')} must be at least 1, got {getattr(args, dest)}")
+    for f in FLAG_FIELDS:
+        value, minimum = getattr(args, f.name), f.metadata["minimum"]
+        if minimum is not None and value < minimum:
+            raise InvalidSpecError(f"{_option(f.name)} must be at least {minimum}, got {value}")
     config = CheckConfig(
-        seed=args.seed,
-        random_states=args.random_states,
-        mc_states=args.mc_states,
-        mc_samples=args.mc_samples,
-        sim_runs=args.runs,
-        sim_rounds=args.rounds,
-        bound_states=args.bound_states,
-        x_states=args.x_states,
-        range_states=args.range_states,
+        **{f.name: getattr(args, f.name) for f in FLAG_FIELDS},
         tolerances=_parse_tolerances(args.tolerance),
         inject_fault=args.inject_fault,
     )
@@ -316,15 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     tw.set_defaults(handler=cmd_twirl)
 
     chk = sub.add_parser("check", help="run the full property suite")
-    chk.add_argument("--seed", type=int, default=7)
-    chk.add_argument("--random-states", dest="random_states", type=int, default=100)
-    chk.add_argument("--mc-states", dest="mc_states", type=int, default=100)
-    chk.add_argument("--mc-samples", dest="mc_samples", type=int, default=100_000)
-    chk.add_argument("--runs", type=int, default=100, help="seeded simulator runs")
-    chk.add_argument("--rounds", type=int, default=100_000, help="rounds per simulator run")
-    chk.add_argument("--bound-states", dest="bound_states", type=int, default=10_000)
-    chk.add_argument("--x-states", dest="x_states", type=int, default=1_000)
-    chk.add_argument("--range-states", dest="range_states", type=int, default=10_000)
+    for f in FLAG_FIELDS:
+        chk.add_argument(_option(f.name), dest=f.name, type=int, default=f.default, help=f.metadata["help"])
     chk.add_argument(
         "--tolerance",
         action="append",

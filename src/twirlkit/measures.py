@@ -154,7 +154,10 @@ def discord_grid_oracle(state: TwoQubitState, coarse_steps: int = 24) -> Discord
 
     wt0 = (np.pi / 2) / (coarse_steps - 1)
     wp0 = 2 * np.pi / coarse_steps
-    starts = ((0.0, 0.0), (float(tg[k_global]), float(pg[k_global])), (float(tg[k_eq]), float(pg[k_eq])))
+    # a repeated start reruns the same deterministic search and cannot win
+    starts = list(dict.fromkeys(
+        ((0.0, 0.0), (float(tg[k_global]), float(pg[k_global])), (float(tg[k_eq]), float(pg[k_eq])))
+    ))
     best_v, best_t, best_p = _pattern_search(rho, *starts[0], wt0, wp0)
     for start in starts[1:]:
         v, t, p = _pattern_search(rho, *start, wt0, wp0)
@@ -347,10 +350,14 @@ def binary_entropy(x: float) -> float:
     return h
 
 
+def _eof(c: float) -> float:
+    """Entanglement of formation of a state with concurrence ``c``."""
+    return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+
+
 def entanglement_of_formation(state: TwoQubitState) -> float:
     """Entanglement of formation H2((1 + sqrt(1 - C^2)) / 2)."""
-    c = concurrence(state)
-    return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+    return _eof(concurrence(state))
 
 
 @dataclass(frozen=True)

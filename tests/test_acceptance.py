@@ -2,10 +2,14 @@
 
 Each test checks one headline claim end to end at its stated tolerance
 and prints a single pass/fail line (run with ``pytest -s`` to see them
-for passing tests). Expected values come from independent routes: the
-grid-search discord is definition-based, Monte Carlo thresholds were
-calibrated over seed ensembles before being frozen, and simulator gates
-are binomial four-sigma bands.
+for passing tests). A claim that a ``check`` property states is read from
+the one default-count ``check`` run the session shares (the
+``default_check`` fixture): its line gives that property's status, worst
+margin and detail, so the claim is computed in one place, ``checks.py``.
+The other claims are computed here. Expected values come from
+independent routes: the grid-search discord is definition-based, Monte
+Carlo thresholds were calibrated over seed ensembles before being frozen,
+and simulator gates are binomial four-sigma bands.
 """
 
 import math
@@ -14,28 +18,17 @@ import time
 import numpy as np
 
 from twirlkit import (
-    discord_error_rate_bound,
-    discord_eigen,
-    discord_grid_oracle,
-    discord_x_closed_form,
-    concurrence,
     depolarized_pure,
-    entanglement_of_formation,
-    k_values,
+    discord_grid_oracle,
     min_error_rate,
     pure_state,
     random_key_bias,
-    random_state,
     simulate_protocol,
     twirl_analytic,
     twirl_monte_carlo,
     validate_density,
     werner,
-    x_state,
 )
-from twirlkit.checks import sample_x_params
-
-GAMMA_GRID = np.linspace(0.0, math.pi / 2, 51)[1:]  # 50 points in (0, pi/2]
 
 
 def report(name, ok, detail):
@@ -44,96 +37,46 @@ def report(name, ok, detail):
     assert ok, line
 
 
-def test_error_rate_ratio_is_two_thirds():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for g in GAMMA_GRID:
-        ratio = min_error_rate(twirl_analytic(pure_state(g))).value / min_error_rate(pure_state(g)).value
-        worst = max(worst, abs(ratio - 2 / 3))
-    elapsed = time.perf_counter() - t0
-    report(
-        "twirl reduces the minimal error rate by exactly 2/3",
-        worst <= 1e-12,
-        f"worst |ratio - 2/3| = {worst:.3e} over 50 points ({elapsed:.2f}s)",
+def report_property(default_check, name, prop):
+    """Report the claim ``name`` as the default ``check`` run's property ``prop`` found it."""
+    p = default_check.properties[prop]
+    detail = f"{prop} {p['status']}, worst margin {p['worst_margin']:.3e} over {p['samples']} samples"
+    report(name, p["status"] == "pass", f"{detail}; {p['detail']}" if p["detail"] else detail)
+
+
+def test_error_rate_ratio_is_two_thirds(default_check):
+    report_property(
+        default_check, "twirl reduces the minimal error rate by exactly 2/3", "protocol_twirl_ratio_two_thirds"
     )
 
 
-def test_error_rate_anchors():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for g in GAMMA_GRID:
-        worst = max(worst, abs(min_error_rate(pure_state(g)).value - math.sin(g / 2) ** 2))
-        worst = max(
-            worst,
-            abs(min_error_rate(werner(math.cos(g / 2) ** 2)).value - (2 / 3) * math.sin(g / 2) ** 2),
-        )
-    elapsed = time.perf_counter() - t0
-    report(
+def test_error_rate_anchors(default_check):
+    report_property(
+        default_check,
         "closed-form minimal error rates for the pure and twirled families",
-        worst <= 1e-12,
-        f"worst deviation = {worst:.3e} ({elapsed:.2f}s)",
+        "protocol_twirl_ratio_two_thirds",
     )
 
 
-def test_discord_values_on_both_families():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for g in GAMMA_GRID:
-        d_pure = discord_grid_oracle(pure_state(g)).value
-        d_twirl = discord_grid_oracle(twirl_analytic(pure_state(g))).value
-        worst = max(worst, abs(d_pure - 0.5 * math.cos(g) ** 2))
-        worst = max(worst, abs(d_twirl - 0.5 * ((2 * math.cos(g) + 1) / 3) ** 2))
-    elapsed = time.perf_counter() - t0
-    report(
-        "grid-search discord matches the family closed forms",
-        worst <= 1e-6,
-        f"worst deviation = {worst:.3e} ({elapsed:.2f}s)",
+def test_discord_values_on_both_families(default_check):
+    report_property(
+        default_check, "grid-search discord matches the family closed forms", "measures_twirl_pair_monotonicity"
     )
 
 
-def test_twirl_preserves_entanglement_and_raises_discord():
-    t0 = time.perf_counter()
-    worst_c = 0.0
-    worst_e = 0.0
-    min_gap = math.inf
-    for g in GAMMA_GRID:
-        before = pure_state(g)
-        after = twirl_analytic(before)
-        c1, c2 = concurrence(before), concurrence(after)
-        worst_c = max(worst_c, abs(c1 - math.cos(g)), abs(c2 - math.cos(g)))
-        worst_e = max(
-            worst_e, abs(entanglement_of_formation(before) - entanglement_of_formation(after))
-        )
-        min_gap = min(min_gap, discord_grid_oracle(after).value - discord_grid_oracle(before).value)
-    elapsed = time.perf_counter() - t0
-    report(
+def test_twirl_preserves_entanglement_and_raises_discord(default_check):
+    report_property(
+        default_check,
         "twirl keeps concurrence and entanglement of formation, raises discord",
-        worst_c <= 1e-10 and worst_e <= 1e-10 and min_gap >= 1e-6,
-        f"worst concurrence dev = {worst_c:.3e}, worst EoF dev = {worst_e:.3e}, "
-        f"smallest discord increase = {min_gap:.3e} ({elapsed:.2f}s)",
+        "measures_twirl_pair_monotonicity",
     )
 
 
-def test_discord_error_rate_bound_on_random_states():
-    t0 = time.perf_counter()
-    worst = -math.inf
-    violations = 0
-    for i in range(10_000):
-        s = random_state(i)
-        lhs, rhs = discord_error_rate_bound(s, method="eigen")
-        worst = max(worst, lhs - rhs)
-        if lhs > rhs + 1e-9:
-            violations += 1
-        if i < 100:
-            lhs_g, rhs_g = discord_error_rate_bound(s, method="grid-oracle")
-            if lhs_g > rhs_g + 1e-9 or abs(lhs_g - lhs) > 1e-9:
-                violations += 1
-    elapsed = time.perf_counter() - t0
-    report(
+def test_discord_error_rate_bound_on_random_states(default_check):
+    report_property(
+        default_check,
         "discord bounded by the two optimal error-rate terms on 10^4 random states",
-        violations == 0,
-        f"{violations} violations, worst lhs - rhs = {worst:.3e} "
-        f"(fast path, grid-search cross-check on 100) ({elapsed:.1f}s)",
+        "measures_discord_error_bound",
     )
 
 
@@ -188,35 +131,11 @@ def test_protocol_simulator_tracks_analytic_error_rates():
     )
 
 
-def test_x_state_closed_form_agrees_with_oracle():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(12345)
-    accepted = 0
-    rejected_checked = 0
-    worst = 0.0
-    branch_errors = 0
-    while accepted < 1000:
-        p = sample_x_params(rng)
-        k = k_values(p)
-        if abs(k.k1 - k.k3) <= 1e-9:
-            continue
-        if k.k1 <= k.k3:
-            accepted += 1
-            oracle = discord_grid_oracle(x_state(p))
-            worst = max(worst, abs(discord_x_closed_form(p).value - oracle.value))
-            if math.hypot(*oracle.argmin_direction[:2]) > 1e-4:
-                branch_errors += 1
-        elif rejected_checked < 300:
-            rejected_checked += 1
-            oracle = discord_grid_oracle(x_state(p))
-            if math.hypot(*oracle.argmin_direction[:2]) <= 1e-4 and oracle.value > 1e-9:
-                branch_errors += 1
-    elapsed = time.perf_counter() - t0
-    report(
+def test_x_state_closed_form_agrees_with_oracle(default_check):
+    report_property(
+        default_check,
         "X-state closed form and branch condition agree with the grid search",
-        worst <= 1e-6 and branch_errors == 0,
-        f"worst value gap = {worst:.3e} over {accepted} in-branch states; "
-        f"{branch_errors} branch disagreements (incl. {rejected_checked} out-of-branch) ({elapsed:.1f}s)",
+        "measures_xstate_oracle_agreement",
     )
 
 
@@ -242,16 +161,8 @@ def test_depolarized_family_discord_never_drops_under_twirl():
     )
 
 
-def test_eigen_fast_path_agrees_with_oracle():
+def test_eigen_fast_path_agrees_with_oracle(default_check):
     # supporting consistency check used by the bound sweep above
-    t0 = time.perf_counter()
-    worst = max(
-        abs(discord_eigen(random_state(seed)).value - discord_grid_oracle(random_state(seed)).value)
-        for seed in range(100)
-    )
-    elapsed = time.perf_counter() - t0
-    report(
-        "eigenvalue fast path agrees with the grid search",
-        worst <= 1e-9,
-        f"worst gap = {worst:.3e} over 100 random states ({elapsed:.1f}s)",
+    report_property(
+        default_check, "eigenvalue fast path agrees with the grid search", "measures_eigen_grid_agreement"
     )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import twirlkit
-from twirlkit import InvalidSpecError, checks, states
+from twirlkit import InvalidSpecError, checks, cli, measures, states, twirl_analytic
 from twirlkit.cli import SweepSpec, build_parser, main
 
 EXPECTED_HEADER = (
@@ -128,6 +128,31 @@ class TestSweep:
     def test_invalid_family_exits_one(self, capsys):
         assert main(["sweep", "--family", "ghz", "--grid", "0:1:2"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_empty_quantities_exits_one(self, capsys):
+        assert main(["sweep", "--family", "pure", "--grid", "0:1:3", "--quantities", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "quantities" in captured.err
+
+    def test_concurrence_once_per_state(self, monkeypatch):
+        # each row's entanglement of formation reuses the row's concurrence
+        calls = []
+        original = measures.concurrence
+
+        def counted(state):
+            calls.append(state)
+            return original(state)
+
+        monkeypatch.setattr(cli, "concurrence", counted)
+        monkeypatch.setattr(measures, "concurrence", counted)
+        spec = SweepSpec(family="depolarized", grid=[0.2, 0.9], p=0.6)
+        rows = cli.run_sweep(spec)
+        assert len(calls) == 2 * len(rows)
+        for row, (g, p) in zip(rows, spec.points()):
+            state = states.depolarized_pure(g, p)
+            assert row["eof_pure"] == measures.entanglement_of_formation(state)
+            assert row["eof_twirled"] == measures.entanglement_of_formation(twirl_analytic(state))
 
     def test_invalid_grid_exits_one(self, capsys):
         assert main(["sweep", "--family", "pure", "--grid", "0..1"]) == 1
@@ -285,17 +310,15 @@ class TestCheck:
         assert doc["all_pass"] is True
         assert code == 0
 
-    def test_default_run_all_pass(self, tmp_path):
+    def test_default_run_all_pass(self, default_check):
         # Full documented sample counts; this is the slow, authoritative run.
-        out = tmp_path / "report.json"
-        code = main(["check", "--out", str(out)])
-        doc = json.loads(out.read_text())
-        failing = [p["name"] for p in doc["properties"] if p["status"] == "fail"]
+        failing = [name for name, p in default_check.properties.items() if p["status"] == "fail"]
         assert failing == []
-        assert code == 0
-        names = [p["name"] for p in doc["properties"]]
-        assert "measures_discord_error_bound" in names
-        assert "measures_xstate_oracle_agreement" in names
+        assert default_check.report["all_pass"] is True
+        assert default_check.code == 0
+        assert "measures_discord_error_bound" in default_check.properties
+        assert "measures_xstate_oracle_agreement" in default_check.properties
+        assert "protocol_twirl_ratio_two_thirds" in default_check.properties
 
     def test_fault_injection_fails_discord_properties(self, tmp_path):
         out = tmp_path / "report.json"
@@ -346,6 +369,24 @@ class TestCheck:
     def test_counts_below_one_exit_one(self, capsys, flag):
         assert main(["check", *FAST_CHECK_FLAGS, flag, "0"]) == 1
         assert flag in capsys.readouterr().err
+
+    def test_count_flags_are_the_config_fields(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a for a in sub.choices["check"]._actions}
+        for f in checks.FLAG_FIELDS:
+            assert flags[f.name].option_strings == [f"--{f.name.replace('_', '-')}"]
+            assert flags[f.name].default == f.default
+        args = build_parser().parse_args(["check"])
+        assert checks.CheckConfig(**{f.name: getattr(args, f.name) for f in checks.FLAG_FIELDS}) == checks.CheckConfig()
+
+    def test_ratio_property(self):
+        result = checks.check_protocol_twirl_ratio_two_thirds(checks.CheckConfig())
+        assert result.status == "pass"
+        assert result.samples == 50
+        assert result.worst_margin < 0.0
+        assert "ratio - 2/3" in result.detail
+        strict = checks.CheckConfig(tolerances={"entrywise": 0.0})
+        assert checks.check_protocol_twirl_ratio_two_thirds(strict).status == "fail"
 
     def test_xstate_margin_is_not_masked(self):
         result = checks.check_measures_xstate_oracle_agreement(checks.CheckConfig(x_states=6))

@@ -28,6 +28,7 @@ from twirlkit import (
     entanglement_of_formation,
     haar_su2,
     k_values,
+    measures,
     min_error_rate,
     pure_state,
     random_state,
@@ -131,6 +132,17 @@ class TestDiscordGridOracle:
             res = discord_grid_oracle(s)
             residual = np.sum(np.abs(s.rho - cq_state(s, res.argmin_direction).rho) ** 2)
             assert res.value == pytest.approx(float(residual), abs=1e-9)
+
+
+    def test_repeated_start_searched_once(self, monkeypatch):
+        # on the pure family the best grid point is the z pole, the first start
+        calls = []
+        search = measures._pattern_search
+        monkeypatch.setattr(measures, "_pattern_search", lambda *a: calls.append(a[1:3]) or search(*a))
+        result = discord_grid_oracle(pure_state(1.0))
+        assert calls[:2] == [(0.0, 0.0), (math.pi / 2, 0.0)]
+        assert len(calls) == 2
+        assert result.value == pytest.approx(0.5 * math.cos(1.0) ** 2, abs=1e-12)
 
 
 class TestDiscordEigen:
