@@ -375,25 +375,6 @@ def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
     )
 
 
-def check_protocol_twirl_ratio_two_thirds(config: CheckConfig) -> PropertyResult:
-    """Twirling the pure family turns its minimal error rate sin^2(g/2)
-    into the Werner value (2/3) sin^2(g/2)."""
-    worst_ratio = worst_form = 0.0
-    for g in OPEN_GAMMA_GRID:
-        pure = states.pure_state(g)
-        d_pure = protocol.min_error_rate(pure).value
-        d_twirled = protocol.min_error_rate(twirl.twirl_analytic(pure)).value
-        d_werner = protocol.min_error_rate(states.werner(math.cos(g / 2) ** 2)).value
-        s2 = math.sin(g / 2) ** 2
-        worst_ratio = max(worst_ratio, abs(d_twirled / d_pure - 2 / 3))
-        worst_form = max(worst_form, abs(d_pure - s2), abs(d_werner - (2 / 3) * s2))
-    return _result(
-        "protocol_twirl_ratio_two_thirds", len(OPEN_GAMMA_GRID),
-        max(worst_ratio, worst_form) - config.tol("entrywise"),
-        f"worst |ratio - 2/3| {worst_ratio:.3e}, worst closed-form deviation {worst_form:.3e}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # correlation measures
 
@@ -486,7 +467,7 @@ def check_measures_discord_error_bound(config: CheckConfig) -> PropertyResult:
         worst = max(worst, lhs - rhs)
         if i < BOUND_CROSS_CHECKS:
             lhs_grid, rhs_grid = measures.discord_error_rate_bound(s, method="grid-oracle")
-            worst = max(worst, lhs_grid - rhs_grid, abs(lhs_grid - lhs) - 1e-9)
+            worst = max(worst, lhs_grid - rhs_grid, abs(lhs_grid - lhs))
     return _result("measures_discord_error_bound", config.bound_states, worst - config.tol("bound_slack"))
 
 
@@ -522,25 +503,38 @@ def check_measures_delta_min_relation(config: CheckConfig) -> PropertyResult:
 
 
 def check_measures_twirl_pair_monotonicity(config: CheckConfig) -> PropertyResult:
-    """Twirling the pure family keeps the concurrence cos g and the
-    entanglement of formation, and raises the oracle discord from
+    """Twirling the pure family turns its minimal error rate sin^2(g/2)
+    into the Werner value (2/3) sin^2(g/2), keeps the concurrence cos g and
+    the entanglement of formation, and raises the oracle discord from
     cos^2 g / 2 to ((2 cos g + 1) / 3)^2 / 2."""
-    worst_c = worst_e = worst_d = 0.0
+    worst_ratio = worst_rate = worst_c = worst_e = worst_d = 0.0
     min_gap = math.inf
     for g in OPEN_GAMMA_GRID:
-        cmp = measures.twirl_discord_comparison(states.pure_state(g))
+        pure = states.pure_state(g)
+        d_pure = protocol.min_error_rate(pure).value
+        d_twirled = protocol.min_error_rate(twirl.twirl_analytic(pure)).value
+        d_werner = protocol.min_error_rate(states.werner(math.cos(g / 2) ** 2)).value
+        s2 = math.sin(g / 2) ** 2
+        worst_ratio = max(worst_ratio, abs(d_twirled / d_pure - 2 / 3))
+        worst_rate = max(worst_rate, abs(d_pure - s2), abs(d_werner - (2 / 3) * s2))
+        cmp = measures.twirl_discord_comparison(pure)
         c = math.cos(g)
         worst_c = max(worst_c, abs(cmp.c_before - cmp.c_after), abs(cmp.c_before - c), abs(cmp.c_after - c))
-        worst_e = max(worst_e, abs(measures._eof(cmp.c_before) - measures._eof(cmp.c_after)))
+        worst_e = max(
+            worst_e,
+            abs(measures.eof_from_concurrence(cmp.c_before) - measures.eof_from_concurrence(cmp.c_after)),
+        )
         worst_d = max(worst_d, abs(cmp.d_before - 0.5 * c**2), abs(cmp.d_after - 0.5 * ((2 * c + 1) / 3) ** 2))
         min_gap = min(min_gap, cmp.d_after - cmp.d_before)
     margin = max(
+        max(worst_ratio, worst_rate) - config.tol("entrywise"),
         max(worst_c, worst_e) - config.tol("concurrence_invariance"),
         worst_d - config.tol("oracle_agreement"),
         config.tol("discord_increase") - min_gap,
     )
     return _result(
         "measures_twirl_pair_monotonicity", len(OPEN_GAMMA_GRID), margin,
+        f"worst |ratio - 2/3| {worst_ratio:.3e}, worst error-rate closed-form deviation {worst_rate:.3e}, "
         f"worst concurrence deviation {worst_c:.3e}, worst EoF change {worst_e:.3e}, "
         f"worst discord closed-form deviation {worst_d:.3e}, smallest discord increase {min_gap:.3e}",
     )
@@ -592,7 +586,6 @@ ALL_CHECKS = (
     ("protocol_partner_optimality", check_protocol_partner_optimality),
     ("protocol_optimal_value_row_norm", check_protocol_optimal_value_row_norm),
     ("protocol_simulator_convergence", check_protocol_simulator_convergence),
-    ("protocol_twirl_ratio_two_thirds", check_protocol_twirl_ratio_two_thirds),
     ("measures_eigen_grid_agreement", check_measures_eigen_grid_agreement),
     ("measures_xstate_oracle_agreement", check_measures_xstate_oracle_agreement),
     ("measures_discord_range", check_measures_discord_range),

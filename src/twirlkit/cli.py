@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, states
 from .checks import DEFAULT_TOLERANCES, FAULT_NEGATE_RHO14, FLAG_FIELDS, CheckConfig, run_all
 from .errors import InvalidSpecError, TwirlkitError
-from .measures import _eof, concurrence, discord_eigen, twirl_discord_comparison
+from .measures import concurrence, discord_eigen, eof_from_concurrence, twirl_discord_comparison
 from .protocol import MeasurementSetting, error_rate, min_error_rate, simulate_protocol
 from .twirl import twirl_analytic, twirl_monte_carlo
 
@@ -106,8 +106,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             "dg_twirled": discord_eigen(twirled).value,
             "concurrence_pure": c_pure,
             "concurrence_twirled": c_twirled,
-            "eof_pure": _eof(c_pure),
-            "eof_twirled": _eof(c_twirled),
+            "eof_pure": eof_from_concurrence(c_pure),
+            "eof_twirled": eof_from_concurrence(c_twirled),
         }
         row.update(zip(spec.extra_params, point[1:]))
         rows.append(row)

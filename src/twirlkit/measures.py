@@ -350,14 +350,14 @@ def binary_entropy(x: float) -> float:
     return h
 
 
-def _eof(c: float) -> float:
+def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation of a state with concurrence ``c``."""
     return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
 
 
 def entanglement_of_formation(state: TwoQubitState) -> float:
     """Entanglement of formation H2((1 + sqrt(1 - C^2)) / 2)."""
-    return _eof(concurrence(state))
+    return eof_from_concurrence(concurrence(state))
 
 
 @dataclass(frozen=True)

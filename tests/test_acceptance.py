@@ -46,7 +46,7 @@ def report_property(default_check, name, prop):
 
 def test_error_rate_ratio_is_two_thirds(default_check):
     report_property(
-        default_check, "twirl reduces the minimal error rate by exactly 2/3", "protocol_twirl_ratio_two_thirds"
+        default_check, "twirl reduces the minimal error rate by exactly 2/3", "measures_twirl_pair_monotonicity"
     )
 
 
@@ -54,7 +54,7 @@ def test_error_rate_anchors(default_check):
     report_property(
         default_check,
         "closed-form minimal error rates for the pure and twirled families",
-        "protocol_twirl_ratio_two_thirds",
+        "measures_twirl_pair_monotonicity",
     )
 
 

@@ -318,7 +318,7 @@ class TestCheck:
         assert default_check.code == 0
         assert "measures_discord_error_bound" in default_check.properties
         assert "measures_xstate_oracle_agreement" in default_check.properties
-        assert "protocol_twirl_ratio_two_thirds" in default_check.properties
+        assert "measures_twirl_pair_monotonicity" in default_check.properties
 
     def test_fault_injection_fails_discord_properties(self, tmp_path):
         out = tmp_path / "report.json"
@@ -379,14 +379,14 @@ class TestCheck:
         args = build_parser().parse_args(["check"])
         assert checks.CheckConfig(**{f.name: getattr(args, f.name) for f in checks.FLAG_FIELDS}) == checks.CheckConfig()
 
-    def test_ratio_property(self):
-        result = checks.check_protocol_twirl_ratio_two_thirds(checks.CheckConfig())
+    def test_twirl_pair_states_the_ratio(self):
+        result = checks.check_measures_twirl_pair_monotonicity(checks.CheckConfig())
         assert result.status == "pass"
         assert result.samples == 50
         assert result.worst_margin < 0.0
         assert "ratio - 2/3" in result.detail
         strict = checks.CheckConfig(tolerances={"entrywise": 0.0})
-        assert checks.check_protocol_twirl_ratio_two_thirds(strict).status == "fail"
+        assert checks.check_measures_twirl_pair_monotonicity(strict).status == "fail"
 
     def test_xstate_margin_is_not_masked(self):
         result = checks.check_measures_xstate_oracle_agreement(checks.CheckConfig(x_states=6))
