@@ -48,7 +48,7 @@ class SweepSpec:
     """One parameter sweep: family, grid, optional column subset, output."""
 
     family: str
-    grid: list
+    grid: list[float]
     quantities: list[str] | None = None
     p: float | None = None
 
@@ -57,9 +57,10 @@ class SweepSpec:
             raise InvalidSpecError(f"unknown family {self.family!r}")
         if not self.grid:
             raise InvalidSpecError("sweep grid must be nonempty")
-        if self.extra_params and self.p is None and not all(isinstance(g, (tuple, list)) for g in self.grid):
-            names = ", ".join(states.FAMILY_PARAMS[self.family])
-            raise InvalidSpecError(f"{self.family} sweeps need ({names}) pairs or a fixed --p")
+        if self.extra_params and self.p is None:
+            raise InvalidSpecError(f"{self.family} sweeps need a fixed --p")
+        if not self.extra_params and self.p is not None:
+            raise InvalidSpecError(f"{self.family} sweeps take no --p")
         if self.quantities is not None:
             unknown = [q for q in self.quantities if q not in _VALUE_COLUMNS]
             if unknown:
@@ -67,13 +68,13 @@ class SweepSpec:
 
     @property
     def extra_params(self) -> tuple[str, ...]:
-        """Family parameters after the swept one (from grid pairs or ``p``); each gets a column."""
+        """Family parameters after the swept one (set by ``p``); each gets a column."""
         return states.FAMILY_PARAMS[self.family][1:]
 
     def points(self) -> list[tuple[float, ...]]:
         """Family parameters of every grid point, in ``states.FAMILY_PARAMS`` order."""
         fixed = [self.p] * len(self.extra_params)
-        return [tuple(map(float, g if isinstance(g, (tuple, list)) else (g, *fixed))) for g in self.grid]
+        return [tuple(map(float, (g, *fixed))) for g in self.grid]
 
     def columns(self) -> list[str]:
         cols = list(_COLUMNS)
@@ -201,13 +202,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     state = states.load_state_file(args.state)
-    if args.b is None or args.b_prime is None:
-        mer = min_error_rate(state)
-        b = _parse_direction(args.b) if args.b else mer.b
-        b_prime = _parse_direction(args.b_prime) if args.b_prime else mer.b_prime
-    else:
-        b = _parse_direction(args.b)
-        b_prime = _parse_direction(args.b_prime)
+    optimal = min_error_rate(state) if args.b is None or args.b_prime is None else None
+    b = optimal.b if args.b is None else _parse_direction(args.b)
+    b_prime = optimal.b_prime if args.b_prime is None else _parse_direction(args.b_prime)
     run = simulate_protocol(state, args.n, args.seed, b, b_prime)
     summary = run.summary(delta_analytic=error_rate(state, b, b_prime))
     _write(_dump_json(summary), args.out)

@@ -118,10 +118,10 @@ def _pattern_search(rho: np.ndarray, theta: float, phi: float, wt: float, wp: fl
     return best_v, best_t, best_p
 
 
-def discord_grid_oracle(state: TwoQubitState, coarse_steps: int = 24) -> DiscordResult:
+def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     """Geometric discord by direct minimization over projector directions.
 
-    Scans a (theta, phi) grid of coarse_steps**2 points on the upper
+    Scans a (theta, phi) grid of 24**2 points on the upper
     hemisphere (antipodal directions define the same projector pair), then
     refines with a shrinking-neighborhood pattern search. The refinement
     runs from three starts: the z pole, the best grid point, and the best
@@ -134,14 +134,12 @@ def discord_grid_oracle(state: TwoQubitState, coarse_steps: int = 24) -> Discord
 
     Args:
         state: the input state.
-        coarse_steps: resolution of the initial grid, at least 16.
 
     Returns:
         DiscordResult with the minimal squared distance and the canonical
         minimizing direction.
     """
-    if coarse_steps < 16:
-        raise OutOfRangeError(f"coarse_steps must be >= 16, got {coarse_steps}")
+    coarse_steps = 24
     rho = state.rho
     thetas = np.linspace(0.0, np.pi / 2, coarse_steps)
     phis = np.linspace(0.0, 2 * np.pi, coarse_steps, endpoint=False)

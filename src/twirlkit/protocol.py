@@ -2,17 +2,15 @@
 settings, analytic error rates, and stochastic simulation of the
 entanglement-based key distribution scheme.
 
-Alice measures spin observables along directions in the Bloch x-y plane
-(by default exactly x and y) so her raw key symbols are unbiased for
-states whose first-qubit Bloch vector points along z. Bob measures along
-two directions b and b'. Rounds where the pairing is (x, b') or (y, b)
-are discarded during sifting; the error rate is the probability that the
-two parties' sifted symbols disagree.
+Alice measures spin observables along the Bloch x and y axes, so her
+raw key symbols are unbiased for states whose first-qubit Bloch vector
+points along z. Bob measures along two directions b and b'. Rounds where
+the pairing is (x, b') or (y, b) are discarded during sifting; the error
+rate is the probability that the two parties' sifted symbols disagree.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -158,20 +156,32 @@ def min_error_rate(state: TwoQubitState) -> MinErrorRate:
     )
 
 
+# A ledger row after its round number: one tail per (Alice basis, Bob
+# basis, Alice bit, Bob bit), at index 8 i + 4 j + 2 [s < 0] + [t < 0].
+# The sifted flag is the basis match, the rule simulate_protocol sifts by.
+_LEDGER_TAILS = np.array([
+    f",{ALICE_LABELS[i]},{BOB_LABELS[j]},{s},{t},{int(i == j)}\n"
+    for i in (0, 1) for j in (0, 1) for s in (1, -1) for t in (1, -1)
+])
+# Rounds formatted per write, so the writer's memory does not grow with n.
+_LEDGER_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class ProtocolRun:
     """Ledger of one simulated key distribution run.
 
-    Per-round arrays hold the basis labels ("x"/"y" for Alice, "b"/"b'"
-    for Bob) and the +-1 outcomes. ``sifted_indices`` lists the rounds
-    kept after discarding the (x, b') and (y, b) pairings; the discarded
-    rounds remain in the ledger for diagnostics. ``empirical_delta`` is
-    the sifted-count weighted mean of the two per-basis mismatch rates.
+    Per-round arrays hold the setting choices as int8 indices into
+    ``ALICE_LABELS`` and ``BOB_LABELS`` and the +-1 outcomes.
+    ``sifted_indices`` lists the rounds kept after discarding the (x, b')
+    and (y, b) pairings; the discarded rounds remain in the ledger for
+    diagnostics. ``empirical_delta`` is the sifted-count weighted mean of
+    the two per-basis mismatch rates.
     """
 
     n_rounds: int
-    alice_bases: np.ndarray
-    bob_bases: np.ndarray
+    alice_choice: np.ndarray
+    bob_choice: np.ndarray
     alice_bits: np.ndarray
     bob_bits: np.ndarray
     sifted_indices: np.ndarray
@@ -180,10 +190,20 @@ class ProtocolRun:
     empirical_delta: float
 
     def __post_init__(self):
-        for name in ("alice_bases", "bob_bases", "alice_bits", "bob_bits", "sifted_indices"):
+        for name in ("alice_choice", "bob_choice", "alice_bits", "bob_bits", "sifted_indices"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def alice_bases(self) -> np.ndarray:
+        """Alice's per-round basis labels, "x" or "y"."""
+        return np.array(ALICE_LABELS)[self.alice_choice]
+
+    @property
+    def bob_bases(self) -> np.ndarray:
+        """Bob's per-round basis labels, "b" or "b'"."""
+        return np.array(BOB_LABELS)[self.bob_choice]
 
     @property
     def m_sifted(self) -> int:
@@ -220,51 +240,30 @@ class ProtocolRun:
 
     def write_rounds_csv(self, path) -> None:
         """Write the per-round ledger: round, bases, bits, sifted flag."""
-        sifted = np.zeros(self.n_rounds, dtype=int)
-        sifted[self.sifted_indices] = 1
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["round", "alice_basis", "bob_basis", "alice_bit", "bob_bit", "sifted"])
-            for i in range(self.n_rounds):
-                writer.writerow(
-                    [
-                        i,
-                        self.alice_bases[i],
-                        self.bob_bases[i],
-                        int(self.alice_bits[i]),
-                        int(self.bob_bits[i]),
-                        int(sifted[i]),
-                    ]
-                )
+            fh.write("round,alice_basis,bob_basis,alice_bit,bob_bit,sifted\n")
+            for lo in range(0, self.n_rounds, _LEDGER_CHUNK):
+                part = slice(lo, lo + _LEDGER_CHUNK)
+                code = (8 * self.alice_choice[part] + 4 * self.bob_choice[part]
+                        + 2 * (self.alice_bits[part] < 0) + (self.bob_bits[part] < 0))
+                rows = np.char.add(np.arange(lo, lo + code.size).astype(str), _LEDGER_TAILS[code])
+                fh.write("".join(rows.tolist()))
 
 
-def simulate_protocol(
-    state: TwoQubitState,
-    n_rounds: int,
-    seed: int,
-    b,
-    b_prime,
-    *,
-    a=SETTING_X,
-    a_prime=SETTING_Y,
-) -> ProtocolRun:
+def simulate_protocol(state: TwoQubitState, n_rounds: int, seed: int, b, b_prime) -> ProtocolRun:
     """Simulate the key distribution rounds for a shared two-qubit state.
 
-    Each round both parties pick one of their two settings uniformly at
+    Each round Alice picks x or y and Bob picks b or b' uniformly at
     random; the joint outcome is drawn from the exact four-outcome
     distribution by inverse CDF on a single uniform draw. Sifting keeps
     the (x, b) and (y, b') pairings. Deterministic given ``seed``.
-
-    ``a`` and ``a_prime`` default to the x and y axes as the scheme
-    prescribes; overriding them is a diagnostic mode outside the protocol
-    (used e.g. to demonstrate key bias for ill-chosen settings).
 
     Raises EmptySiftedSetError when no round survives sifting, which can
     only happen for very small ``n_rounds``.
     """
     if n_rounds < 1:
         raise OutOfRangeError(f"n_rounds must be >= 1, got {n_rounds}")
-    alice_settings = (MeasurementSetting.of(a), MeasurementSetting.of(a_prime))
+    alice_settings = (SETTING_X, SETTING_Y)
     bob_settings = (MeasurementSetting.of(b), MeasurementSetting.of(b_prime))
 
     # Cumulative outcome distributions for the four setting pairings.
@@ -275,8 +274,9 @@ def simulate_protocol(
             cums[i, j, 3] = max(cums[i, j, 3], 1.0)
 
     rng = np.random.default_rng(seed)
-    alice_choice = rng.integers(0, 2, n_rounds)
-    bob_choice = rng.integers(0, 2, n_rounds)
+    # int64 draws keep the seeded stream; the run stores them as int8
+    alice_choice = rng.integers(0, 2, n_rounds).astype(np.int8)
+    bob_choice = rng.integers(0, 2, n_rounds).astype(np.int8)
     u = rng.random(n_rounds)
 
     outcome = np.empty(n_rounds, dtype=np.int64)
@@ -305,13 +305,10 @@ def simulate_protocol(
     delta_y = float(np.mean(mismatch[mask_y])) if n_y else float("nan")
     delta = float(np.count_nonzero(mismatch & sifted_mask)) / sifted_indices.size
 
-    alice_bases = np.array(ALICE_LABELS, dtype="<U1")[alice_choice]
-    bob_bases = np.array(BOB_LABELS, dtype="<U2")[bob_choice]
-
     return ProtocolRun(
         n_rounds=n_rounds,
-        alice_bases=alice_bases,
-        bob_bases=bob_bases,
+        alice_choice=alice_choice,
+        bob_choice=bob_choice,
         alice_bits=alice_bits,
         bob_bits=bob_bits,
         sifted_indices=sifted_indices,
@@ -331,20 +328,17 @@ def random_key_bias(run: ProtocolRun) -> float:
     if run.n_rounds < 1:
         raise OutOfRangeError("run has no rounds")
     worst = 0.0
-    for labels, bases, bits in (
-        (ALICE_LABELS, run.alice_bases, run.alice_bits),
-        (BOB_LABELS, run.bob_bases, run.bob_bits),
-    ):
-        for label in labels:
-            mask = bases == label
+    for choice, bits in ((run.alice_choice, run.alice_bits), (run.bob_choice, run.bob_bits)):
+        for k in (0, 1):
+            mask = choice == k
             if mask.any():
                 freq = float(np.mean(bits[mask] > 0))
                 worst = max(worst, abs(freq - 0.5))
     return worst
 
 
-def binomial_gate(delta: float, m: int, n_sigma: float = 4.0) -> float:
-    """Half-width of the n-sigma binomial band around an error rate."""
+def binomial_gate(delta: float, m: int) -> float:
+    """Half-width of the 4-sigma binomial band around an error rate."""
     if m < 1:
         raise OutOfRangeError("need at least one sifted round")
-    return n_sigma * math.sqrt(max(delta * (1.0 - delta), 0.0) / m)
+    return 4.0 * math.sqrt(max(delta * (1.0 - delta), 0.0) / m)

@@ -54,14 +54,14 @@ def pauli_sigma(n) -> np.ndarray:
     return np.einsum("k,kij->ij", v, PAULIS)
 
 
-def as_unit_vector(n, atol: float = 1e-12) -> np.ndarray:
-    """Validate and freeze a real unit 3-vector."""
+def as_unit_vector(n) -> np.ndarray:
+    """Validate and freeze a real unit 3-vector (norm within 1e-12 of 1)."""
     v = np.asarray(n, dtype=float)
     if v.shape != (3,):
         raise OutOfRangeError(f"expected a 3-vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= atol:  # also true for a nan or inf norm
-        raise OutOfRangeError(f"vector norm {norm} differs from 1 beyond {atol}")
+    if not abs(norm - 1.0) <= 1e-12:  # also true for a nan or inf norm
+        raise OutOfRangeError(f"vector norm {norm} differs from 1 beyond 1e-12")
     return _frozen(v)
 
 
@@ -75,16 +75,16 @@ def _hermitian_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def hermitian_eigenvalues(a, atol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """Real eigenvalues of a Hermitian 4x4 matrix, sorted in descending order.
 
     Raises NonHermitianError when ``a`` deviates from its adjoint by more
-    than ``atol`` in any entry.
+    than 1e-10 in any entry.
     """
     m = _as_square(a, 4)
     defect = _hermitian_defect(m)
-    if defect > atol:
-        raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e} (atol {atol:.1e})")
+    if defect > 1e-10:
+        raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e} (atol 1.0e-10)")
     return np.linalg.eigvalsh(m)[::-1]
 
 

@@ -33,6 +33,19 @@ FAST_CHECK_FLAGS = [
 ]
 
 
+# Small counts for the tests that assert on one or two properties of the
+# report rather than on the whole suite passing.
+MIN_CHECK_FLAGS = [
+    "--random-states", "1",
+    "--mc-states", "1",
+    "--runs", "1",
+    "--rounds", "20000",
+    "--bound-states", "1",
+    "--x-states", "6",
+    "--range-states", "1",
+]
+
+
 def run_sweep_to(path, grid="0:1.5707963267948966:4", extra=()):
     code = main(["sweep", "--family", "pure", "--grid", grid, "--out", str(path), *extra])
     assert code == 0
@@ -162,6 +175,14 @@ class TestSweep:
         assert main(["sweep", "--family", "depolarized", "--grid", "0:1:2"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("family", ["pure", "werner"])
+    def test_p_without_p_parameter_exits_one(self, capsys, family):
+        # --p belongs to the depolarized family; other families must not ignore it
+        assert main(["sweep", "--family", family, "--grid", "0.5:0.5:1", "--p", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--p" in captured.err
+
     def test_family_choices_are_the_states_table(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         family = next(a for a in sub.choices["sweep"]._actions if a.dest == "family")
@@ -263,6 +284,15 @@ class TestSimulate:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--b", "--b-prime"])
+    def test_empty_direction_exits_one(self, tmp_path, werner_file, capsys, flag):
+        # an empty direction is an error, not a request for the optimal one
+        out = tmp_path / "summary.json"
+        code = main(["simulate", "--state", str(werner_file), "--n", "100", flag, "", "--out", str(out)])
+        assert code == 1
+        assert "direction" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTwirlCommand:
     def test_pure_state_report(self, tmp_path):
@@ -323,7 +353,7 @@ class TestCheck:
     def test_fault_injection_fails_discord_properties(self, tmp_path):
         out = tmp_path / "report.json"
         code = main([
-            "check", "--seed", "7", *FAST_CHECK_FLAGS,
+            "check", "--seed", "7", *MIN_CHECK_FLAGS,
             "--inject-fault", "discord-x-negate-rho14", "--out", str(out),
         ])
         assert code == 2
@@ -335,7 +365,7 @@ class TestCheck:
 
     def test_small_mc_budget_is_skipped_not_failed(self, tmp_path):
         out = tmp_path / "report.json"
-        code = main(["check", "--seed", "7", *FAST_CHECK_FLAGS, "--mc-samples", "10", "--out", str(out)])
+        code = main(["check", "--seed", "7", *MIN_CHECK_FLAGS, "--mc-samples", "10", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         mc = next(p for p in doc["properties"] if p["name"] == "twirl_mc_agreement")
@@ -346,7 +376,7 @@ class TestCheck:
         # an impossible Monte Carlo gate must flip exactly that property
         out = tmp_path / "report.json"
         code = main([
-            "check", "--seed", "7", *FAST_CHECK_FLAGS,
+            "check", "--seed", "7", *MIN_CHECK_FLAGS,
             "--tolerance", "mc_trace_distance=1e-9", "--out", str(out),
         ])
         assert code == 2

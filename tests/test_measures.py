@@ -122,10 +122,6 @@ class TestDiscordGridOracle:
             s = validate_density(np.kron(a, b))
             assert discord_grid_oracle(s).value <= 1e-8
 
-    def test_coarse_steps_floor(self):
-        with pytest.raises(OutOfRangeError):
-            discord_grid_oracle(werner(0.5), coarse_steps=8)
-
     def test_value_equals_residual_at_argmin(self):
         for seed in range(5):
             s = random_state(seed)

@@ -5,6 +5,7 @@ directly and traces against the density matrix, independent of the
 library's Bloch-form expression.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from twirlkit import (
     validate_density,
     werner,
 )
+from twirlkit.protocol import ALICE_LABELS, BOB_LABELS, _LEDGER_CHUNK
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -287,10 +289,11 @@ class TestRandomKeyBias:
         assert random_key_bias(run) <= gate
 
     def test_diagnostic_z_measurement_fully_biased(self):
-        # |uu><uu| measured along z gives a deterministic +1 key symbol.
-        product = pure_state(math.pi / 2)
-        z = MeasurementSetting((0.0, 0.0, 1.0))
-        run = simulate_protocol(product, 2_000, 2, z, z, a=z, a_prime=z)
+        # |+x+x><+x+x| has its first-qubit Bloch vector along x, not z:
+        # every round in which Alice measures x gives her a +1 key symbol.
+        plus = np.full((2, 2), 0.5)
+        product = validate_density(np.kron(plus, plus))
+        run = simulate_protocol(product, 2_000, 2, SETTING_X, SETTING_X)
         assert random_key_bias(run) == pytest.approx(0.5, abs=0)
 
     def test_maximally_mixed_unbiased(self):
@@ -325,6 +328,39 @@ class TestExports:
         assert first[5] in ("0", "1")
         sifted_count = sum(int(line.split(",")[5]) for line in lines[1:])
         assert sifted_count == run.m_sifted
+
+
+def reference_rounds_csv(run, path):
+    """The ledger writer as a csv.writer loop over rows, kept as reference."""
+    sifted = np.zeros(run.n_rounds, dtype=int)
+    sifted[run.sifted_indices] = 1
+    alice_bases, bob_bases = run.alice_bases, run.bob_bases
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["round", "alice_basis", "bob_basis", "alice_bit", "bob_bit", "sifted"])
+        for i in range(run.n_rounds):
+            writer.writerow(
+                [i, alice_bases[i], bob_bases[i], int(run.alice_bits[i]), int(run.bob_bits[i]), int(sifted[i])]
+            )
+
+
+class TestLedger:
+    @pytest.mark.parametrize("n", [7, _LEDGER_CHUNK - 1, _LEDGER_CHUNK, _LEDGER_CHUNK + 1])
+    @pytest.mark.parametrize("state", [werner(0.75), pure_state(1.0)], ids=["werner", "pure"])
+    def test_matches_reference_writer(self, tmp_path, state, n):
+        mer = min_error_rate(state)
+        run = simulate_protocol(state, n, 31, mer.b, mer.b_prime)
+        run.write_rounds_csv(tmp_path / "fast.csv")
+        reference_rounds_csv(run, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_choices_are_int8_label_indices(self):
+        run = simulate_protocol(werner(0.75), 1_000, 37, (1.0, 0.0, 0.0), (0.0, -1.0, 0.0))
+        assert run.alice_choice.dtype == np.int8
+        assert run.bob_choice.dtype == np.int8
+        np.testing.assert_array_equal(run.alice_bases, np.array(ALICE_LABELS)[run.alice_choice])
+        np.testing.assert_array_equal(run.bob_bases, np.array(BOB_LABELS)[run.bob_choice])
+        assert set(run.alice_bases) == {"x", "y"} and set(run.bob_bases) == {"b", "b'"}
 
 
 class TestMeasurementSetting:
