@@ -1,11 +1,12 @@
 """Machine-checkable property suite behind the ``check`` subcommand.
 
 Every property runs a seeded sweep and reports its worst margin, defined
-as the largest observed deviation minus the allowed tolerance, so any
-positive margin is a failure. Sample counts follow the documented
-defaults and can be reduced for quick runs; the Monte Carlo agreement
-property reports itself as skipped instead of failing when its sample
-budget is too small to be meaningful.
+as the largest observed deviation minus its fixed gate in ``TOLERANCES``,
+so any positive margin is a failure. The seed and the sample counts are
+the only inputs. The counts follow the documented defaults and can be
+reduced for quick runs; the Monte Carlo agreement property reports
+itself as skipped instead of failing when its sample budget is too small
+to be meaningful.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .qubit_algebra import (
     validate_density,
 )
 
-FAULT_NEGATE_RHO14 = "discord-x-negate-rho14"
-
-# Named gate tolerances; CheckConfig.tolerances entries override these.
-DEFAULT_TOLERANCES = {
+# The named gates. They are fixed: a report's worst_margin already says
+# how close each property comes to its gate.
+TOLERANCES = {
     "entrywise": 1e-12,
     "eigen_floor": 1e-10,
     "mc_trace_distance": 0.03,
@@ -59,10 +59,9 @@ def _flag(default: int, minimum: int | None = 1, help: str | None = None):
 
 @dataclass
 class CheckConfig:
-    """Seeds, sample counts, named tolerance overrides, and the optional
-    fault injection hook."""
+    """The seed and sample counts; each field is a ``check`` flag."""
 
-    seed: int = _flag(7, minimum=None)
+    seed: int = _flag(7, minimum=0)
     random_states: int = _flag(100)
     mc_states: int = _flag(100)
     mc_samples: int = _flag(100_000, minimum=None)  # below MC_MIN_SAMPLES: skipped
@@ -71,17 +70,10 @@ class CheckConfig:
     bound_states: int = _flag(10_000)
     x_states: int = _flag(1_000)
     range_states: int = _flag(10_000)
-    tolerances: dict | None = None
-    inject_fault: str | None = None
-
-    def tol(self, name: str) -> float:
-        if self.tolerances and name in self.tolerances:
-            return float(self.tolerances[name])
-        return DEFAULT_TOLERANCES[name]
 
 
-# The CheckConfig fields the ``check`` subcommand exposes as flags, in order.
-FLAG_FIELDS = tuple(f for f in fields(CheckConfig) if "minimum" in f.metadata)
+# The CheckConfig fields, in the order of the ``check`` flags.
+FLAG_FIELDS = fields(CheckConfig)
 
 
 @dataclass
@@ -152,19 +144,6 @@ def werner_x_params(f: float) -> states.XStateParams:
     )
 
 
-def _closed_form_value(config: CheckConfig, p: states.XStateParams) -> float:
-    if config.inject_fault == FAULT_NEGATE_RHO14:
-        # Corrupted pipeline: the rho14 contribution enters with flipped sign.
-        return 2.0 * (p.rho23**2 - p.rho14**2)
-    return measures.discord_x_closed_form(p).value
-
-
-def _branch_k1(config: CheckConfig, p: states.XStateParams) -> float:
-    if config.inject_fault == FAULT_NEGATE_RHO14:
-        return 4.0 * (p.rho23 - p.rho14) ** 2
-    return measures.k_values(p).k1
-
-
 # ---------------------------------------------------------------------------
 # operator algebra
 
@@ -174,7 +153,7 @@ def check_algebra_roundtrip(config: CheckConfig) -> PropertyResult:
     for s in pool:
         rebuilt = pauli_compose(pauli_decompose(s.rho))
         worst = max(worst, float(np.max(np.abs(rebuilt - s.rho))))
-    return _result("algebra_pauli_roundtrip", len(pool), worst - config.tol("entrywise"))
+    return _result("algebra_pauli_roundtrip", len(pool), worst - TOLERANCES["entrywise"])
 
 
 def check_algebra_purity_identity(config: CheckConfig) -> PropertyResult:
@@ -184,12 +163,12 @@ def check_algebra_purity_identity(config: CheckConfig) -> PropertyResult:
         d = s.decomp
         predicted = (1.0 + d.x @ d.x + d.y @ d.y + np.sum(d.T * d.T)) / 4.0
         worst = max(worst, abs(hs_norm_sq(s.rho) - predicted))
-    return _result("algebra_purity_identity", len(pool), worst - config.tol("entrywise"))
+    return _result("algebra_purity_identity", len(pool), worst - TOLERANCES["entrywise"])
 
 
 def check_algebra_eigenvalue_range(config: CheckConfig) -> PropertyResult:
     worst = -math.inf
-    floor = config.tol("eigen_floor")
+    floor = TOLERANCES["eigen_floor"]
     pool = _random_states(config, 13, config.random_states)
     for s in pool:
         ev = hermitian_eigenvalues(s.rho)
@@ -229,7 +208,7 @@ def check_states_pure_fidelity(config: CheckConfig) -> PropertyResult:
     gammas = np.linspace(0.0, math.pi / 2, GRID_POINTS)
     for g in gammas:
         worst = max(worst, abs(states.fidelity_phi_plus(states.pure_state(g)) - math.cos(g / 2) ** 2))
-    return _result("states_pure_fidelity_grid", len(gammas), worst - config.tol("entrywise"))
+    return _result("states_pure_fidelity_grid", len(gammas), worst - TOLERANCES["entrywise"])
 
 
 def check_states_cross_constructor(config: CheckConfig) -> PropertyResult:
@@ -245,7 +224,7 @@ def check_states_cross_constructor(config: CheckConfig) -> PropertyResult:
         b = states.x_state(pure_x_params(g)).rho
         worst = max(worst, float(np.max(np.abs(a - b))))
         count += 1
-    return _result("states_cross_constructor", count, worst - config.tol("entrywise"))
+    return _result("states_cross_constructor", count, worst - TOLERANCES["entrywise"])
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +237,7 @@ def check_twirl_idempotent(config: CheckConfig) -> PropertyResult:
         once = twirl.twirl_analytic(s)
         twice = twirl.twirl_analytic(once)
         worst = max(worst, float(np.max(np.abs(twice.rho - once.rho))))
-    return _result("twirl_idempotent", len(pool), worst - config.tol("entrywise"))
+    return _result("twirl_idempotent", len(pool), worst - TOLERANCES["entrywise"])
 
 
 def check_twirl_fidelity_preserved(config: CheckConfig) -> PropertyResult:
@@ -269,7 +248,7 @@ def check_twirl_fidelity_preserved(config: CheckConfig) -> PropertyResult:
             worst,
             abs(states.fidelity_phi_plus(twirl.twirl_analytic(s)) - states.fidelity_phi_plus(s)),
         )
-    return _result("twirl_fidelity_preserved", len(pool), worst - config.tol("entrywise"))
+    return _result("twirl_fidelity_preserved", len(pool), worst - TOLERANCES["entrywise"])
 
 
 def check_twirl_linear(config: CheckConfig) -> PropertyResult:
@@ -284,7 +263,7 @@ def check_twirl_linear(config: CheckConfig) -> PropertyResult:
         lhs = twirl.twirl_analytic(mixed).rho
         rhs = p * twirl.twirl_analytic(s1).rho + (1.0 - p) * twirl.twirl_analytic(s2).rho
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result("twirl_linear", n_pairs, worst - config.tol("entrywise"))
+    return _result("twirl_linear", n_pairs, worst - TOLERANCES["entrywise"])
 
 
 def check_twirl_mc_agreement(config: CheckConfig) -> PropertyResult:
@@ -300,7 +279,7 @@ def check_twirl_mc_agreement(config: CheckConfig) -> PropertyResult:
     for s in pool:
         report = twirl.twirl_monte_carlo(s, config.mc_samples, int(rng.integers(0, 2**62)))
         worst = max(worst, report.trace_distance_to_analytic)
-    return _result(name, len(pool), worst - config.tol("mc_trace_distance"))
+    return _result(name, len(pool), worst - TOLERANCES["mc_trace_distance"])
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +292,7 @@ def check_protocol_outcome_closure(config: CheckConfig) -> PropertyResult:
     for s in pool:
         w = protocol.outcome_probs(s, _unit(rng), _unit(rng)).as_array()
         worst = max(worst, abs(float(np.sum(w)) - 1.0), float(np.max(-w)), float(np.max(w - 1.0)))
-    return _result("protocol_outcome_closure", len(pool), worst - config.tol("entrywise"))
+    return _result("protocol_outcome_closure", len(pool), worst - TOLERANCES["entrywise"])
 
 
 def check_protocol_correlation_identity(config: CheckConfig) -> PropertyResult:
@@ -324,7 +303,7 @@ def check_protocol_correlation_identity(config: CheckConfig) -> PropertyResult:
         a, b = _unit(rng), _unit(rng)
         w = protocol.outcome_probs(s, a, b)
         worst = max(worst, abs(w.correlation() - protocol.correlation(s, a, b)))
-    return _result("protocol_correlation_identity", len(pool), worst - config.tol("entrywise"))
+    return _result("protocol_correlation_identity", len(pool), worst - TOLERANCES["entrywise"])
 
 
 def check_protocol_partner_optimality(config: CheckConfig) -> PropertyResult:
@@ -340,7 +319,7 @@ def check_protocol_partner_optimality(config: CheckConfig) -> PropertyResult:
             brute = np.array([a @ T @ _unit(rng) for _ in range(100)])
             worst = max(worst, float(np.max(brute)) - best.value)
             count += 1
-    return _result("protocol_partner_optimality", count, worst - config.tol("entrywise"))
+    return _result("protocol_partner_optimality", count, worst - TOLERANCES["entrywise"])
 
 
 def check_protocol_optimal_value_row_norm(config: CheckConfig) -> PropertyResult:
@@ -352,7 +331,7 @@ def check_protocol_optimal_value_row_norm(config: CheckConfig) -> PropertyResult
             abs(protocol.optimal_partner(s, protocol.SETTING_X).value - float(np.linalg.norm(s.T[0]))),
             abs(protocol.optimal_partner(s, protocol.SETTING_Y).value - float(np.linalg.norm(s.T[1]))),
         )
-    return _result("protocol_optimal_value_row_norm", len(pool), worst - config.tol("entrywise"))
+    return _result("protocol_optimal_value_row_norm", len(pool), worst - TOLERANCES["entrywise"])
 
 
 def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
@@ -370,7 +349,7 @@ def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
             failures += 1
     frac = failures / config.runs
     return _result(
-        "protocol_simulator_convergence", config.runs, frac - config.tol("sim_fail_fraction"),
+        "protocol_simulator_convergence", config.runs, frac - TOLERANCES["sim_fail_fraction"],
         f"{failures} of {config.runs} runs outside the 4-sigma band",
     )
 
@@ -383,7 +362,7 @@ def check_measures_eigen_grid_agreement(config: CheckConfig) -> PropertyResult:
     worst = 0.0
     for s in pool:
         worst = max(worst, abs(measures.discord_eigen(s).value - measures.discord_grid_oracle(s).value))
-    return _result("measures_eigen_grid_agreement", len(pool), worst - config.tol("eigen_grid_agreement"))
+    return _result("measures_eigen_grid_agreement", len(pool), worst - TOLERANCES["eigen_grid_agreement"])
 
 
 def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResult:
@@ -397,14 +376,13 @@ def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResul
     while accepted < config.x_states and attempts < 100 * config.x_states:
         attempts += 1
         p = sample_x_params(rng)
-        k1 = _branch_k1(config, p)
-        k3 = measures.k_values(p).k3
-        if abs(k1 - k3) <= 1e-9:
+        k = measures.k_values(p)
+        if abs(k.k1 - k.k3) <= 1e-9:
             continue  # skip boundary ties where the branch is genuinely ambiguous
-        if k1 <= k3:
+        if k.k1 <= k.k3:
             accepted += 1
             oracle = measures.discord_grid_oracle(states.x_state(p))
-            worst_value = max(worst_value, abs(_closed_form_value(config, p) - oracle.value))
+            worst_value = max(worst_value, abs(measures.discord_x_closed_form(p).value - oracle.value))
             if math.hypot(oracle.argmin_direction[0], oracle.argmin_direction[1]) > 1e-4:
                 branch_mismatches += 1
         elif rejected_checked < rejected_cap:
@@ -415,7 +393,7 @@ def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResul
             if on_axis and oracle.value > 1e-9:
                 branch_mismatches += 1
     # any mismatch fails; with none, the margin is the value gap's distance to its gate
-    margin = float(branch_mismatches) if branch_mismatches else worst_value - config.tol("oracle_agreement")
+    margin = float(branch_mismatches) if branch_mismatches else worst_value - TOLERANCES["oracle_agreement"]
     return _result(
         "measures_xstate_oracle_agreement", accepted + rejected_checked, margin,
         f"{branch_mismatches} branch decisions disagree with the oracle argmin; "
@@ -456,7 +434,7 @@ def check_measures_concurrence_lu_invariant(config: CheckConfig) -> PropertyResu
         w = np.kron(twirl.haar_su2(rng), twirl.haar_su2(rng))
         rotated = validate_density(w @ s.rho @ w.conj().T)
         worst = max(worst, abs(measures.concurrence(rotated) - measures.concurrence(s)))
-    return _result("measures_concurrence_lu_invariant", len(pool), worst - config.tol("concurrence_invariance"))
+    return _result("measures_concurrence_lu_invariant", len(pool), worst - TOLERANCES["concurrence_invariance"])
 
 
 def check_measures_discord_error_bound(config: CheckConfig) -> PropertyResult:
@@ -468,7 +446,7 @@ def check_measures_discord_error_bound(config: CheckConfig) -> PropertyResult:
         if i < BOUND_CROSS_CHECKS:
             lhs_grid, rhs_grid = measures.discord_error_rate_bound(s, method="grid-oracle")
             worst = max(worst, lhs_grid - rhs_grid, abs(lhs_grid - lhs))
-    return _result("measures_discord_error_bound", config.bound_states, worst - config.tol("bound_slack"))
+    return _result("measures_discord_error_bound", config.bound_states, worst - TOLERANCES["bound_slack"])
 
 
 def check_measures_bound_saturation_families(config: CheckConfig) -> PropertyResult:
@@ -477,16 +455,16 @@ def check_measures_bound_saturation_families(config: CheckConfig) -> PropertyRes
     worst = 0.0
     count = 0
     for g in np.linspace(0.0, math.pi / 2, GRID_POINTS):
-        lhs = _closed_form_value(config, pure_x_params(g))
+        lhs = measures.discord_x_closed_form(pure_x_params(g)).value
         _, rhs = measures.discord_error_rate_bound(states.pure_state(g), method="eigen")
         worst = max(worst, abs(lhs - rhs))
         count += 1
     for f in np.linspace(0.25, 1.0, 16):
-        lhs = _closed_form_value(config, werner_x_params(f))
+        lhs = measures.discord_x_closed_form(werner_x_params(f)).value
         _, rhs = measures.discord_error_rate_bound(states.werner(f), method="eigen")
         worst = max(worst, abs(lhs - rhs))
         count += 1
-    return _result("measures_bound_saturation_families", count, worst - config.tol("bound_slack"))
+    return _result("measures_bound_saturation_families", count, worst - TOLERANCES["bound_slack"])
 
 
 def check_measures_delta_min_relation(config: CheckConfig) -> PropertyResult:
@@ -499,7 +477,7 @@ def check_measures_delta_min_relation(config: CheckConfig) -> PropertyResult:
             worst,
             abs(measures.delta_min_from_discord(s) - protocol.min_error_rate(s).value),
         )
-    return _result("measures_delta_min_relation", len(targets), worst - config.tol("relation_equality"))
+    return _result("measures_delta_min_relation", len(targets), worst - TOLERANCES["relation_equality"])
 
 
 def check_measures_twirl_pair_monotonicity(config: CheckConfig) -> PropertyResult:
@@ -527,10 +505,10 @@ def check_measures_twirl_pair_monotonicity(config: CheckConfig) -> PropertyResul
         worst_d = max(worst_d, abs(cmp.d_before - 0.5 * c**2), abs(cmp.d_after - 0.5 * ((2 * c + 1) / 3) ** 2))
         min_gap = min(min_gap, cmp.d_after - cmp.d_before)
     margin = max(
-        max(worst_ratio, worst_rate) - config.tol("entrywise"),
-        max(worst_c, worst_e) - config.tol("concurrence_invariance"),
-        worst_d - config.tol("oracle_agreement"),
-        config.tol("discord_increase") - min_gap,
+        max(worst_ratio, worst_rate) - TOLERANCES["entrywise"],
+        max(worst_c, worst_e) - TOLERANCES["concurrence_invariance"],
+        worst_d - TOLERANCES["oracle_agreement"],
+        TOLERANCES["discord_increase"] - min_gap,
     )
     return _result(
         "measures_twirl_pair_monotonicity", len(OPEN_GAMMA_GRID), margin,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, states
-from .checks import DEFAULT_TOLERANCES, FAULT_NEGATE_RHO14, FLAG_FIELDS, CheckConfig, run_all
+from .checks import FLAG_FIELDS, CheckConfig, run_all
 from .errors import InvalidSpecError, TwirlkitError
 from .measures import concurrence, discord_eigen, eof_from_concurrence, twirl_discord_comparison
 from .protocol import MeasurementSetting, error_rate, min_error_rate, simulate_protocol
@@ -232,23 +232,6 @@ def cmd_twirl(args) -> int:
     return 0
 
 
-def _parse_tolerances(pairs) -> dict:
-    overrides = {}
-    for pair in pairs or ():
-        name, sep, value = pair.partition("=")
-        if not sep or name not in DEFAULT_TOLERANCES:
-            raise InvalidSpecError(
-                f"--tolerance expects name=value with name in {sorted(DEFAULT_TOLERANCES)}, got {pair!r}"
-            )
-        try:
-            overrides[name] = float(value)
-        except ValueError as exc:
-            raise InvalidSpecError(f"--tolerance value must be a number, got {pair!r}") from exc
-        if not math.isfinite(overrides[name]):
-            raise InvalidSpecError(f"--tolerance value must be finite, got {pair!r}")
-    return overrides
-
-
 def _option(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -258,11 +241,7 @@ def cmd_check(args) -> int:
         value, minimum = getattr(args, f.name), f.metadata["minimum"]
         if minimum is not None and value < minimum:
             raise InvalidSpecError(f"{_option(f.name)} must be at least {minimum}, got {value}")
-    config = CheckConfig(
-        **{f.name: getattr(args, f.name) for f in FLAG_FIELDS},
-        tolerances=_parse_tolerances(args.tolerance),
-        inject_fault=args.inject_fault,
-    )
+    config = CheckConfig(**{f.name: getattr(args, f.name) for f in FLAG_FIELDS})
     results = run_all(config)
     all_pass = all(r.status != "fail" for r in results)
     doc = {
@@ -313,19 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run the full property suite")
     for f in FLAG_FIELDS:
         chk.add_argument(_option(f.name), dest=f.name, type=int, default=f.default, help=f.metadata["help"])
-    chk.add_argument(
-        "--tolerance",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override a named gate tolerance (repeatable)",
-    )
-    chk.add_argument(
-        "--inject-fault",
-        dest="inject_fault",
-        choices=[FAULT_NEGATE_RHO14],
-        default=None,
-        help="corrupt the X-state discord closed form (mutation smoke test)",
-    )
     chk.add_argument("--out", default=None, help="report JSON path (stdout when omitted)")
     chk.set_defaults(handler=cmd_check)
     return parser

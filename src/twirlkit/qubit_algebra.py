@@ -116,8 +116,9 @@ def pauli_decompose(rho) -> PauliDecomposition:
     """Extract Bloch vectors and correlation matrix from a density matrix.
 
     The traces Tr[rho (s_i x I)], Tr[rho (I x s_j)] and Tr[rho (s_i x s_j)]
-    are real for Hermitian rho; imaginary parts above 1e-12 signal a
-    non-Hermitian input and raise NonHermitianError.
+    are real for Hermitian rho. An input whose entries deviate from
+    Hermitian by more than HERMITIAN_ATOL, the rule validate_density
+    applies, raises NonHermitianError; within it the real parts are kept.
     """
     m = _as_square(rho, 4)
     defect = _hermitian_defect(m)
@@ -126,9 +127,6 @@ def pauli_decompose(rho) -> PauliDecomposition:
     x = np.einsum("ij,kji->k", m, _A_OPS)
     y = np.einsum("ij,kji->k", m, _B_OPS)
     T = np.einsum("ij,klji->kl", m, _AB_OPS)
-    worst_imag = max(np.max(np.abs(x.imag)), np.max(np.abs(y.imag)), np.max(np.abs(T.imag)))
-    if worst_imag > HERMITIAN_ATOL:
-        raise NonHermitianError(f"decomposition traces have imaginary part {worst_imag:.3e}")
     return PauliDecomposition(x.real, y.real, T.real)
 
 

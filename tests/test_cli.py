@@ -2,6 +2,7 @@
 the property-check subcommand including its fault-injection smoke test."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -251,6 +252,19 @@ class TestSimulate:
         gate = 4 * math.sqrt(0.25 / doc["m_sifted"])
         assert abs(doc["delta_hat"] - 0.5) <= gate
 
+    def test_hermitian_defect_within_tolerance_simulates(self, tmp_path):
+        # entrywise defect 9e-13 is inside validate_density's 1e-12 rule;
+        # the x_1 trace sums four such entries and must not be refused
+        rows = [[{"re": 0.25 if i == j else 0.0, "im": 0.0} for j in range(4)] for i in range(4)]
+        for i, j in ((0, 2), (2, 0), (1, 3), (3, 1)):
+            rows[i][j]["im"] = 4.5e-13
+        state = tmp_path / "defect.json"
+        state.write_text(json.dumps({"matrix": rows}))
+        out = tmp_path / "summary.json"
+        assert main(["twirl", "--state", str(state), "--n", "1000", "--out", str(tmp_path / "twirl.json")]) == 0
+        assert main(["simulate", "--state", str(state), "--n", "1000", "--seed", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n_rounds"] == 1000
+
     def test_rounds_csv(self, tmp_path, werner_file):
         out = tmp_path / "summary.json"
         rounds = tmp_path / "rounds.csv"
@@ -350,12 +364,20 @@ class TestCheck:
         assert "measures_xstate_oracle_agreement" in default_check.properties
         assert "measures_twirl_pair_monotonicity" in default_check.properties
 
-    def test_fault_injection_fails_discord_properties(self, tmp_path):
+    def test_fault_injection_fails_discord_properties(self, tmp_path, monkeypatch):
+        # corrupt the X-state closed form: the rho14 contribution enters with flipped sign
+        k_values = measures.k_values
+
+        def negated_closed_form(p):
+            return measures.DiscordResult(2.0 * (p.rho23**2 - p.rho14**2), np.array([0.0, 0.0, 1.0]), "x-closed-form")
+
+        def negated_k_values(p):
+            return measures.KPair(k1=4.0 * (p.rho23 - p.rho14) ** 2, k3=k_values(p).k3)
+
+        monkeypatch.setattr(measures, "discord_x_closed_form", negated_closed_form)
+        monkeypatch.setattr(measures, "k_values", negated_k_values)
         out = tmp_path / "report.json"
-        code = main([
-            "check", "--seed", "7", *MIN_CHECK_FLAGS,
-            "--inject-fault", "discord-x-negate-rho14", "--out", str(out),
-        ])
+        code = main(["check", "--seed", "7", *MIN_CHECK_FLAGS, "--out", str(out)])
         assert code == 2
         doc = json.loads(out.read_text())
         failing = {p["name"] for p in doc["properties"] if p["status"] == "fail"}
@@ -372,13 +394,11 @@ class TestCheck:
         assert mc["status"] == "skipped"
         assert "below-threshold" in mc["detail"]
 
-    def test_tolerance_override(self, tmp_path):
+    def test_tolerance_override(self, tmp_path, monkeypatch):
         # an impossible Monte Carlo gate must flip exactly that property
+        monkeypatch.setitem(checks.TOLERANCES, "mc_trace_distance", 1e-9)
         out = tmp_path / "report.json"
-        code = main([
-            "check", "--seed", "7", *MIN_CHECK_FLAGS,
-            "--tolerance", "mc_trace_distance=1e-9", "--out", str(out),
-        ])
+        code = main(["check", "--seed", "7", *MIN_CHECK_FLAGS, "--out", str(out)])
         assert code == 2
         doc = json.loads(out.read_text())
         failing = {p["name"] for p in doc["properties"] if p["status"] == "fail"}
@@ -388,10 +408,15 @@ class TestCheck:
         assert main(["check", "--tolerance", "nonsense=1"]) == 1
         assert "tolerance" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_tolerance_exits_one(self, capsys, value):
-        assert main(["check", *FAST_CHECK_FLAGS, "--tolerance", f"oracle_agreement={value}"]) == 1
-        assert "finite" in capsys.readouterr().err
+    def test_fault_flag_exits_one(self, capsys):
+        assert main(["check", "--inject-fault", "discord-x-negate-rho14"]) == 1
+        assert "inject-fault" in capsys.readouterr().err
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["check", "--seed", "-1", *MIN_CHECK_FLAGS, "--out", str(out)]) == 1
+        assert "--seed must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [
         "--random-states", "--mc-states", "--runs", "--rounds", "--bound-states", "--x-states", "--range-states",
@@ -406,17 +431,20 @@ class TestCheck:
         for f in checks.FLAG_FIELDS:
             assert flags[f.name].option_strings == [f"--{f.name.replace('_', '-')}"]
             assert flags[f.name].default == f.default
+        # the seed and the counts are the only inputs: no gate or fault knob
+        assert set(flags) == {f.name for f in dataclasses.fields(checks.CheckConfig)} | {"out", "help"}
+        assert flags["out"].option_strings == ["--out"] and flags["help"].option_strings == ["-h", "--help"]
         args = build_parser().parse_args(["check"])
         assert checks.CheckConfig(**{f.name: getattr(args, f.name) for f in checks.FLAG_FIELDS}) == checks.CheckConfig()
 
-    def test_twirl_pair_states_the_ratio(self):
+    def test_twirl_pair_states_the_ratio(self, monkeypatch):
         result = checks.check_measures_twirl_pair_monotonicity(checks.CheckConfig())
         assert result.status == "pass"
         assert result.samples == 50
         assert result.worst_margin < 0.0
         assert "ratio - 2/3" in result.detail
-        strict = checks.CheckConfig(tolerances={"entrywise": 0.0})
-        assert checks.check_measures_twirl_pair_monotonicity(strict).status == "fail"
+        monkeypatch.setitem(checks.TOLERANCES, "entrywise", 0.0)
+        assert checks.check_measures_twirl_pair_monotonicity(checks.CheckConfig()).status == "fail"
 
     def test_xstate_margin_is_not_masked(self):
         result = checks.check_measures_xstate_oracle_agreement(checks.CheckConfig(x_states=6))
