@@ -18,6 +18,9 @@ import numpy as np
 
 from . import measures, protocol, states, twirl
 from .qubit_algebra import (
+    EIGENVALUE_FLOOR,
+    HERMITIAN_ATOL,
+    TRACE_ATOL,
     hermitian_eigenvalues,
     hs_norm_sq,
     pauli_compose,
@@ -26,7 +29,8 @@ from .qubit_algebra import (
 )
 
 # The named gates. They are fixed: a report's worst_margin already says
-# how close each property comes to its gate.
+# how close each property comes to its gate. The constructor validity
+# property gates at validate_density's own rules in qubit_algebra.
 TOLERANCES = {
     "entrywise": 1e-12,
     "eigen_floor": 1e-10,
@@ -38,6 +42,18 @@ TOLERANCES = {
     "concurrence_invariance": 1e-10,
     "relation_equality": 1e-8,
     "discord_increase": 1e-6,
+    # X-state branch: |k1 - k3| at or below branch_tie is a tie and the
+    # sample is skipped; an oracle argmin within on_axis of the z axis is
+    # z-dephasing; a discord at or below zero_discord is zero (every
+    # direction minimizes).
+    "branch_tie": 1e-9,
+    "on_axis": 1e-4,
+    "zero_discord": 1e-9,
+    # Discord range: product states have zero discord and zero residual at
+    # the reported argmin within product_discord; the residual at the
+    # eigen argmin equals the eigen value within argmin_residual.
+    "product_discord": 1e-8,
+    "argmin_residual": 1e-9,
 }
 
 
@@ -188,7 +204,7 @@ def _validity_margin(s) -> float:
     herm = float(np.max(np.abs(s.rho - s.rho.conj().T)))
     tr = abs(complex(np.trace(s.rho)) - 1.0)
     lo = float(np.linalg.eigvalsh(s.rho)[0])
-    return max(herm - 1e-12, tr - 1e-12, -lo - 1e-10)
+    return max(herm - HERMITIAN_ATOL, tr - TRACE_ATOL, -lo + EIGENVALUE_FLOOR)
 
 
 def check_states_constructors_valid(config: CheckConfig) -> PropertyResult:
@@ -377,20 +393,20 @@ def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResul
         attempts += 1
         p = sample_x_params(rng)
         k = measures.k_values(p)
-        if abs(k.k1 - k.k3) <= 1e-9:
+        if abs(k.k1 - k.k3) <= TOLERANCES["branch_tie"]:
             continue  # skip boundary ties where the branch is genuinely ambiguous
         if k.k1 <= k.k3:
             accepted += 1
             oracle = measures.discord_grid_oracle(states.x_state(p))
             worst_value = max(worst_value, abs(measures.discord_x_closed_form(p).value - oracle.value))
-            if math.hypot(oracle.argmin_direction[0], oracle.argmin_direction[1]) > 1e-4:
+            if math.hypot(oracle.argmin_direction[0], oracle.argmin_direction[1]) > TOLERANCES["on_axis"]:
                 branch_mismatches += 1
         elif rejected_checked < rejected_cap:
             # Reverse direction: outside the branch the oracle must leave the z axis.
             rejected_checked += 1
             oracle = measures.discord_grid_oracle(states.x_state(p))
-            on_axis = math.hypot(oracle.argmin_direction[0], oracle.argmin_direction[1]) <= 1e-4
-            if on_axis and oracle.value > 1e-9:
+            on_axis = math.hypot(oracle.argmin_direction[0], oracle.argmin_direction[1]) <= TOLERANCES["on_axis"]
+            if on_axis and oracle.value > TOLERANCES["zero_discord"]:
                 branch_mismatches += 1
     # any mismatch fails; with none, the margin is the value gap's distance to its gate
     margin = float(branch_mismatches) if branch_mismatches else worst_value - TOLERANCES["oracle_agreement"]
@@ -403,10 +419,9 @@ def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResul
 
 def check_measures_discord_range(config: CheckConfig) -> PropertyResult:
     pool = _random_states(config, 31, config.range_states)
-    worst = -math.inf
-    for s in pool:
-        d = measures.discord_eigen(s).value
-        worst = max(worst, -d - 1e-12, d - 0.5 - 1e-12)
+    eigen = measures.discord_eigen(validate_density(np.stack([s.rho for s in pool])))
+    d = eigen.value
+    worst = float(max(np.max(-d - TOLERANCES["entrywise"]), np.max(d - 0.5 - TOLERANCES["entrywise"])))
     # zero iff a dephasing fixes the state: product states reach zero,
     # and the reported value equals the residual at the reported argmin.
     rng = _rng(config, 32)
@@ -418,11 +433,10 @@ def check_measures_discord_range(config: CheckConfig) -> PropertyResult:
         )
         res = measures.discord_grid_oracle(local)
         residual = hs_norm_sq(measures.cq_state(local, res.argmin_direction).rho - local.rho)
-        worst = max(worst, res.value - 1e-8, residual - 1e-8)
-    for s in pool[:50]:
-        res = measures.discord_eigen(s)
-        residual = hs_norm_sq(measures.cq_state(s, res.argmin_direction).rho - s.rho)
-        worst = max(worst, abs(residual - res.value) - 1e-9)
+        worst = max(worst, res.value - TOLERANCES["product_discord"], residual - TOLERANCES["product_discord"])
+    for s, value, direction in zip(pool[:50], d, eigen.argmin_direction):
+        residual = hs_norm_sq(measures.cq_state(s, direction).rho - s.rho)
+        worst = max(worst, abs(residual - value) - TOLERANCES["argmin_residual"])
     return _result("measures_discord_range", len(pool) + 60, worst)
 
 
@@ -438,14 +452,14 @@ def check_measures_concurrence_lu_invariant(config: CheckConfig) -> PropertyResu
 
 
 def check_measures_discord_error_bound(config: CheckConfig) -> PropertyResult:
-    worst = -math.inf
-    for i in range(config.bound_states):
-        s = states.random_state(i)
-        lhs, rhs = measures.discord_error_rate_bound(s, method="eigen")
-        worst = max(worst, lhs - rhs)
-        if i < BOUND_CROSS_CHECKS:
-            lhs_grid, rhs_grid = measures.discord_error_rate_bound(s, method="grid-oracle")
-            worst = max(worst, lhs_grid - rhs_grid, abs(lhs_grid - lhs))
+    # the eigen route runs on the whole pool as one stack; the first
+    # BOUND_CROSS_CHECKS states also go through the grid oracle one by one
+    pool = [states.random_state(i) for i in range(config.bound_states)]
+    lhs, rhs = measures.discord_error_rate_bound(validate_density(np.stack([s.rho for s in pool])), method="eigen")
+    worst = float(np.max(lhs - rhs))
+    for i, s in enumerate(pool[:BOUND_CROSS_CHECKS]):
+        lhs_grid, rhs_grid = measures.discord_error_rate_bound(s, method="grid-oracle")
+        worst = max(worst, lhs_grid - rhs_grid, abs(lhs_grid - lhs[i]))
     return _result("measures_discord_error_bound", config.bound_states, worst - TOLERANCES["bound_slack"])
 
 

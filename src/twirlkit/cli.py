@@ -88,31 +88,34 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate every sweep column at every grid point."""
-    rows = []
-    for point in spec.points():
-        state = states.family_state(spec.family, *point)
-        twirled = twirl_analytic(state)
-        delta_pure = min_error_rate(state).value
-        delta_twirled = min_error_rate(twirled).value
-        defined = delta_pure > 0.0
-        c_pure, c_twirled = concurrence(state), concurrence(twirled)
-        row = {
-            "param": point[0],
-            "delta_pure": delta_pure,
-            "delta_twirled": delta_twirled,
-            "ratio": delta_twirled / delta_pure if defined else float("nan"),
-            "ratio_defined": defined,
-            "dg_pure": discord_eigen(state).value,
-            "dg_twirled": discord_eigen(twirled).value,
-            "concurrence_pure": c_pure,
-            "concurrence_twirled": c_twirled,
-            "eof_pure": eof_from_concurrence(c_pure),
-            "eof_twirled": eof_from_concurrence(c_twirled),
-        }
-        row.update(zip(spec.extra_params, point[1:]))
-        rows.append(row)
-    return rows
+    """Evaluate every sweep column at every grid point.
+
+    The grid is built, validated and twirled as one stack, and each column
+    is one array expression over it; the rows are those of a point-by-point
+    loop, bit for bit.
+    """
+    points = np.array(spec.points(), dtype=float)
+    state = states.family_state(spec.family, *points.T)
+    twirled = twirl_analytic(state)
+    delta_pure = min_error_rate(state).value
+    delta_twirled = min_error_rate(twirled).value
+    defined = delta_pure > 0.0
+    c_pure, c_twirled = concurrence(state), concurrence(twirled)
+    columns = {
+        "param": points[:, 0],
+        "delta_pure": delta_pure,
+        "delta_twirled": delta_twirled,
+        "ratio": np.where(defined, delta_twirled / np.where(defined, delta_pure, 1.0), np.nan),
+        "ratio_defined": defined,
+        "dg_pure": discord_eigen(state).value,
+        "dg_twirled": discord_eigen(twirled).value,
+        "concurrence_pure": c_pure,
+        "concurrence_twirled": c_twirled,
+        "eof_pure": eof_from_concurrence(c_pure),
+        "eof_twirled": eof_from_concurrence(c_twirled),
+    }
+    columns.update(zip(spec.extra_params, points[:, 1:].T))
+    return [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
 
 
 def _fmt(value) -> str:
@@ -307,6 +310,9 @@ def main(argv=None) -> int:
         return 1
     except (TwirlkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -8,6 +8,14 @@ states on its branch of validity, and a fast eigenvalue form. The module
 also implements Wootters concurrence, entanglement of formation, the
 bound tying discord to the two optimal error rates, and the before/after
 comparison under twirling.
+
+The eigenvalue form (Dakic, Vedral & Brukner, PRL 105, 190502 (2010)),
+the concurrence, the entanglement of formation and the error-rate bound
+on that route are batch-first: given a stacked state (see
+:mod:`twirlkit.qubit_algebra`) they return arrays, each member bit for
+bit its own single-state value, and on one state the float they always
+returned. The grid oracle, the X-state closed form and the twirl
+comparison take one state at a time.
 """
 
 from __future__ import annotations
@@ -24,12 +32,14 @@ from .qubit_algebra import (
     ID2,
     SIGMA_Y,
     TwoQubitState,
+    _item,
+    _vector_norm,
     as_unit_vector,
     pauli_sigma,
     tensor,
     validate_density,
 )
-from .states import XStateParams, _check_x_params
+from .states import XStateParams, _check_x_params, _in_range
 from .twirl import twirl_analytic
 
 # Improvements below this size are treated as ties during the grid search,
@@ -61,7 +71,8 @@ class DiscordResult:
     """Geometric discord value with the minimizing projector direction.
 
     ``method`` is one of "grid-oracle", "x-closed-form",
-    "eigen-closed-form".
+    "eigen-closed-form". For a stacked state ``value`` is an array and
+    ``argmin_direction`` a (..., 3) stack.
     """
 
     value: float
@@ -75,14 +86,13 @@ class DiscordResult:
 
 
 def _canonical_direction(n: np.ndarray) -> np.ndarray:
-    """Pick the representative of {n, -n} with nonnegative z (then x, then y)."""
-    n = n / np.linalg.norm(n)
-    for k in (2, 0, 1):
-        if n[k] > 1e-12:
-            return n
-        if n[k] < -1e-12:
-            return -n
-    return np.abs(n)
+    """Pick the representative of {n, -n} with nonnegative z (then x, then
+    y): the first of those components beyond 1e-12 in size decides (a unit
+    vector always has one). ``n`` may be a (..., 3) stack."""
+    n = n / _vector_norm(n)[..., None]
+    zxy = n[..., [2, 0, 1]]
+    lead = np.take_along_axis(zxy, np.argmax(np.abs(zxy) > 1e-12, axis=-1)[..., None], axis=-1)
+    return np.where(lead < 0.0, -n, n)
 
 
 def _sph(theta, phi) -> np.ndarray:
@@ -176,12 +186,12 @@ def discord_eigen(state: TwoQubitState) -> DiscordResult:
     x x^T + T T^T. Agrees with the grid oracle to well below 1e-9.
     """
     d = state.decomp
-    m = np.outer(d.x, d.x) + d.T @ d.T.T
+    m = d.x[..., :, None] * d.x[..., None, :] + d.T @ d.T.mT
     w, v = np.linalg.eigh(m)
-    value = 0.25 * (float(d.x @ d.x) + float(np.sum(d.T * d.T)) - float(w[-1]))
+    value = 0.25 * (np.vecdot(d.x, d.x) + np.sum(d.T * d.T, axis=(-2, -1)) - w[..., -1])
     return DiscordResult(
-        value=max(value, 0.0),
-        argmin_direction=_canonical_direction(v[:, -1]),
+        value=_item(np.where(0.0 > value, 0.0, value)),
+        argmin_direction=_canonical_direction(v[..., :, -1]),
         method="eigen-closed-form",
     )
 
@@ -232,28 +242,27 @@ def _align_first_bloch_to_z(state: TwoQubitState) -> TwoQubitState:
     This is the frame in which the standard decomposition carries no
     in-plane first-qubit components; the error-rate bound below is a
     theorem in that frame. States with a vanishing first-qubit Bloch
-    vector are returned unchanged.
+    vector, or one already along +z, are kept as they are (a stack is
+    returned unchanged when every member is).
     """
     x = state.decomp.x
-    norm = float(np.linalg.norm(x))
-    if norm <= 1e-12:
+    norm = _vector_norm(x)
+    small = norm <= 1e-12
+    xhat = x / np.where(small, 1.0, norm)[..., None]
+    axis = np.cross(xhat, (0.0, 0.0, 1.0))
+    s = _vector_norm(axis)
+    c = xhat[..., 2]
+    on_axis = s <= 1e-12
+    keep = small | (on_axis & (c > 0.0))
+    if keep.all():
         return state
-    xhat = x / norm
-    z = np.array([0.0, 0.0, 1.0])
-    axis = np.cross(xhat, z)
-    s = float(np.linalg.norm(axis))
-    c = float(xhat @ z)
-    if s <= 1e-12:
-        if c > 0.0:
-            return state
-        axis = np.array([1.0, 0.0, 0.0])
-        angle = math.pi
-    else:
-        axis = axis / s
-        angle = math.atan2(s, c)
-    u = math.cos(angle / 2) * ID2 - 1j * math.sin(angle / 2) * pauli_sigma(axis)
+    axis = np.where(on_axis[..., None], (1.0, 0.0, 0.0), axis / np.where(on_axis, 1.0, s)[..., None])
+    # math.atan2, not np.arctan2: numpy's SIMD arctan2 differs in the last place
+    turned = np.array([math.atan2(a, b) for a, b in zip(s.ravel().tolist(), c.ravel().tolist())])
+    half = np.where(on_axis, math.pi, turned.reshape(s.shape)) / 2
+    u = np.cos(half)[..., None, None] * ID2 - 1j * np.sin(half)[..., None, None] * pauli_sigma(axis)
     w = np.kron(u, ID2)
-    return validate_density(w @ state.rho @ w.conj().T)
+    return validate_density(np.where(keep[..., None, None], state.rho, w @ state.rho @ w.conj().mT))
 
 
 def discord_error_rate_bound(state: TwoQubitState, method: str = "grid-oracle") -> tuple[float, float]:
@@ -271,7 +280,8 @@ def discord_error_rate_bound(state: TwoQubitState, method: str = "grid-oracle") 
         method: "grid-oracle" (default) or "eigen" for the fast path.
 
     Returns:
-        (lhs, rhs) with lhs <= rhs + 1e-9.
+        (lhs, rhs) with lhs <= rhs + 1e-9; arrays for a stacked state,
+        which takes the "eigen" method only.
     """
     aligned = _align_first_bloch_to_z(state)
     if method == "eigen":
@@ -281,8 +291,9 @@ def discord_error_rate_bound(state: TwoQubitState, method: str = "grid-oracle") 
     else:
         raise OutOfRangeError(f"unknown method {method!r}")
     mer = min_error_rate(aligned)
-    rhs = (0.5 - mer.delta_x_min) ** 2 + (0.5 - mer.delta_y_min) ** 2
-    return lhs, rhs
+    # float_power is the C pow of Python's ``**`` on floats; numpy's ``** 2`` is x * x, which rounds differently
+    rhs = np.float_power(0.5 - mer.delta_x_min, 2) + np.float_power(0.5 - mer.delta_y_min, 2)
+    return lhs, _item(rhs)
 
 
 def delta_min_from_discord(state: TwoQubitState) -> float:
@@ -319,38 +330,43 @@ def delta_min_from_discord(state: TwoQubitState) -> float:
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().mT
 
 
-def concurrence(state: TwoQubitState) -> float:
+def concurrence(state: TwoQubitState):
     """Wootters concurrence from the spin-flipped spectrum.
 
     C = max(0, l1 - l2 - l3 - l4) where the l_i are the descending square
     roots of the eigenvalues of rho (sy x sy) rho* (sy x sy), with the
     conjugation taken entrywise in the computational basis. The l_i are
     evaluated as the singular values of sqrt(rho) (sy x sy) sqrt(rho)*,
-    which avoids the square-root blowup of near-zero eigenvalues.
+    which avoids the square-root blowup of near-zero eigenvalues. A float
+    for one state, an array for a stack.
     """
     root = _psd_sqrt(state.rho)
     lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return _item(np.where(c > 0.0, c, 0.0))
 
 
-def binary_entropy(x: float) -> float:
-    """H2(x) = -x log2 x - (1-x) log2(1-x), with 0 log 0 = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRangeError(f"binary entropy argument must lie in [0, 1], got {x}")
-    h = 0.0
-    if x > 0.0:
-        h -= x * math.log2(x)
-    if x < 1.0:
-        h -= (1.0 - x) * math.log2(1.0 - x)
-    return h
+def _log2(a: np.ndarray) -> np.ndarray:
+    # math.log2 per entry: numpy's SIMD log2 differs from it in the last place
+    return np.array([math.log2(v) for v in a.ravel().tolist()]).reshape(a.shape)
 
 
-def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation of a state with concurrence ``c``."""
-    return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+def binary_entropy(x):
+    """H2(x) = -x log2 x - (1-x) log2(1-x), with 0 log 0 = 0; entrywise for an array."""
+    x = _in_range(x, 1.0, "binary entropy argument", "1")
+    h = np.where(x > 0.0, 0.0 - x * _log2(np.where(x > 0.0, x, 1.0)), 0.0)
+    q = 1.0 - x
+    return _item(np.where(x < 1.0, h - q * _log2(np.where(x < 1.0, q, 1.0)), h))
+
+
+def eof_from_concurrence(c):
+    """Entanglement of formation of a state with concurrence ``c`` (entrywise for an array)."""
+    c = np.asarray(c, dtype=float)
+    r = 1.0 - c * c
+    return binary_entropy(0.5 * (1.0 + np.sqrt(np.where(r > 0.0, r, 0.0))))
 
 
 def entanglement_of_formation(state: TwoQubitState) -> float:

@@ -17,12 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySiftedSetError, NotADistributionError, OutOfRangeError
-from .qubit_algebra import TwoQubitState, as_unit_vector
+from .qubit_algebra import TwoQubitState, _item, _vector_norm, as_unit_vector
 
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """A unit Bloch direction naming the spin observable n . sigma."""
+    """A unit Bloch direction naming the spin observable n . sigma.
+
+    ``n`` may also be a (..., 3) stack of directions, one per member of a
+    stacked state, as the optimal settings of a stack are.
+    """
 
     n: np.ndarray
 
@@ -97,7 +101,7 @@ class OptimalPartner:
 
     ``degenerate`` flags a vanishing T row, where every direction is
     equally (un)correlated; the value is then 0 and the direction is a
-    conventional placeholder.
+    conventional placeholder. For a stacked state the fields are arrays.
     """
 
     setting: MeasurementSetting
@@ -108,11 +112,12 @@ class OptimalPartner:
 def optimal_partner(state: TwoQubitState, a) -> OptimalPartner:
     """Maximize a^T T b over unit b: the maximizer is T^T a normalized."""
     av = MeasurementSetting.of(a).n
-    row = state.T.T @ av
-    norm = float(np.linalg.norm(row))
-    if norm < 1e-12:
-        return OptimalPartner(MeasurementSetting((1.0, 0.0, 0.0)), 0.0, degenerate=True)
-    return OptimalPartner(MeasurementSetting(row / norm), norm)
+    row = state.T.mT @ av
+    norm = _vector_norm(row)
+    degenerate = norm < 1e-12
+    safe = np.where(degenerate, 1.0, norm)[..., None]
+    setting = np.where(degenerate[..., None], (1.0, 0.0, 0.0), row / safe)
+    return OptimalPartner(MeasurementSetting(setting), _item(np.where(degenerate, 0.0, norm)), _item(degenerate))
 
 
 def error_rate(state: TwoQubitState, b, b_prime) -> float:
@@ -129,7 +134,8 @@ class MinErrorRate:
     """Minimal error rate with the optimizing Bob settings.
 
     delta_x_min and delta_y_min are the per-basis minima (1 - row norm)/2;
-    value combines them as 1/2 - (row1 + row2 norms)/4.
+    value combines them as 1/2 - (row1 + row2 norms)/4. For a stacked
+    state the fields are arrays.
     """
 
     value: float
@@ -142,7 +148,8 @@ class MinErrorRate:
 
 
 def min_error_rate(state: TwoQubitState) -> MinErrorRate:
-    """Minimize the error rate over Bob's settings (Alice fixed at x, y)."""
+    """Minimize the error rate over Bob's settings (Alice fixed at x, y),
+    for one state or every member of a stack."""
     px = optimal_partner(state, SETTING_X)
     py = optimal_partner(state, SETTING_Y)
     return MinErrorRate(

@@ -4,6 +4,16 @@ Matrices are plain complex numpy arrays. Two-qubit operators live in the
 product basis |uu>, |ud>, |du>, |dd>, where |u> is the +1 eigenvector of
 sigma_z. A state is carried as a :class:`TwoQubitState`, which caches its
 Pauli decomposition (local Bloch vectors and the 3x3 correlation matrix).
+
+The kernels are batch-first. ``validate_density`` and ``pauli_decompose``
+take a stack of shape (..., 4, 4), and a ``TwoQubitState`` may hold such
+a stack; every array derived from it (Bloch vectors, correlation
+matrices, directions, values) carries the same leading axes. One 4x4
+matrix is the stack with no leading axes, so the per-state calls run the
+same code and return the same types as before: a float where a stack
+gives an array. Each member of a stack gets bit for bit the result it
+gets on its own, and every member is validated; an error raised for a
+stack names the index of the first failing member.
 """
 
 from __future__ import annotations
@@ -34,12 +44,48 @@ ID2 = _frozen(np.eye(2, dtype=complex))
 ID4 = _frozen(np.eye(4, dtype=complex))
 
 
-def _as_square(a, dim: int) -> np.ndarray:
+def _item(a):
+    """A 0-d numpy result as a Python scalar (float or bool); a stacked result as is."""
+    return a.item() if a.ndim == 0 else a
+
+
+def _vector_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of real vectors along the last axis.
+
+    The same dot product as ``np.linalg.norm`` of one 1-D vector, so a
+    stacked norm equals the single-vector norm bit for bit (the reducing
+    forms of ``np.linalg.norm(axis=-1)`` round differently).
+    """
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _raise_first_failure(shape: tuple, failures) -> None:
+    """Raise for the first member of a stack of ``shape`` that fails a check.
+
+    ``failures`` lists (mask, error type, message(index)) in the order a
+    single member is checked; the first failing check of the first failing
+    member (in C order) is raised. A member of a stack is named by its
+    index; with no leading axes the message is the single-state one.
+    """
+    masks = [mask for mask, _, _ in failures if mask.any()]
+    if not masks:
+        return
+    index = tuple(int(k) for k in np.unravel_index(int(np.argmax(np.logical_or.reduce(masks))), shape))
+    for mask, error, message in failures:
+        if mask[index]:
+            text = message(index)
+            if shape:
+                text = f"state {index[0] if len(index) == 1 else index}: {text}"
+            raise error(text)
+
+
+def _as_square(a, dim: int, stack: bool = False) -> np.ndarray:
+    """A finite complex dim x dim matrix, or with ``stack`` a (..., dim, dim) stack."""
     m = np.asarray(a, dtype=complex)
-    if m.shape != (dim, dim):
+    if m.shape[-2:] != (dim, dim) or (m.ndim > 2 and not stack):
         raise OutOfRangeError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise OutOfRangeError("matrix entries must be finite")
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    _raise_first_failure(m.shape[:-2], ((~finite, OutOfRangeError, lambda i: "matrix entries must be finite"),))
     return m
 
 
@@ -49,19 +95,21 @@ def tensor(a, b) -> np.ndarray:
 
 
 def pauli_sigma(n) -> np.ndarray:
-    """The spin observable n . sigma for a real 3-vector n."""
+    """The spin observable n . sigma for a real 3-vector n (or a (..., 3) stack)."""
     v = np.asarray(n, dtype=float)
-    return np.einsum("k,kij->ij", v, PAULIS)
+    return np.einsum("...k,kij->...ij", v, PAULIS)
 
 
 def as_unit_vector(n) -> np.ndarray:
-    """Validate and freeze a real unit 3-vector (norm within 1e-12 of 1)."""
+    """Validate and freeze a real unit 3-vector, or a (..., 3) stack of them
+    (each norm within 1e-12 of 1)."""
     v = np.asarray(n, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,):
         raise OutOfRangeError(f"expected a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= 1e-12:  # also true for a nan or inf norm
-        raise OutOfRangeError(f"vector norm {norm} differs from 1 beyond 1e-12")
+    norm = _vector_norm(v)
+    off = ~(np.abs(norm - 1.0) <= 1e-12)  # also true for a nan or inf norm
+    _raise_first_failure(v.shape[:-1], ((off, OutOfRangeError,
+                                        lambda i: f"vector norm {norm[i]} differs from 1 beyond 1e-12"),))
     return _frozen(v)
 
 
@@ -71,8 +119,9 @@ def hs_norm_sq(a) -> float:
     return float(np.sum(np.abs(m) ** 2))
 
 
-def _hermitian_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
+def _hermitian_defect(m: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation from Hermitian of each matrix in a stack."""
+    return np.max(np.abs(m - m.conj().mT), axis=(-2, -1))
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -82,7 +131,7 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     than 1e-10 in any entry.
     """
     m = _as_square(a, 4)
-    defect = _hermitian_defect(m)
+    defect = float(_hermitian_defect(m))
     if defect > 1e-10:
         raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e} (atol 1.0e-10)")
     return np.linalg.eigvalsh(m)[::-1]
@@ -99,7 +148,9 @@ class PauliDecomposition:
     """Bloch vectors x (first qubit), y (second qubit) and correlation matrix T.
 
     Encodes rho = (1/4) [I + sum_i x_i s_i x I + sum_j y_j I x s_j
-    + sum_ij T_ij s_i x s_j] with T_ij = Tr[rho (s_i x s_j)].
+    + sum_ij T_ij s_i x s_j] with T_ij = Tr[rho (s_i x s_j)]. For a stack
+    of states the fields carry its leading axes: x and y are (..., 3) and
+    T is (..., 3, 3).
     """
 
     x: np.ndarray
@@ -107,26 +158,27 @@ class PauliDecomposition:
     T: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _frozen(np.asarray(self.x, dtype=float).reshape(3)))
-        object.__setattr__(self, "y", _frozen(np.asarray(self.y, dtype=float).reshape(3)))
-        object.__setattr__(self, "T", _frozen(np.asarray(self.T, dtype=float).reshape(3, 3)))
+        for name, trailing in (("x", (3,)), ("y", (3,)), ("T", (3, 3))):
+            a = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, _frozen(a.reshape(a.shape[:a.ndim - len(trailing)] + trailing)))
 
 
 def pauli_decompose(rho) -> PauliDecomposition:
-    """Extract Bloch vectors and correlation matrix from a density matrix.
+    """Extract Bloch vectors and correlation matrix from a density matrix
+    or a (..., 4, 4) stack of them.
 
     The traces Tr[rho (s_i x I)], Tr[rho (I x s_j)] and Tr[rho (s_i x s_j)]
     are real for Hermitian rho. An input whose entries deviate from
     Hermitian by more than HERMITIAN_ATOL, the rule validate_density
     applies, raises NonHermitianError; within it the real parts are kept.
     """
-    m = _as_square(rho, 4)
+    m = _as_square(rho, 4, stack=True)
     defect = _hermitian_defect(m)
-    if defect > HERMITIAN_ATOL:
-        raise NonHermitianError(f"input deviates from Hermitian by {defect:.3e}")
-    x = np.einsum("ij,kji->k", m, _A_OPS)
-    y = np.einsum("ij,kji->k", m, _B_OPS)
-    T = np.einsum("ij,klji->kl", m, _AB_OPS)
+    _raise_first_failure(m.shape[:-2], ((defect > HERMITIAN_ATOL, NonHermitianError,
+                                        lambda i: f"input deviates from Hermitian by {defect[i]:.3e}"),))
+    x = np.einsum("...ij,kji->...k", m, _A_OPS)
+    y = np.einsum("...ij,kji->...k", m, _B_OPS)
+    T = np.einsum("...ij,klji->...kl", m, _AB_OPS)
     return PauliDecomposition(x.real, y.real, T.real)
 
 
@@ -143,8 +195,10 @@ def pauli_compose(d: PauliDecomposition) -> np.ndarray:
 class TwoQubitState:
     """A validated two-qubit density matrix with cached Pauli decomposition.
 
-    Instances are immutable; build them through :func:`validate_density` or
-    the constructors in :mod:`twirlkit.states`.
+    ``rho`` is one 4x4 matrix or a (..., 4, 4) stack of them; ``x``, ``y``
+    and ``T`` then carry the same leading axes. Instances are immutable;
+    build them through :func:`validate_density` or the constructors in
+    :mod:`twirlkit.states`.
     """
 
     rho: np.ndarray
@@ -169,23 +223,28 @@ class TwoQubitState:
         return self.decomp.T
 
     def purity(self) -> float:
+        """Tr(rho^2) of a single state."""
         return hs_norm_sq(self.rho)
 
 
 def validate_density(rho) -> TwoQubitState:
     """Check Hermiticity, unit trace and positivity, then wrap the matrix.
 
-    Raises NonHermitianError, TraceNotOneError or NotPositiveError naming
-    the violated invariant and its magnitude.
+    ``rho`` is one 4x4 matrix or a (..., 4, 4) stack; every member is
+    checked. Raises NonHermitianError, TraceNotOneError or
+    NotPositiveError naming the violated invariant and its magnitude, and
+    for a stack the index of the first failing member.
     """
-    m = _as_square(rho, 4)
+    m = _as_square(rho, 4, stack=True)
     defect = _hermitian_defect(m)
-    if defect > HERMITIAN_ATOL:
-        raise NonHermitianError(f"deviates from Hermitian by {defect:.3e} (atol {HERMITIAN_ATOL:.1e})")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise TraceNotOneError(f"trace is {tr}, differs from 1 by {abs(tr - 1.0):.3e}")
-    smallest = float(np.linalg.eigvalsh(m)[0])
-    if smallest < EIGENVALUE_FLOOR:
-        raise NotPositiveError(f"smallest eigenvalue {smallest:.3e} below floor {EIGENVALUE_FLOOR:.1e}")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    smallest = np.linalg.eigvalsh(m)[..., 0]
+    _raise_first_failure(m.shape[:-2], (
+        (defect > HERMITIAN_ATOL, NonHermitianError,
+         lambda i: f"deviates from Hermitian by {defect[i]:.3e} (atol {HERMITIAN_ATOL:.1e})"),
+        (np.abs(tr - 1.0) > TRACE_ATOL, TraceNotOneError,
+         lambda i: f"trace is {complex(tr[i])}, differs from 1 by {abs(complex(tr[i]) - 1.0):.3e}"),
+        (smallest < EIGENVALUE_FLOOR, NotPositiveError,
+         lambda i: f"smallest eigenvalue {smallest[i]:.3e} below floor {EIGENVALUE_FLOOR:.1e}"),
+    ))
     return TwoQubitState(m)

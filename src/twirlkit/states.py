@@ -4,6 +4,10 @@ Includes the one-parameter pure family, Werner states, the four Bell
 projectors, general X-type states, depolarized pure states, a fidelity
 functional, a seeded random-state generator, and the JSON state-file
 loader consumed by the command line front end.
+
+The family constructors and the fidelity are batch-first: a parameter
+array gives a stacked state (see :mod:`twirlkit.qubit_algebra`), and a
+stack gives an array of fidelities.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidXParamsError, OutOfRangeError, SchemaError
-from .qubit_algebra import ID4, TwoQubitState, pauli_compose, PauliDecomposition, validate_density
+from .qubit_algebra import ID4, TwoQubitState, _item, pauli_compose, PauliDecomposition, validate_density
 
 _PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
@@ -43,37 +47,48 @@ def bell(kind: str) -> TwoQubitState:
     return validate_density(m)
 
 
-def _pure_rho(gamma: float) -> np.ndarray:
-    if not 0.0 <= gamma <= math.pi / 2:
-        raise OutOfRangeError(f"gamma must lie in [0, pi/2], got {gamma}")
-    c = math.cos(math.pi / 4 - gamma / 2)
-    s = math.sin(math.pi / 4 - gamma / 2)
-    v = np.array([c, 0.0, 0.0, s], dtype=complex)
-    return np.outer(v, v.conj())
+def _in_range(values, top: float, what: str, top_label: str) -> np.ndarray:
+    """``values`` as a float array, after checking each lies in [0, top];
+    the first one outside (nan included) is named, a scalar as given."""
+    v = np.asarray(values, dtype=float)
+    outside = ~((0.0 <= v) & (v <= top))
+    if outside.any():
+        bad = values if v.ndim == 0 else v[outside][0]
+        raise OutOfRangeError(f"{what} must lie in [0, {top_label}], got {bad}")
+    return v
 
 
-def pure_state(gamma: float) -> TwoQubitState:
+def _pure_rho(gamma) -> np.ndarray:
+    gamma = _in_range(gamma, math.pi / 2, "gamma", "pi/2")
+    v = np.zeros(gamma.shape + (4,), dtype=complex)
+    v[..., 0] = np.cos(math.pi / 4 - gamma / 2)
+    v[..., 3] = np.sin(math.pi / 4 - gamma / 2)
+    return v[..., :, None] * v.conj()[..., None, :]
+
+
+def pure_state(gamma) -> TwoQubitState:
     """Pure state cos(pi/4 - gamma/2)|uu> + sin(pi/4 - gamma/2)|dd>.
 
     gamma runs over [0, pi/2]; gamma = 0 gives the phi+ Bell state and
     gamma = pi/2 the product state |uu>. Bloch form: x = y = (0, 0, sin g),
-    T = diag(cos g, -cos g, 1).
+    T = diag(cos g, -cos g, 1). An array of gammas gives a stacked state.
     """
     return validate_density(_pure_rho(gamma))
 
 
-def werner(f: float) -> TwoQubitState:
+def werner(f) -> TwoQubitState:
     """Werner state: fidelity-F mixture of phi+ with the other three Bell states.
 
     Equivalent Bloch form: x = y = 0,
-    T = ((4F-1)/3) diag(1, -1, 1).
+    T = ((4F-1)/3) diag(1, -1, 1). An array of fidelities gives a stacked state.
     """
-    if not 0.0 <= f <= 1.0:
-        raise OutOfRangeError(f"fidelity must lie in [0, 1], got {f}")
+    f = _in_range(f, 1.0, "fidelity", "1")
     # Closed form (Bennett et al. 1996), added in the Bell-projector-sum order: bit for bit that sum.
     a, c = 0.5 * f, 0.5 * ((1.0 - f) / 3.0)
-    m = np.diag(np.array([a + c, c + c, c + c, a + c], dtype=complex))
-    m[0, 3] = m[3, 0] = a - c
+    m = np.zeros(f.shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 3, 3] = a + c
+    m[..., 1, 1] = m[..., 2, 2] = c + c
+    m[..., 0, 3] = m[..., 3, 0] = a - c
     return validate_density(m)
 
 
@@ -133,17 +148,22 @@ def x_state(p: XStateParams) -> TwoQubitState:
     return validate_density(m)
 
 
-def depolarized_pure(gamma: float, p: float) -> TwoQubitState:
-    """Convex mixture p * pure_state(gamma) + (1 - p) * I/4."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRangeError(f"mixing weight must lie in [0, 1], got {p}")
+def depolarized_pure(gamma, p) -> TwoQubitState:
+    """Convex mixture p * pure_state(gamma) + (1 - p) * I/4; arrays of
+    gamma and p broadcast to a stacked state."""
+    p = _in_range(p, 1.0, "mixing weight", "1")[..., None, None]
     return validate_density(p * _pure_rho(gamma) + (1.0 - p) * ID4 / 4.0)
 
 
-def fidelity_phi_plus(state: TwoQubitState) -> float:
-    """Overlap <phi+| rho |phi+>, a real number in [0, 1]."""
-    value = float(np.real(_PHI_PLUS.conj() @ state.rho @ _PHI_PLUS))
-    return min(max(value, 0.0), 1.0)
+def fidelity_phi_plus(state: TwoQubitState):
+    """Overlap <phi+| rho |phi+>, a real number in [0, 1]; an array of them for a stack."""
+    rho = state.rho
+    # One matrix at a time: the stacked products (einsum, or phi+^dag @ stack)
+    # round differently in the last place.
+    value = np.array([(_PHI_PLUS.conj() @ m @ _PHI_PLUS).real for m in rho.reshape(-1, 4, 4)])
+    value = value.reshape(rho.shape[:-2])
+    value = np.where(0.0 > value, 0.0, value)
+    return _item(np.where(1.0 < value, 1.0, value))
 
 
 def random_state(seed: int) -> TwoQubitState:
@@ -160,8 +180,9 @@ def random_state(seed: int) -> TwoQubitState:
 FAMILY_PARAMS = {"pure": ("gamma",), "werner": ("F",), "depolarized": ("gamma", "p")}
 
 
-def family_state(family: str, *values: float) -> TwoQubitState:
-    """Member of a named family; ``values`` follow ``FAMILY_PARAMS[family]``."""
+def family_state(family: str, *values) -> TwoQubitState:
+    """Member of a named family; ``values`` follow ``FAMILY_PARAMS[family]``
+    (arrays of them give a stacked state)."""
     # Called by module-level name, so a constructor rebound on the module (a wrapper) is what runs.
     if family == "pure":
         return pure_state(*values)

@@ -48,7 +48,8 @@ def conjugate_pair_apply(state: TwoQubitState, u) -> TwoQubitState:
 
 
 def twirl_analytic(state: TwoQubitState) -> TwoQubitState:
-    """Exact twirl: the Werner state with the input's phi+ fidelity."""
+    """Exact twirl: the Werner state with the input's phi+ fidelity (member
+    by member for a stacked state)."""
     return werner(fidelity_phi_plus(state))
 
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import twirlkit
-from twirlkit import InvalidSpecError, checks, cli, measures, states, twirl_analytic
-from twirlkit.cli import SweepSpec, build_parser, main
+from twirlkit import InvalidSpecError, checks, cli, measures, min_error_rate, states, twirl_analytic
+from twirlkit.cli import SweepSpec, build_parser, main, render_sweep_csv, render_sweep_json
 
 EXPECTED_HEADER = (
     "param,delta_pure,delta_twirled,ratio,ratio_defined,"
@@ -45,6 +45,34 @@ MIN_CHECK_FLAGS = [
     "--x-states", "6",
     "--range-states", "1",
 ]
+
+
+def reference_sweep_rows(spec):
+    """The sweep as a point-by-point loop over single states, kept as reference."""
+    rows = []
+    for point in spec.points():
+        state = states.family_state(spec.family, *point)
+        twirled = twirl_analytic(state)
+        delta_pure = min_error_rate(state).value
+        delta_twirled = min_error_rate(twirled).value
+        defined = delta_pure > 0.0
+        c_pure, c_twirled = measures.concurrence(state), measures.concurrence(twirled)
+        row = {
+            "param": point[0],
+            "delta_pure": delta_pure,
+            "delta_twirled": delta_twirled,
+            "ratio": delta_twirled / delta_pure if defined else float("nan"),
+            "ratio_defined": defined,
+            "dg_pure": measures.discord_eigen(state).value,
+            "dg_twirled": measures.discord_eigen(twirled).value,
+            "concurrence_pure": c_pure,
+            "concurrence_twirled": c_twirled,
+            "eof_pure": measures.eof_from_concurrence(c_pure),
+            "eof_twirled": measures.eof_from_concurrence(c_twirled),
+        }
+        row.update(zip(spec.extra_params, point[1:]))
+        rows.append(row)
+    return rows
 
 
 def run_sweep_to(path, grid="0:1.5707963267948966:4", extra=()):
@@ -150,7 +178,9 @@ class TestSweep:
         assert "quantities" in captured.err
 
     def test_concurrence_once_per_state(self, monkeypatch):
-        # each row's entanglement of formation reuses the row's concurrence
+        # each row's entanglement of formation reuses the row's concurrence:
+        # the states passed to concurrence (stacks count by member) are the
+        # pure and the twirled state of each row, once each
         calls = []
         original = measures.concurrence
 
@@ -162,11 +192,37 @@ class TestSweep:
         monkeypatch.setattr(measures, "concurrence", counted)
         spec = SweepSpec(family="depolarized", grid=[0.2, 0.9], p=0.6)
         rows = cli.run_sweep(spec)
-        assert len(calls) == 2 * len(rows)
+        assert sum(math.prod(s.rho.shape[:-2]) for s in calls) == 2 * len(rows)
         for row, (g, p) in zip(rows, spec.points()):
             state = states.depolarized_pure(g, p)
             assert row["eof_pure"] == measures.entanglement_of_formation(state)
             assert row["eof_twirled"] == measures.entanglement_of_formation(twirl_analytic(state))
+
+    @pytest.mark.parametrize("family, grid, p, quantities", [
+        ("pure", "0:1.5707963267948966:301", None, None),  # gamma = 0: ratio undefined
+        ("werner", "0:1:301", None, None),  # includes F = 1/4
+        ("werner", "0.25:0.25:1", None, None),
+        ("depolarized", "0:1.5707963267948966:301", 0.6, None),
+        ("depolarized", "0:1.5707963267948966:31", 1.0, None),
+        ("pure", "0:1.5707963267948966:51", None, ["delta_pure", "ratio", "eof_twirled"]),
+    ])
+    def test_matches_reference_loop(self, family, grid, p, quantities):
+        spec = SweepSpec(family=family, grid=cli._parse_grid(grid), quantities=quantities, p=p)
+        rows, reference = cli.run_sweep(spec), reference_sweep_rows(spec)
+        assert render_sweep_csv(rows, spec) == render_sweep_csv(reference, spec)
+        assert render_sweep_json(rows, spec) == render_sweep_json(reference, spec)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "pure", "--grid", "1:3:3"], "gamma must lie in [0, pi/2], got 2.0"),
+        (["--family", "werner", "--grid=-1:2:4"], "fidelity must lie in [0, 1], got -1.0"),
+        (["--family", "depolarized", "--grid", "0:4:3", "--p", "0.5"], "gamma must lie in [0, pi/2], got 2.0"),
+        (["--family", "depolarized", "--grid", "0:1:3", "--p", "1.5"], "mixing weight must lie in [0, 1], got 1.5"),
+    ])
+    def test_out_of_range_grid_names_the_first_bad_point(self, capsys, argv, message):
+        assert main(["sweep", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_invalid_grid_exits_one(self, capsys):
         assert main(["sweep", "--family", "pure", "--grid", "0..1"]) == 1
@@ -451,6 +507,25 @@ class TestCheck:
         assert result.status == "pass"
         assert result.worst_margin < 0.0
         assert "worst value gap" in result.detail
+
+
+class TestMemoryError:
+    # numpy's message when `simulate --n 1000000000000` cannot allocate its draws
+    NO_MEMORY = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type int64"
+
+    @pytest.mark.parametrize("kernel, argv", [
+        ("concurrence", ["sweep", "--family", "pure", "--grid", "0:1:3"]),
+        ("simulate_protocol", ["simulate", "--n", "1000", "--state", "{state}"]),
+    ])
+    def test_reported_in_one_line(self, tmp_path, werner_file, monkeypatch, capsys, kernel, argv):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(self.NO_MEMORY)
+
+        monkeypatch.setattr(cli, kernel, exhausted)
+        out = tmp_path / "out"
+        assert main([*(a.format(state=werner_file) for a in argv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: out of memory: {self.NO_MEMORY}\n"
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -1,0 +1,288 @@
+"""Stacked kernels against the per-state calls and the per-state code
+they replaced.
+
+Every kernel that takes a (..., 4, 4) stack must give each member bit for
+bit the result that member gets on its own, on Hilbert-Schmidt-random
+states and on adversarial ones (Bell and product points of the families,
+a degenerate error-rate partner, a Bloch vector along -z and the
+near-degenerate correlation spectra of the discord oracle probe). The
+``reference_*`` functions are the one-state kernels from before the
+kernels took stacks, kept so that both agree with them bit for bit too.
+A stack with an invalid member raises the single-state error type and
+names the first bad index.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from twirlkit import (
+    NonHermitianError,
+    NotPositiveError,
+    OutOfRangeError,
+    PauliDecomposition,
+    TraceNotOneError,
+    concurrence,
+    depolarized_pure,
+    discord_eigen,
+    discord_error_rate_bound,
+    entanglement_of_formation,
+    eof_from_concurrence,
+    fidelity_phi_plus,
+    haar_su2,
+    min_error_rate,
+    pauli_compose,
+    pauli_decompose,
+    pure_state,
+    random_state,
+    twirl_analytic,
+    validate_density,
+    werner,
+)
+from twirlkit.measures import _SPIN_FLIP, _align_first_bloch_to_z
+from twirlkit.qubit_algebra import _A_OPS, _AB_OPS, _B_OPS, ID2, pauli_sigma
+
+_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+
+
+def reference_decompose(rho):
+    return tuple(np.einsum(sub, rho, ops).real
+                 for sub, ops in (("ij,kji->k", _A_OPS), ("ij,kji->k", _B_OPS), ("ij,klji->kl", _AB_OPS)))
+
+
+def reference_fidelity(rho):
+    return min(max(float(np.real(_PHI_PLUS.conj() @ rho @ _PHI_PLUS)), 0.0), 1.0)
+
+
+def reference_werner(f):
+    a, c = 0.5 * f, 0.5 * ((1.0 - f) / 3.0)
+    m = np.diag(np.array([a + c, c + c, c + c, a + c], dtype=complex))
+    m[0, 3] = m[3, 0] = a - c
+    return m
+
+
+def reference_pure(gamma):
+    v = np.array([math.cos(math.pi / 4 - gamma / 2), 0.0, 0.0, math.sin(math.pi / 4 - gamma / 2)], dtype=complex)
+    return np.outer(v, v.conj())
+
+
+def reference_row_norms(T):
+    """Optimal correlation values for Alice's x and y: the T row norms, 0 below 1e-12."""
+    norms = [float(np.linalg.norm(T.T @ a)) for a in np.eye(3)[:2]]
+    return [0.0 if n < 1e-12 else n for n in norms]
+
+
+def reference_discord_eigen(x, T):
+    w, v = np.linalg.eigh(np.outer(x, x) + T @ T.T)
+    value = 0.25 * (float(x @ x) + float(np.sum(T * T)) - float(w[-1]))
+    n = v[:, -1] / np.linalg.norm(v[:, -1])
+    for k in (2, 0, 1):
+        if n[k] > 1e-12 or n[k] < -1e-12:
+            n = n if n[k] > 0 else -n
+            break
+    else:
+        n = np.abs(n)
+    return max(value, 0.0), n
+
+
+def reference_concurrence(rho):
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
+    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def reference_eof(c):
+    x = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))
+    h = 0.0
+    if x > 0.0:
+        h -= x * math.log2(x)
+    if x < 1.0:
+        h -= (1.0 - x) * math.log2(1.0 - x)
+    return h
+
+
+def reference_align(rho, x):
+    norm = float(np.linalg.norm(x))
+    if norm <= 1e-12:
+        return rho
+    xhat = x / norm
+    axis = np.cross(xhat, np.array([0.0, 0.0, 1.0]))
+    s, c = float(np.linalg.norm(axis)), float(xhat[2])
+    if s <= 1e-12:
+        if c > 0.0:
+            return rho
+        axis, angle = np.array([1.0, 0.0, 0.0]), math.pi
+    else:
+        axis, angle = axis / s, math.atan2(s, c)
+    w = np.kron(math.cos(angle / 2) * ID2 - 1j * math.sin(angle / 2) * pauli_sigma(axis), ID2)
+    return w @ rho @ w.conj().T
+
+
+def _rotated(rho, rng):
+    w = np.kron(haar_su2(rng), haar_su2(rng))
+    return w @ rho @ w.conj().T
+
+
+def _adversarial():
+    rhos = [pure_state(0.0).rho, pure_state(math.pi / 2).rho, werner(0.25).rho, werner(1.0).rho]
+    # product state whose T rows for x and y vanish: both partners degenerate
+    a, b = np.array([0.0, 0.0, 0.6]), np.array([0.3, 0.4, 0.5])
+    rhos.append(pauli_compose(PauliDecomposition(a, b, np.outer(a, b))))
+    # first-qubit Bloch vector along -z: aligned by a half turn about x
+    rhos.append(pauli_compose(PauliDecomposition(-a, b, np.outer(-a, b))))
+    rhos.append(np.eye(4) / 4)
+    rng = np.random.default_rng(2024)
+    for eps in np.logspace(-9, -3, 12):
+        near = pauli_compose(PauliDecomposition(np.zeros(3), np.zeros(3), np.diag([0.5, -0.5 * (1 - eps), 0.3])))
+        rhos += [near, _rotated(near, rng)]
+    return rhos
+
+
+@pytest.fixture(scope="module")
+def members():
+    """Single validated states: 200 random, then the adversarial ones."""
+    return [random_state(seed) for seed in range(200)] + [validate_density(r) for r in _adversarial()]
+
+
+@pytest.fixture(scope="module")
+def stack(members):
+    return validate_density(np.stack([s.rho for s in members]))
+
+
+def assert_bits(stacked, singles):
+    """The stacked array equals the per-state values bit for bit (sign of zero included)."""
+    expected = np.array(singles)
+    stacked = np.asarray(stacked)
+    assert stacked.shape == expected.shape and stacked.dtype == expected.dtype
+    assert stacked.tobytes() == expected.tobytes()
+
+
+def test_validate_density_keeps_every_member(stack, members):
+    assert stack.rho.shape == (len(members), 4, 4)
+    assert_bits(stack.rho, [s.rho for s in members])
+
+
+def test_pauli_decompose(stack, members):
+    d = pauli_decompose(stack.rho)
+    singles = [pauli_decompose(s.rho) for s in members]
+    references = [reference_decompose(s.rho) for s in members]
+    for k, field in enumerate(("x", "y", "T")):
+        assert_bits(getattr(d, field), [getattr(s, field) for s in singles])
+        assert_bits(getattr(d, field), [r[k] for r in references])
+        assert_bits(getattr(stack, field), [getattr(s, field) for s in members])
+
+
+def test_fidelity_and_twirl(stack, members):
+    assert all(type(fidelity_phi_plus(s)) is float for s in members)
+    assert_bits(fidelity_phi_plus(stack), [fidelity_phi_plus(s) for s in members])
+    assert_bits(fidelity_phi_plus(stack), [reference_fidelity(s.rho) for s in members])
+    assert_bits(twirl_analytic(stack).rho, [twirl_analytic(s).rho for s in members])
+    assert_bits(twirl_analytic(stack).rho, [reference_werner(reference_fidelity(s.rho)) for s in members])
+
+
+def test_family_constructors():
+    fs = np.concatenate([[0.0, 0.25, 1.0], np.linspace(0.0, 1.0, 101)])
+    gammas = np.concatenate([[0.0, math.pi / 2], np.linspace(0.0, math.pi / 2, 101)])
+    assert_bits(werner(fs).rho, [werner(float(f)).rho for f in fs])
+    assert_bits(werner(fs).rho, [reference_werner(float(f)) for f in fs])
+    assert_bits(pure_state(gammas).rho, [pure_state(float(g)).rho for g in gammas])
+    assert_bits(pure_state(gammas).rho, [reference_pure(float(g)) for g in gammas])
+    for p in (0.0, 0.37, 1.0):
+        assert_bits(depolarized_pure(gammas, p).rho, [depolarized_pure(float(g), p).rho for g in gammas])
+        assert_bits(depolarized_pure(gammas, p).rho,
+                    [p * reference_pure(float(g)) + (1.0 - p) * np.eye(4, dtype=complex) / 4.0 for g in gammas])
+
+
+def test_min_error_rate(stack, members):
+    mer = min_error_rate(stack)
+    singles = [min_error_rate(s) for s in members]
+    assert all(type(m.value) is float and type(m.degenerate_x) is bool for m in singles)
+    assert any(m.degenerate_x and m.degenerate_y for m in singles)
+    for field in ("value", "delta_x_min", "delta_y_min", "degenerate_x", "degenerate_y"):
+        assert_bits(getattr(mer, field), [getattr(m, field) for m in singles])
+    assert_bits(mer.b.n, [m.b.n for m in singles])
+    assert_bits(mer.b_prime.n, [m.b_prime.n for m in singles])
+    norms = [reference_row_norms(s.T) for s in members]
+    assert_bits(mer.value, [0.5 - 0.25 * (px + py) for px, py in norms])
+    assert_bits(mer.delta_y_min, [0.5 * (1.0 - py) for _, py in norms])
+
+
+def test_discord_eigen(stack, members):
+    result = discord_eigen(stack)
+    singles = [discord_eigen(s) for s in members]
+    references = [reference_discord_eigen(s.x, s.T) for s in members]
+    assert all(type(r.value) is float for r in singles)
+    assert_bits(result.value, [r.value for r in singles])
+    assert_bits(result.value, [v for v, _ in references])
+    assert_bits(result.argmin_direction, [r.argmin_direction for r in singles])
+    assert_bits(result.argmin_direction, [n for _, n in references])
+
+
+def test_concurrence_and_eof(stack, members):
+    c = concurrence(stack)
+    singles = [concurrence(s) for s in members]
+    assert all(type(v) is float for v in singles)
+    assert_bits(c, singles)
+    assert_bits(c, [reference_concurrence(s.rho) for s in members])
+    assert_bits(eof_from_concurrence(c), [eof_from_concurrence(v) for v in singles])
+    assert_bits(eof_from_concurrence(c), [reference_eof(v) for v in singles])
+    grid = np.linspace(0.0, 1.0, 20001)
+    assert_bits(eof_from_concurrence(grid), [reference_eof(float(v)) for v in grid])
+    assert_bits(entanglement_of_formation(stack), [entanglement_of_formation(s) for s in members])
+
+
+def test_align_and_bound(stack, members):
+    aligned = _align_first_bloch_to_z(stack)
+    assert_bits(aligned.rho, [_align_first_bloch_to_z(s).rho for s in members])
+    assert_bits(aligned.rho, [reference_align(s.rho, s.x) for s in members])
+    lhs, rhs = discord_error_rate_bound(stack, method="eigen")
+    singles = [discord_error_rate_bound(s, method="eigen") for s in members]
+    assert all(type(a) is float and type(b) is float for a, b in singles)
+    assert_bits(lhs, [a for a, _ in singles])
+    assert_bits(rhs, [b for _, b in singles])
+    norms = [reference_row_norms(T) for T in aligned.T]
+    assert_bits(rhs, [(0.5 - 0.5 * (1.0 - px)) ** 2 + (0.5 - 0.5 * (1.0 - py)) ** 2 for px, py in norms])
+
+
+def _broken(kind):
+    m = np.eye(4, dtype=complex) / 4
+    if kind == "hermitian":
+        m[2, 0] = 1e-3j
+    elif kind == "trace":
+        m[0, 0] = 0.5
+    else:
+        m = np.diag([0.75, 0.5, -0.25, 0.0]).astype(complex)
+    return m
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("hermitian", NonHermitianError), ("trace", TraceNotOneError), ("negative", NotPositiveError),
+])
+def test_bad_member_raises_the_single_state_error(members, kind, error):
+    rhos = np.stack([s.rho for s in members[:10]])
+    rhos[6] = _broken(kind)
+    rhos[8] = _broken("hermitian")
+    with pytest.raises(error) as single:
+        validate_density(rhos[6])
+    with pytest.raises(error) as stacked:
+        validate_density(rhos)
+    assert str(stacked.value) == f"state 6: {single.value}"
+
+
+def test_bad_member_in_decomposition_and_non_finite(members):
+    rhos = np.stack([s.rho for s in members[:5]])
+    rhos[3] = _broken("hermitian")
+    with pytest.raises(NonHermitianError, match=r"^state 3: input deviates from Hermitian"):
+        pauli_decompose(rhos)
+    rhos[1, 0, 0] = np.nan
+    with pytest.raises(OutOfRangeError, match=r"^state 1: matrix entries must be finite"):
+        validate_density(rhos)
+
+
+def test_family_range_names_the_first_bad_value():
+    with pytest.raises(OutOfRangeError, match=r"^gamma must lie in \[0, pi/2\], got 2.0$"):
+        pure_state(np.array([0.5, 2.0, 3.0]))
+    with pytest.raises(OutOfRangeError, match=r"^fidelity must lie in \[0, 1\], got nan$"):
+        werner(np.array([0.5, np.nan, -1.0]))
