@@ -239,11 +239,20 @@ def _option(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+# The lower bounds of the ``check`` flags. Any command's flag of the same
+# name obeys the same bound: ``--seed`` of simulate and twirl is check's.
+_MINIMUMS = {f.name: f.metadata["minimum"] for f in FLAG_FIELDS if f.metadata["minimum"] is not None}
+
+
+def _require_minimums(args) -> None:
+    """Reject a flag below its minimum, naming the flag, before any work runs."""
+    for name, minimum in _MINIMUMS.items():
+        value = getattr(args, name, minimum)
+        if value < minimum:
+            raise InvalidSpecError(f"{_option(name)} must be at least {minimum}, got {value}")
+
+
 def cmd_check(args) -> int:
-    for f in FLAG_FIELDS:
-        value, minimum = getattr(args, f.name), f.metadata["minimum"]
-        if minimum is not None and value < minimum:
-            raise InvalidSpecError(f"{_option(f.name)} must be at least {minimum}, got {value}")
     config = CheckConfig(**{f.name: getattr(args, f.name) for f in FLAG_FIELDS})
     results = run_all(config)
     all_pass = all(r.status != "fail" for r in results)
@@ -304,6 +313,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _require_minimums(args)
         return args.handler(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)

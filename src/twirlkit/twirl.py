@@ -4,6 +4,15 @@ The channel averages conjugation by U x U* over Haar-random U in SU(2).
 Its exact action projects any two-qubit state onto the Werner family while
 preserving the phi+ fidelity; the Monte Carlo average over explicit Haar
 samples serves as an independent check of that projection.
+
+The Monte Carlo average is taken through sample moments. U = q0 I + i q.sigma
+is linear in its unit quaternion q, so W = U x U* is the quadratic form
+sum_{a<=b} q_a q_b B_ab with ten fixed 4x4 operators B_ab. The sample sum
+sum_n W_n rho W_n^dag is then sum_kl M_kl B_k rho B_l^dag, where
+M = sum_n Q2_n Q2_n^T is the 10x10 moment matrix of the products
+Q2 = [q_a q_b]_{a<=b}. This is the same empirical average over the same
+explicit draws as the per-sample sum; no Haar-integral identity enters, so
+it stays independent of the exact twirl.
 """
 
 from __future__ import annotations
@@ -12,13 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfRangeError
 from .qubit_algebra import TwoQubitState, _as_square, validate_density
 from .states import fidelity_phi_plus, werner
 
-# Samples are averaged in fixed-size chunks, each driven by a sub-seed
-# derived from (seed, chunk index). Chunks may be farmed out to workers;
-# the accumulated sum is order-independent up to float reassociation.
+# Samples are drawn in fixed-size chunks, each from a sub-seed derived from
+# (seed, chunk index), so the draws do not depend on how many chunks a call
+# takes; a chunk's memory is the only working set, whatever the sample count.
 _CHUNK = 8192
+
+# The (a, b) index pairs, a <= b, of the ten quaternion products q_a q_b.
+_PAIRS = np.triu_indices(4)
 
 
 def haar_su2(rng: np.random.Generator) -> np.ndarray:
@@ -30,10 +43,16 @@ def haar_su2(rng: np.random.Generator) -> np.ndarray:
     return _haar_su2_batch(rng, 1)[0]
 
 
-def _haar_su2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+def _haar_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniform unit quaternions: four standard normals per row, normalized."""
     q = rng.standard_normal((n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    u = np.empty((n, 2, 2), dtype=complex)
+    return q
+
+
+def _su2(q: np.ndarray) -> np.ndarray:
+    """U = q0 I + i (q1 sx + q2 sy + q3 sz) for each row of ``q``; linear in q."""
+    u = np.empty((len(q), 2, 2), dtype=complex)
     u[:, 0, 0] = q[:, 0] + 1j * q[:, 3]
     u[:, 0, 1] = q[:, 2] + 1j * q[:, 1]
     u[:, 1, 0] = -q[:, 2] + 1j * q[:, 1]
@@ -41,10 +60,47 @@ def _haar_su2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     return u
 
 
+def _haar_su2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+    return _su2(_haar_quaternions(rng, n))
+
+
+def _conjugate_pair(u: np.ndarray) -> np.ndarray:
+    """U x U* for each U of a (..., 2, 2) stack."""
+    return np.einsum("...ij,...kl->...ikjl", u, u.conj()).reshape(*u.shape[:-2], 4, 4)
+
+
+def _quadratic_basis() -> np.ndarray:
+    """The ten B_ab, in ``_PAIRS`` order, with U x U* = sum_{a<=b} q_a q_b B_ab.
+
+    Polarization of the q -> U x U* map: B_aa = W(e_a) and, for a < b,
+    B_ab = W(e_a + e_b) - W(e_a) - W(e_b). All entries are exact small
+    integers times 1 or i.
+    """
+    eye = np.eye(4)
+    a, b = _PAIRS
+    single = _conjugate_pair(_su2(eye))
+    pair = _conjugate_pair(_su2(eye[a] + eye[b]))
+    return np.where((a == b)[:, None, None], single[a], pair - single[a] - single[b])
+
+
+_BASIS = _quadratic_basis()
+
+
+def _chunk_moments(q: np.ndarray) -> np.ndarray:
+    """sum_n Q2_n Q2_n^T over the rows of ``q``, with Q2 = [q_a q_b]_{a<=b}.
+
+    A function of its own so that a chunk's draws and products are freed
+    before the next chunk is drawn; that keeps the peak at one chunk.
+    """
+    q2 = q[:, _PAIRS[0]] * q[:, _PAIRS[1]]
+    return q2.T @ q2
+
+
 def conjugate_pair_apply(state: TwoQubitState, u) -> TwoQubitState:
-    """Apply (U x U*) rho (U x U*)^dag for a single 2x2 unitary U."""
-    w = np.kron(_as_square(u, 2), np.conj(_as_square(u, 2)))
-    return validate_density(w @ state.rho @ w.conj().T)
+    """Apply (U x U*) rho (U x U*)^dag for a 2x2 unitary U, or for each U of
+    a (..., 2, 2) stack (giving a stacked state)."""
+    w = _conjugate_pair(_as_square(u, 2, stack=True))
+    return validate_density(w @ state.rho @ w.conj().swapaxes(-1, -2))
 
 
 def twirl_analytic(state: TwoQubitState) -> TwoQubitState:
@@ -72,27 +128,21 @@ def twirl_monte_carlo(state: TwoQubitState, n_samples: int, seed: int) -> TwirlR
     """Average (U x U*) rho (U x U*)^dag over ``n_samples`` Haar draws.
 
     Deterministic given ``seed``: samples are generated in chunks whose
-    sub-streams derive from (seed, chunk index). The averaged matrix is
-    re-validated; its trace stays within 1e-12 of 1 by construction and is
-    renormalized if that ever fails. The report carries the trace distance
-    to the exact twirl.
+    sub-streams derive from (seed, chunk index). Each chunk adds its
+    quaternion products to the 10x10 moment matrix, which is contracted
+    with the ``_BASIS`` operators once at the end (see the module
+    docstring). The averaged matrix is re-validated; its trace stays within
+    1e-12 of 1 by construction and is renormalized if that ever fails. The
+    report carries the trace distance to the exact twirl.
     """
     if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    rho = state.rho
-    acc = np.zeros((4, 4), dtype=complex)
-    done = 0
-    chunk_index = 0
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
+        raise OutOfRangeError(f"n_samples must be >= 1, got {n_samples}")
+    moments = np.zeros((len(_BASIS), len(_BASIS)))
+    for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-        u = _haar_su2_batch(rng, m)
-        w = np.einsum("nij,nkl->nikjl", u, u.conj()).reshape(m, 4, 4)
-        rotated = np.einsum("nab,bc->nac", w, rho)
-        acc += np.einsum("nac,ndc->ad", rotated, w.conj())
-        done += m
-        chunk_index += 1
-    mean = acc / n_samples
+        moments += _chunk_moments(_haar_quaternions(rng, min(_CHUNK, n_samples - done)))
+    rotated = _BASIS @ state.rho
+    mean = np.einsum("kl,kac,ldc->ad", moments, rotated, _BASIS.conj()) / n_samples
     drift = abs(np.trace(mean) - 1.0)
     if drift > 1e-12:
         mean = mean / np.trace(mean).real

@@ -285,6 +285,12 @@ class TestSimulate:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_negative_seed_exits_one(self, tmp_path, werner_file, capsys):
+        out = tmp_path / "summary.json"
+        assert main(["simulate", "--state", str(werner_file), "--n", "1000", "--seed", "-1", "--out", str(out)]) == 1
+        assert "--seed must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bell_point_zero_errors(self, tmp_path):
         state = tmp_path / "pure0.json"
         state.write_text(json.dumps({"family": "pure", "gamma": 0.0}))
@@ -389,6 +395,14 @@ class TestTwirlCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["trace_distance_to_analytic"] <= 1e-12
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        state = tmp_path / "w.json"
+        state.write_text(json.dumps({"family": "werner", "F": 0.6}))
+        out = tmp_path / "report.json"
+        assert main(["twirl", "--state", str(state), "--n", "2000", "--seed", "-1", "--out", str(out)]) == 1
+        assert "--seed must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_depolarized_discord_increases(self, tmp_path):
         state = tmp_path / "d.json"

@@ -2,11 +2,13 @@
 Monte Carlo convergence, and the trace-distance metric."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from twirlkit import (
+    OutOfRangeError,
     bell,
     conjugate_pair_apply,
     fidelity_phi_plus,
@@ -19,6 +21,35 @@ from twirlkit import (
     validate_density,
     werner,
 )
+from twirlkit.twirl import _CHUNK, _haar_su2_batch
+
+
+def reference_twirl_monte_carlo(state, n_samples, seed):
+    """The per-sample Monte Carlo sum: ``conjugate_pair_apply`` on every Haar
+    draw of the (seed, chunk index) streams, averaged."""
+    acc = np.zeros((4, 4), dtype=complex)
+    for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
+        u = _haar_su2_batch(rng, min(_CHUNK, n_samples - done))
+        acc += conjugate_pair_apply(state, u).rho.sum(axis=0)
+    return acc / n_samples
+
+
+def _product_state():
+    # |psi><psi| x diag(0.7, 0.3): rank 2, with a generic complex |psi>
+    psi = np.array([0.6, 0.8 * np.exp(0.9j)])
+    return validate_density(np.kron(np.outer(psi, psi.conj()), np.diag([0.7, 0.3])))
+
+
+REFERENCE_STATES = {
+    "pure0": lambda: pure_state(0.0),
+    "pure_half_pi": lambda: pure_state(math.pi / 2),
+    "werner_quarter": lambda: werner(0.25),
+    "werner_one": lambda: werner(1.0),
+    "maximally_mixed": lambda: validate_density(np.eye(4) / 4),
+    "rank2_product": _product_state,
+    **{f"random{seed}": (lambda seed=seed: random_state(seed)) for seed in range(5)},
+}
 
 
 class TestHaarSampling:
@@ -62,6 +93,14 @@ class TestConjugatePair:
         for _ in range(20):
             out = conjugate_pair_apply(w, haar_su2(rng))
             np.testing.assert_allclose(out.rho, w.rho, atol=1e-12)
+
+    def test_stack_of_unitaries_matches_each(self):
+        u = _haar_su2_batch(np.random.default_rng(8), 5)
+        s = random_state(12)
+        stacked = conjugate_pair_apply(s, u).rho
+        assert stacked.shape == (5, 4, 4)
+        for k in range(5):
+            np.testing.assert_allclose(stacked[k], conjugate_pair_apply(s, u[k]).rho, rtol=0, atol=1e-15)
 
     def test_output_is_valid(self):
         rng = np.random.default_rng(6)
@@ -134,8 +173,26 @@ class TestTwirlMonteCarlo:
         assert 0.3 <= large / small <= 0.7
 
     def test_rejects_zero_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRangeError, match="n_samples must be >= 1"):
             twirl_monte_carlo(werner(0.5), 0, seed=0)
+
+    @pytest.mark.parametrize("name", list(REFERENCE_STATES))
+    @pytest.mark.parametrize("n", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 20_000])
+    def test_moments_match_per_sample_sum(self, name, n):
+        # The moment path averages the very draws of the per-sample sum;
+        # n = 1 pins the stream of chunk 0, n = _CHUNK + 1 that of chunk 1.
+        state = REFERENCE_STATES[name]()
+        report = twirl_monte_carlo(state, n, seed=29)
+        np.testing.assert_allclose(report.result.rho, reference_twirl_monte_carlo(state, n, 29), rtol=0, atol=1e-13)
+
+    def test_memory_stays_per_chunk(self):
+        tracemalloc.start()
+        try:
+            twirl_monte_carlo(pure_state(math.pi / 3), 200_000, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestTraceDistance:
