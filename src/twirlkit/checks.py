@@ -133,33 +133,6 @@ def _unit(rng: np.random.Generator) -> np.ndarray:
             return v / n
 
 
-def sample_x_params(rng: np.random.Generator) -> states.XStateParams:
-    """Random X-state parameters: uniform simplex diagonal, admissible
-    off-diagonal magnitudes, uniform phases."""
-    d = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-    r14 = rng.uniform(0.0, 1.0) * math.sqrt(d[0] * d[3])
-    r23 = rng.uniform(0.0, 1.0) * math.sqrt(d[1] * d[2])
-    g14, g13 = rng.uniform(0.0, 2 * math.pi, 2)
-    return states.XStateParams(d[0], d[1], d[2], d[3], r14, r23, g14, g13)
-
-
-def pure_x_params(gamma: float) -> states.XStateParams:
-    """X-state parameters of the pure family at angle gamma."""
-    sg = math.sin(gamma)
-    return states.XStateParams(
-        rho11=(1.0 + sg) / 2.0, rho22=0.0, rho33=0.0, rho44=(1.0 - sg) / 2.0,
-        rho14=math.cos(gamma) / 2.0, rho23=0.0,
-    )
-
-
-def werner_x_params(f: float) -> states.XStateParams:
-    """X-state parameters of the Werner state with fidelity f."""
-    return states.XStateParams(
-        rho11=(2.0 * f + 1.0) / 6.0, rho22=(1.0 - f) / 3.0, rho33=(1.0 - f) / 3.0,
-        rho44=(2.0 * f + 1.0) / 6.0, rho14=abs(4.0 * f - 1.0) / 6.0, rho23=0.0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # operator algebra
 
@@ -214,7 +187,7 @@ def check_states_constructors_valid(config: CheckConfig) -> PropertyResult:
     constructed += [states.pure_state(g) for g in gammas]
     constructed += [states.werner(f) for f in np.linspace(0.0, 1.0, 21)]
     constructed += [states.depolarized_pure(g, p) for g in gammas[::5] for p in (0.0, 0.3, 1.0)]
-    constructed += [states.x_state(sample_x_params(rng)) for _ in range(20)]
+    constructed += [states.x_state(states.sample_x_params(rng)) for _ in range(20)]
     worst = max(_validity_margin(s) for s in constructed)
     return _result("states_constructors_valid", len(constructed), worst)
 
@@ -232,12 +205,12 @@ def check_states_cross_constructor(config: CheckConfig) -> PropertyResult:
     count = 0
     for f in np.linspace(0.25, 1.0, 16):
         a = states.werner(f).rho
-        b = states.x_state(werner_x_params(f)).rho
+        b = states.x_state(states.werner_x_params(f)).rho
         worst = max(worst, float(np.max(np.abs(a - b))))
         count += 1
     for g in np.linspace(0.0, math.pi / 2, 16):
         a = states.pure_state(g).rho
-        b = states.x_state(pure_x_params(g)).rho
+        b = states.x_state(states.pure_x_params(g)).rho
         worst = max(worst, float(np.max(np.abs(a - b))))
         count += 1
     return _result("states_cross_constructor", count, worst - TOLERANCES["entrywise"])
@@ -391,7 +364,7 @@ def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResul
     branch_mismatches = 0
     while accepted < config.x_states and attempts < 100 * config.x_states:
         attempts += 1
-        p = sample_x_params(rng)
+        p = states.sample_x_params(rng)
         k = measures.k_values(p)
         if abs(k.k1 - k.k3) <= TOLERANCES["branch_tie"]:
             continue  # skip boundary ties where the branch is genuinely ambiguous
@@ -469,12 +442,12 @@ def check_measures_bound_saturation_families(config: CheckConfig) -> PropertyRes
     worst = 0.0
     count = 0
     for g in np.linspace(0.0, math.pi / 2, GRID_POINTS):
-        lhs = measures.discord_x_closed_form(pure_x_params(g)).value
+        lhs = measures.discord_x_closed_form(states.pure_x_params(g)).value
         _, rhs = measures.discord_error_rate_bound(states.pure_state(g), method="eigen")
         worst = max(worst, abs(lhs - rhs))
         count += 1
     for f in np.linspace(0.25, 1.0, 16):
-        lhs = measures.discord_x_closed_form(werner_x_params(f)).value
+        lhs = measures.discord_x_closed_form(states.werner_x_params(f)).value
         _, rhs = measures.discord_error_rate_bound(states.werner(f), method="eigen")
         worst = max(worst, abs(lhs - rhs))
         count += 1

@@ -7,17 +7,22 @@ raw key symbols are unbiased for states whose first-qubit Bloch vector
 points along z. Bob measures along two directions b and b'. Rounds where
 the pairing is (x, b') or (y, b) are discarded during sifting; the error
 rate is the probability that the two parties' sifted symbols disagree.
+
+A simulated run (``ProtocolRun``) keeps one int8 code per round, packing
+both basis choices and both outcomes. Its summary counts, the per-round
+ledger and the per-round arrays are all read from that one array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptySiftedSetError, NotADistributionError, OutOfRangeError
-from .qubit_algebra import TwoQubitState, _item, _vector_norm, as_unit_vector
+from .qubit_algebra import TwoQubitState, _check_sampler_inputs, _item, _vector_norm, as_unit_vector
 
 
 @dataclass(frozen=True)
@@ -163,9 +168,9 @@ def min_error_rate(state: TwoQubitState) -> MinErrorRate:
     )
 
 
-# A ledger row after its round number: one tail per (Alice basis, Bob
-# basis, Alice bit, Bob bit), at index 8 i + 4 j + 2 [s < 0] + [t < 0].
-# The sifted flag is the basis match, the rule simulate_protocol sifts by.
+# A ledger row after its round number: one tail per round code (see
+# ProtocolRun). The sifted flag is the basis match, the rule
+# simulate_protocol sifts by.
 _LEDGER_TAILS = np.array([
     f",{ALICE_LABELS[i]},{BOB_LABELS[j]},{s},{t},{int(i == j)}\n"
     for i in (0, 1) for j in (0, 1) for s in (1, -1) for t in (1, -1)
@@ -174,47 +179,67 @@ _LEDGER_TAILS = np.array([
 _LEDGER_CHUNK = 1 << 16
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _view(decode) -> cached_property:
+    """A per-round array ``decode(run)``, built on first use, cached read-only."""
+    return cached_property(lambda run: _read_only(decode(run)))
+
+
 @dataclass(frozen=True)
 class ProtocolRun:
-    """Ledger of one simulated key distribution run.
+    """Record of one simulated key distribution run: one int8 code per round.
 
-    Per-round arrays hold the setting choices as int8 indices into
-    ``ALICE_LABELS`` and ``BOB_LABELS`` and the +-1 outcomes.
-    ``sifted_indices`` lists the rounds kept after discarding the (x, b')
-    and (y, b) pairings; the discarded rounds remain in the ledger for
-    diagnostics. ``empirical_delta`` is the sifted-count weighted mean of
-    the two per-basis mismatch rates.
+    ``code[k] = 8 i + 4 j + 2 [s < 0] + [t < 0]`` for round k, where i
+    indexes Alice's basis in ``ALICE_LABELS``, j Bob's in ``BOB_LABELS``,
+    and s, t are their +-1 outcomes. Sifting keeps the rounds with i == j;
+    the discarded (x, b') and (y, b) rounds stay for diagnostics.
+
+    ``m_sifted``, the per-basis mismatch rates ``empirical_delta_x``/``_y``,
+    their sifted-count weighted mean ``empirical_delta``, ``mismatch_rate``
+    and ``random_key_bias`` all read one 16-bin count of the codes. The
+    per-round arrays are read-only views decoded from the codes on first
+    use and then cached: the int8 basis indices ``alice_choice`` and
+    ``bob_choice``, their labels ``alice_bases`` and ``bob_bases``, the
+    int8 +-1 outcomes ``alice_bits`` and ``bob_bits``, and the kept rounds
+    ``sifted_indices``.
     """
 
     n_rounds: int
-    alice_choice: np.ndarray
-    bob_choice: np.ndarray
-    alice_bits: np.ndarray
-    bob_bits: np.ndarray
-    sifted_indices: np.ndarray
-    empirical_delta_x: float
-    empirical_delta_y: float
-    empirical_delta: float
+    code: np.ndarray
 
     def __post_init__(self):
-        for name in ("alice_choice", "bob_choice", "alice_bits", "bob_bits", "sifted_indices"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "code", _read_only(np.asarray(self.code)))
 
-    @property
-    def alice_bases(self) -> np.ndarray:
-        """Alice's per-round basis labels, "x" or "y"."""
-        return np.array(ALICE_LABELS)[self.alice_choice]
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        """Rounds per code, as a (2, 2, 2, 2) table over (i, j, [s<0], [t<0])."""
+        return _read_only(np.bincount(self.code, minlength=16).reshape(2, 2, 2, 2))
 
-    @property
-    def bob_bases(self) -> np.ndarray:
-        """Bob's per-round basis labels, "b" or "b'"."""
-        return np.array(BOB_LABELS)[self.bob_choice]
+    def _rate(self, i, j) -> float:
+        """Disagreeing share of the rounds with Alice basis i and Bob basis j
+        (index arrays select several pairings); nan if there are none."""
+        counts = self._counts[i, j]
+        total = int(counts.sum())
+        if not total:
+            return float("nan")
+        return int(counts[..., 0, 1].sum() + counts[..., 1, 0].sum()) / total
 
-    @property
-    def m_sifted(self) -> int:
-        return int(self.sifted_indices.size)
+    m_sifted = property(lambda run: int(run._counts[[0, 1], [0, 1]].sum()))
+    empirical_delta_x = property(lambda run: run._rate(0, 0))
+    empirical_delta_y = property(lambda run: run._rate(1, 1))
+    empirical_delta = property(lambda run: run._rate([0, 1], [0, 1]))
+
+    alice_choice = _view(lambda run: run.code >> 3)
+    bob_choice = _view(lambda run: (run.code >> 2) & 1)
+    alice_bits = _view(lambda run: 1 - 2 * ((run.code >> 1) & 1))
+    bob_bits = _view(lambda run: 1 - 2 * (run.code & 1))
+    sifted_indices = _view(lambda run: np.flatnonzero(run.alice_choice == run.bob_choice))
+    alice_bases = _view(lambda run: np.array(ALICE_LABELS)[run.alice_choice])
+    bob_bases = _view(lambda run: np.array(BOB_LABELS)[run.bob_choice])
 
     def _key(self, bits: np.ndarray) -> str:
         kept = bits[self.sifted_indices]
@@ -229,10 +254,9 @@ class ProtocolRun:
 
     def mismatch_rate(self, alice_basis: str, bob_basis: str) -> float:
         """Observed disagreement rate for one basis pairing (nan if unseen)."""
-        mask = (self.alice_bases == alice_basis) & (self.bob_bases == bob_basis)
-        if not mask.any():
-            return float("nan")
-        return float(np.mean(self.alice_bits[mask] != self.bob_bits[mask]))
+        if alice_basis not in ALICE_LABELS or bob_basis not in BOB_LABELS:
+            raise OutOfRangeError(f"unknown basis pairing ({alice_basis!r}, {bob_basis!r})")
+        return self._rate(ALICE_LABELS.index(alice_basis), BOB_LABELS.index(bob_basis))
 
     def summary(self, delta_analytic: float | None = None) -> dict:
         """Summary dictionary matching the documented JSON schema."""
@@ -250,9 +274,7 @@ class ProtocolRun:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("round,alice_basis,bob_basis,alice_bit,bob_bit,sifted\n")
             for lo in range(0, self.n_rounds, _LEDGER_CHUNK):
-                part = slice(lo, lo + _LEDGER_CHUNK)
-                code = (8 * self.alice_choice[part] + 4 * self.bob_choice[part]
-                        + 2 * (self.alice_bits[part] < 0) + (self.bob_bits[part] < 0))
+                code = self.code[lo:lo + _LEDGER_CHUNK]
                 rows = np.char.add(np.arange(lo, lo + code.size).astype(str), _LEDGER_TAILS[code])
                 fh.write("".join(rows.tolist()))
 
@@ -265,64 +287,37 @@ def simulate_protocol(state: TwoQubitState, n_rounds: int, seed: int, b, b_prime
     distribution by inverse CDF on a single uniform draw. Sifting keeps
     the (x, b) and (y, b') pairings. Deterministic given ``seed``.
 
-    Raises EmptySiftedSetError when no round survives sifting, which can
-    only happen for very small ``n_rounds``.
+    Raises OutOfRangeError for a stacked state, a round count that is not
+    an integer >= 1 or a seed that is not an integer >= 0, and
+    EmptySiftedSetError when no round survives sifting, which can only
+    happen for very small ``n_rounds``.
     """
-    if n_rounds < 1:
-        raise OutOfRangeError(f"n_rounds must be >= 1, got {n_rounds}")
-    alice_settings = (SETTING_X, SETTING_Y)
+    _check_sampler_inputs(state, n_rounds, "n_rounds", seed)
     bob_settings = (MeasurementSetting.of(b), MeasurementSetting.of(b_prime))
-
     # Cumulative outcome distributions for the four setting pairings.
-    cums = np.empty((2, 2, 4))
-    for i in range(2):
-        for j in range(2):
-            cums[i, j] = np.cumsum(outcome_probs(state, alice_settings[i], bob_settings[j]).as_array())
-            cums[i, j, 3] = max(cums[i, j, 3], 1.0)
+    probs = [[outcome_probs(state, a, bs).as_array() for bs in bob_settings] for a in (SETTING_X, SETTING_Y)]
+    cums = np.cumsum(probs, axis=-1)
+    cums[..., 3] = np.maximum(cums[..., 3], 1.0)
 
     rng = np.random.default_rng(seed)
-    # int64 draws keep the seeded stream; the run stores them as int8
-    alice_choice = rng.integers(0, 2, n_rounds).astype(np.int8)
-    bob_choice = rng.integers(0, 2, n_rounds).astype(np.int8)
+    # int64 draws keep the seeded stream; the code holds them as int8
+    code = 8 * rng.integers(0, 2, n_rounds).astype(np.int8)
+    code += 4 * rng.integers(0, 2, n_rounds).astype(np.int8)
     u = rng.random(n_rounds)
 
-    outcome = np.empty(n_rounds, dtype=np.int64)
+    # The outcome index 0 (+,+), 1 (+,-), 2 (-,+), 3 (-,-) is the code's
+    # low two bits. A pairing's codes rise only within its own block of
+    # four, so the later pairings' masks never catch a finished round.
     for i in range(2):
         for j in range(2):
-            mask = (alice_choice == i) & (bob_choice == j)
+            mask = code == 4 * (2 * i + j)
             if mask.any():
-                outcome[mask] = np.searchsorted(cums[i, j], u[mask], side="right")
-    outcome = np.minimum(outcome, 3)
+                code[mask] += np.minimum(np.searchsorted(cums[i, j], u[mask], side="right"), 3)
 
-    # outcome index: 0 (+,+), 1 (+,-), 2 (-,+), 3 (-,-)
-    alice_bits = np.where(outcome <= 1, 1, -1).astype(np.int8)
-    bob_bits = np.where((outcome == 0) | (outcome == 2), 1, -1).astype(np.int8)
-
-    sifted_mask = alice_choice == bob_choice
-    sifted_indices = np.flatnonzero(sifted_mask)
-    if sifted_indices.size == 0:
+    run = ProtocolRun(n_rounds=n_rounds, code=code)
+    if run.m_sifted == 0:
         raise EmptySiftedSetError(f"no sifted rounds among {n_rounds}")
-
-    mismatch = alice_bits != bob_bits
-    mask_x = sifted_mask & (alice_choice == 0)
-    mask_y = sifted_mask & (alice_choice == 1)
-    n_x = int(np.count_nonzero(mask_x))
-    n_y = int(np.count_nonzero(mask_y))
-    delta_x = float(np.mean(mismatch[mask_x])) if n_x else float("nan")
-    delta_y = float(np.mean(mismatch[mask_y])) if n_y else float("nan")
-    delta = float(np.count_nonzero(mismatch & sifted_mask)) / sifted_indices.size
-
-    return ProtocolRun(
-        n_rounds=n_rounds,
-        alice_choice=alice_choice,
-        bob_choice=bob_choice,
-        alice_bits=alice_bits,
-        bob_bits=bob_bits,
-        sifted_indices=sifted_indices,
-        empirical_delta_x=delta_x,
-        empirical_delta_y=delta_y,
-        empirical_delta=delta,
-    )
+    return run
 
 
 def random_key_bias(run: ProtocolRun) -> float:
@@ -335,12 +330,12 @@ def random_key_bias(run: ProtocolRun) -> float:
     if run.n_rounds < 1:
         raise OutOfRangeError("run has no rounds")
     worst = 0.0
-    for choice, bits in ((run.alice_choice, run.alice_bits), (run.bob_choice, run.bob_bits)):
+    # rounds per (basis, [bit < 0]), for Alice and then for Bob
+    for table in (run._counts.sum(axis=(1, 3)), run._counts.sum(axis=(0, 2))):
         for k in (0, 1):
-            mask = choice == k
-            if mask.any():
-                freq = float(np.mean(bits[mask] > 0))
-                worst = max(worst, abs(freq - 0.5))
+            total = int(table[k].sum())
+            if total:
+                worst = max(worst, abs(int(table[k, 0]) / total - 0.5))
     return worst
 
 

@@ -248,3 +248,19 @@ def validate_density(rho) -> TwoQubitState:
          lambda i: f"smallest eigenvalue {smallest[i]:.3e} below floor {EIGENVALUE_FLOOR:.1e}"),
     ))
     return TwoQubitState(m)
+
+
+def _check_sampler_inputs(state: TwoQubitState, count, count_name: str, seed) -> None:
+    """Reject what a seeded sampler of one state cannot run on.
+
+    Raises OutOfRangeError for a stacked state, a ``count`` that is not an
+    integer >= 1 (a bool is not a count) or a ``seed`` that is not an
+    integer >= 0.
+    """
+    if state.rho.ndim != 2:
+        raise OutOfRangeError(f"expected one state, got a stack of shape {state.rho.shape[:-2]}")
+    for value, name, minimum in ((count, count_name, 1), (seed, "seed", 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise OutOfRangeError(f"{name} must be >= {minimum}, got {value}")

@@ -1,7 +1,8 @@
 """Constructors for the state families used throughout the toolkit.
 
 Includes the one-parameter pure family, Werner states, the four Bell
-projectors, general X-type states, depolarized pure states, a fidelity
+projectors, general X-type states with their parameters for the two
+families and for random sampling, depolarized pure states, a fidelity
 functional, a seeded random-state generator, and the JSON state-file
 loader consumed by the command line front end.
 
@@ -129,6 +130,33 @@ def _check_x_params(p: XStateParams) -> None:
         raise InvalidXParamsError(
             f"rho23 = {p.rho23} exceeds sqrt(rho22 rho33) = {math.sqrt(p.rho22 * p.rho33)}"
         )
+
+
+def sample_x_params(rng: np.random.Generator) -> XStateParams:
+    """Random X-state parameters: uniform simplex diagonal, admissible
+    off-diagonal magnitudes, uniform phases."""
+    d = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
+    r14 = rng.uniform(0.0, 1.0) * math.sqrt(d[0] * d[3])
+    r23 = rng.uniform(0.0, 1.0) * math.sqrt(d[1] * d[2])
+    g14, g13 = rng.uniform(0.0, 2 * math.pi, 2)
+    return XStateParams(d[0], d[1], d[2], d[3], r14, r23, g14, g13)
+
+
+def pure_x_params(gamma: float) -> XStateParams:
+    """X-state parameters of the pure family at angle gamma."""
+    sg = math.sin(gamma)
+    return XStateParams(
+        rho11=(1.0 + sg) / 2.0, rho22=0.0, rho33=0.0, rho44=(1.0 - sg) / 2.0,
+        rho14=math.cos(gamma) / 2.0, rho23=0.0,
+    )
+
+
+def werner_x_params(f: float) -> XStateParams:
+    """X-state parameters of the Werner state with fidelity f."""
+    return XStateParams(
+        rho11=(2.0 * f + 1.0) / 6.0, rho22=(1.0 - f) / 3.0, rho33=(1.0 - f) / 3.0,
+        rho44=(2.0 * f + 1.0) / 6.0, rho14=abs(4.0 * f - 1.0) / 6.0, rho23=0.0,
+    )
 
 
 def x_state(p: XStateParams) -> TwoQubitState:

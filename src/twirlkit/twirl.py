@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeError
-from .qubit_algebra import TwoQubitState, _as_square, validate_density
+from .qubit_algebra import TwoQubitState, _as_square, _check_sampler_inputs, validate_density
 from .states import fidelity_phi_plus, werner
 
 # Samples are drawn in fixed-size chunks, each from a sub-seed derived from
@@ -134,9 +133,11 @@ def twirl_monte_carlo(state: TwoQubitState, n_samples: int, seed: int) -> TwirlR
     docstring). The averaged matrix is re-validated; its trace stays within
     1e-12 of 1 by construction and is renormalized if that ever fails. The
     report carries the trace distance to the exact twirl.
+
+    Raises OutOfRangeError for a stacked state, a sample count that is not
+    an integer >= 1 or a seed that is not an integer >= 0.
     """
-    if n_samples < 1:
-        raise OutOfRangeError(f"n_samples must be >= 1, got {n_samples}")
+    _check_sampler_inputs(state, n_samples, "n_samples", seed)
     moments = np.zeros((len(_BASIS), len(_BASIS)))
     for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))

@@ -7,6 +7,8 @@ library's Bloch-form expression.
 
 import csv
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from twirlkit import (
     random_key_bias,
     random_state,
     simulate_protocol,
+    twirl_monte_carlo,
     validate_density,
     werner,
 )
@@ -273,6 +276,28 @@ class TestSimulateProtocol:
         assert 0.0 <= run.mismatch_rate("y", "b") <= 1.0
 
 
+SAMPLERS = {
+    "simulate_protocol": lambda state, n, seed: simulate_protocol(state, n, seed, SETTING_X, SETTING_Y),
+    "twirl_monte_carlo": twirl_monte_carlo,
+}
+
+
+INVALID_SAMPLER_INPUTS = {
+    "stacked state": (lambda: pure_state(np.array([0.3, 0.5])), 100, 0),
+    "negative seed": (lambda: werner(0.75), 100, -1),
+    "fractional count": (lambda: werner(0.75), 2.5, 0),
+    "bool count": (lambda: werner(0.75), True, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_SAMPLER_INPUTS))
+@pytest.mark.parametrize("sampler", list(SAMPLERS))
+def test_samplers_reject_invalid_input(sampler, case):
+    state, n, seed = INVALID_SAMPLER_INPUTS[case]
+    with pytest.raises(OutOfRangeError):
+        SAMPLERS[sampler](state(), n, seed)
+
+
 class TestRandomKeyBias:
     @pytest.mark.parametrize("gamma", [0.3, math.pi / 3])
     def test_in_plane_settings_unbiased(self, gamma):
@@ -334,14 +359,11 @@ def reference_rounds_csv(run, path):
     """The ledger writer as a csv.writer loop over rows, kept as reference."""
     sifted = np.zeros(run.n_rounds, dtype=int)
     sifted[run.sifted_indices] = 1
-    alice_bases, bob_bases = run.alice_bases, run.bob_bases
+    columns = (run.alice_bases, run.bob_bases, run.alice_bits, run.bob_bits, sifted)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["round", "alice_basis", "bob_basis", "alice_bit", "bob_bit", "sifted"])
-        for i in range(run.n_rounds):
-            writer.writerow(
-                [i, alice_bases[i], bob_bases[i], int(run.alice_bits[i]), int(run.bob_bits[i]), int(sifted[i])]
-            )
+        writer.writerows(zip(range(run.n_rounds), *(c.tolist() for c in columns)))
 
 
 class TestLedger:
@@ -361,6 +383,132 @@ class TestLedger:
         np.testing.assert_array_equal(run.alice_bases, np.array(ALICE_LABELS)[run.alice_choice])
         np.testing.assert_array_equal(run.bob_bases, np.array(BOB_LABELS)[run.bob_choice])
         assert set(run.alice_bases) == {"x", "y"} and set(run.bob_bases) == {"b", "b'"}
+
+
+def reference_simulate_protocol(state, n_rounds, seed, b, b_prime):
+    """The simulator body from before a run kept one code per round: five
+    per-round arrays and the summary numbers from boolean masks."""
+    alice_settings = (SETTING_X, SETTING_Y)
+    bob_settings = (MeasurementSetting.of(b), MeasurementSetting.of(b_prime))
+    cums = np.empty((2, 2, 4))
+    for i in range(2):
+        for j in range(2):
+            cums[i, j] = np.cumsum(outcome_probs(state, alice_settings[i], bob_settings[j]).as_array())
+            cums[i, j, 3] = max(cums[i, j, 3], 1.0)
+
+    rng = np.random.default_rng(seed)
+    alice_choice = rng.integers(0, 2, n_rounds).astype(np.int8)
+    bob_choice = rng.integers(0, 2, n_rounds).astype(np.int8)
+    u = rng.random(n_rounds)
+    outcome = np.empty(n_rounds, dtype=np.int64)
+    for i in range(2):
+        for j in range(2):
+            mask = (alice_choice == i) & (bob_choice == j)
+            if mask.any():
+                outcome[mask] = np.searchsorted(cums[i, j], u[mask], side="right")
+    outcome = np.minimum(outcome, 3)
+    alice_bits = np.where(outcome <= 1, 1, -1).astype(np.int8)
+    bob_bits = np.where((outcome == 0) | (outcome == 2), 1, -1).astype(np.int8)
+
+    sifted_mask = alice_choice == bob_choice
+    sifted_indices = np.flatnonzero(sifted_mask)
+    if sifted_indices.size == 0:
+        raise EmptySiftedSetError(f"no sifted rounds among {n_rounds}")
+    mismatch = alice_bits != bob_bits
+    mask_x = sifted_mask & (alice_choice == 0)
+    mask_y = sifted_mask & (alice_choice == 1)
+    return SimpleNamespace(
+        n_rounds=n_rounds,
+        alice_choice=alice_choice,
+        bob_choice=bob_choice,
+        alice_bits=alice_bits,
+        bob_bits=bob_bits,
+        sifted_indices=sifted_indices,
+        alice_bases=np.array(ALICE_LABELS)[alice_choice],
+        bob_bases=np.array(BOB_LABELS)[bob_choice],
+        empirical_delta_x=float(np.mean(mismatch[mask_x])) if mask_x.any() else float("nan"),
+        empirical_delta_y=float(np.mean(mismatch[mask_y])) if mask_y.any() else float("nan"),
+        empirical_delta=float(np.count_nonzero(mismatch & sifted_mask)) / sifted_indices.size,
+    )
+
+
+def reference_mismatch_rate(ref, alice_basis, bob_basis):
+    mask = (ref.alice_bases == alice_basis) & (ref.bob_bases == bob_basis)
+    if not mask.any():
+        return float("nan")
+    return float(np.mean(ref.alice_bits[mask] != ref.bob_bits[mask]))
+
+
+def reference_random_key_bias(ref):
+    worst = 0.0
+    for choice, bits in ((ref.alice_choice, ref.alice_bits), (ref.bob_choice, ref.bob_bits)):
+        for k in (0, 1):
+            mask = choice == k
+            if mask.any():
+                worst = max(worst, abs(float(np.mean(bits[mask] > 0)) - 0.5))
+    return worst
+
+
+SIM_STATES = {
+    "werner": lambda: werner(0.75),
+    "pure": lambda: pure_state(1.0),
+    "mixed": lambda: validate_density(np.eye(4) / 4),
+    "random3": lambda: random_state(3),
+}
+VIEWS = ("alice_choice", "bob_choice", "alice_bits", "bob_bits", "sifted_indices", "alice_bases", "bob_bases")
+
+
+class TestRoundCode:
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    @pytest.mark.parametrize("n", [1, 2, 7, _LEDGER_CHUNK - 1, _LEDGER_CHUNK, _LEDGER_CHUNK + 1])
+    @pytest.mark.parametrize("name", list(SIM_STATES))
+    def test_matches_reference_simulator(self, tmp_path, name, n, seed):
+        state = SIM_STATES[name]()
+        mer = min_error_rate(state)
+        try:
+            ref = reference_simulate_protocol(state, n, seed, mer.b, mer.b_prime)
+        except EmptySiftedSetError:
+            with pytest.raises(EmptySiftedSetError):
+                simulate_protocol(state, n, seed, mer.b, mer.b_prime)
+            return
+        run = simulate_protocol(state, n, seed, mer.b, mer.b_prime)
+        assert run.code.dtype == np.int8 and run.code.nbytes == n
+        expected = {
+            "n_rounds": n, "m_sifted": ref.sifted_indices.size, "delta_x_hat": ref.empirical_delta_x,
+            "delta_y_hat": ref.empirical_delta_y, "delta_hat": ref.empirical_delta, "delta_analytic": 0.1,
+        }
+        assert repr(run.summary(delta_analytic=0.1)) == repr(expected)
+        for view in VIEWS:
+            got, want = getattr(run, view), getattr(ref, view)
+            assert got.dtype == want.dtype and not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+        assert run.alice_key() == "".join("+" if v > 0 else "-" for v in ref.alice_bits[ref.sifted_indices])
+        assert run.bob_key() == "".join("+" if v > 0 else "-" for v in ref.bob_bits[ref.sifted_indices])
+        assert repr(random_key_bias(run)) == repr(reference_random_key_bias(ref))
+        for a in ALICE_LABELS:
+            for b in BOB_LABELS:
+                assert repr(run.mismatch_rate(a, b)) == repr(reference_mismatch_rate(ref, a, b))
+        run.write_rounds_csv(tmp_path / "run.csv")
+        reference_rounds_csv(ref, tmp_path / "reference.csv")
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_run_retains_one_byte_per_round(self):
+        state = werner(0.75)
+        mer = min_error_rate(state)
+        simulate_protocol(state, 10, 5, mer.b, mer.b_prime)  # lazy imports are not the run's memory
+        tracemalloc.start()
+        try:
+            run = simulate_protocol(state, 1_000_000, 5, mer.b, mer.b_prime)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run.code.nbytes == run.n_rounds
+        assert retained < 1.5 * 2**20
+
+    def test_mismatch_rate_rejects_unknown_basis(self):
+        run = simulate_protocol(werner(0.75), 100, 0, SETTING_X, SETTING_Y)
+        with pytest.raises(OutOfRangeError):
+            run.mismatch_rate("z", "b")
 
 
 class TestMeasurementSetting:

@@ -64,14 +64,18 @@ class TestHaarSampling:
         # The Haar average of |U11|^2 is 1/2: |U11|^2 = q0^2 + q3^2 for a
         # uniform unit quaternion, and each coordinate contributes 1/4 by
         # symmetry of the 3-sphere.
-        rng = np.random.default_rng(1)
-        samples = np.array([haar_su2(rng)[0, 0] for _ in range(100_000)])
+        samples = _haar_su2_batch(np.random.default_rng(1), 100_000)[:, 0, 0]
         assert abs(np.mean(np.abs(samples) ** 2) - 0.5) <= 0.01
 
     def test_first_moment_vanishes(self):
-        rng = np.random.default_rng(2)
-        samples = np.array([haar_su2(rng)[0, 0] for _ in range(100_000)])
+        samples = _haar_su2_batch(np.random.default_rng(2), 100_000)[:, 0, 0]
         assert abs(np.mean(samples)) <= 0.01
+
+    def test_batch_rows_are_successive_draws(self):
+        # So the batched moment tests see the very samples of a haar_su2 loop.
+        rng = np.random.default_rng(1)
+        loop = np.array([haar_su2(rng) for _ in range(1000)])
+        np.testing.assert_array_equal(_haar_su2_batch(np.random.default_rng(1), 1000), loop)
 
 
 class TestConjugatePair:
