@@ -106,26 +106,59 @@ def _cq_residual(rho: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return np.einsum("mij,mij->m", d, d.conj()).real
 
 
-def _pattern_search(rho: np.ndarray, theta: float, phi: float, wt: float, wp: float):
-    """Shrinking-neighborhood search: re-center a 5x5 stencil until no
-    strict improvement remains, then halve both half-widths; 40 stages."""
-    offsets = np.linspace(-1.0, 1.0, 5)
-    best_v = float(_cq_residual(rho, _sph(np.array([theta]), np.array([phi])))[0])
-    best_t, best_p = theta, phi
+def _residual_form(rho: np.ndarray):
+    """The residual n -> ||rho - chi(n)||^2 as the quadratic form
+    (tr rho^2 - n^T G n) / 2, a function of unit directions (..., 3).
+
+    With S = (n.sigma) x I, rho - chi(n) = (rho - S rho S)/2 and S^2 = I,
+    so the squared distance is (tr rho^2 - tr(rho S rho S))/2; S is linear
+    in n, which makes the last trace the quadratic form of
+    G_kl = Re tr(rho A_k rho A_l). Built from rho and the operators alone,
+    with no decomposition or eigenvalue.
+    """
+    ra = rho @ _A_OPS
+    purity = float(np.einsum("ij,ji->", rho, rho).real)
+    g = np.einsum("kij,lji->kl", ra, ra).real
+    return lambda dirs: 0.5 * (purity - ((dirs @ g) * dirs).sum(axis=-1))
+
+
+# The 5x5 stencil's (theta, phi) offsets in units of the half-widths,
+# flattened theta-major; a stencil point's index decides argmin ties.
+_T_OFFSETS, _P_OFFSETS = (o.ravel() for o in np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * 2, indexing="ij"))
+
+
+def _lockstep_search(residual, starts: list[tuple[float, float]], wt: float, wp: float):
+    """Shrinking-neighborhood search from every start at once.
+
+    Each start re-centres its 5x5 stencil of (theta, phi) points while the
+    stencil's first lowest point improves on it by more than _TIE, for at
+    most 60 moves; then all half-widths halve together; 40 stages. The
+    active starts' stencils are scored as one batch, and every start takes
+    exactly the moves a search from it alone would. ``residual`` scores
+    unit directions (..., 3). Returns the final (theta, phi) arrays, one
+    entry per start.
+    """
+    best_t = np.array([t for t, _ in starts])
+    best_p = np.array([p for _, p in starts])
+    best_v = residual(_sph(best_t, best_p))
     for _ in range(40):
+        active = np.arange(len(starts))
         for _ in range(60):
-            tt, pp = np.meshgrid(best_t + wt * offsets, best_p + wp * offsets, indexing="ij")
-            vv = _cq_residual(rho, _sph(tt.ravel(), pp.ravel()))
-            j = int(np.argmin(vv))
-            if vv[j] < best_v - _TIE:
-                best_v = float(vv[j])
-                best_t = float(tt.ravel()[j])
-                best_p = float(pp.ravel()[j])
-            else:
+            tt = best_t[active, None] + wt * _T_OFFSETS
+            pp = best_p[active, None] + wp * _P_OFFSETS
+            vv = residual(_sph(tt, pp))
+            rows = np.arange(len(active))
+            j = vv.argmin(axis=1)
+            moved = vv[rows, j] < best_v[active] - _TIE
+            active, rows, j = active[moved], rows[moved], j[moved]
+            if not active.size:
                 break
+            best_v[active] = vv[rows, j]
+            best_t[active] = tt[rows, j]
+            best_p[active] = pp[rows, j]
         wt *= 0.5
         wp *= 0.5
-    return best_v, best_t, best_p
+    return best_t, best_p
 
 
 def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
@@ -135,10 +168,17 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     hemisphere (antipodal directions define the same projector pair), then
     refines with a shrinking-neighborhood pattern search. The refinement
     runs from three starts: the z pole, the best grid point, and the best
-    equator point. The pole start keeps exactly degenerate landscapes on
-    the z direction; the equator start covers states whose correlation
-    block is exactly axis-aligned, where the (theta, phi) chart degenerates
-    at the pole and a single pole-adjacent search could stall. Near-ties
+    equator point (a start equal to an earlier one is searched once). The
+    pole start keeps exactly degenerate landscapes on the z direction; the
+    equator start covers states whose correlation block is exactly
+    axis-aligned, where the (theta, phi) chart degenerates at the pole and
+    a single pole-adjacent search could stall.
+
+    The scan and the search score directions with the residual's 3x3
+    quadratic form (see ``_residual_form``), and the starts are searched
+    in lockstep, each taking the moves it would take alone. The value
+    reported comes from the definition: each start's final direction is
+    dephased and its distance to the state taken once, and near-ties
     resolve toward the earlier start and the lexicographically first
     (theta, phi).
 
@@ -151,11 +191,12 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     """
     coarse_steps = 24
     rho = state.rho
+    residual = _residual_form(rho)
     thetas = np.linspace(0.0, np.pi / 2, coarse_steps)
     phis = np.linspace(0.0, 2 * np.pi, coarse_steps, endpoint=False)
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
     tg, pg = tg.ravel(), pg.ravel()
-    vals = _cq_residual(rho, _sph(tg, pg))
+    vals = residual(_sph(tg, pg))
     k_global = int(np.flatnonzero(vals <= vals.min() + _TIE)[0])
     equator = vals[-coarse_steps:]
     k_eq = len(vals) - coarse_steps + int(np.flatnonzero(equator <= equator.min() + _TIE)[0])
@@ -166,15 +207,16 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     starts = list(dict.fromkeys(
         ((0.0, 0.0), (float(tg[k_global]), float(pg[k_global])), (float(tg[k_eq]), float(pg[k_eq])))
     ))
-    best_v, best_t, best_p = _pattern_search(rho, *starts[0], wt0, wp0)
-    for start in starts[1:]:
-        v, t, p = _pattern_search(rho, *start, wt0, wp0)
-        if v < best_v - _TIE:
-            best_v, best_t, best_p = v, t, p
+    theta, phi = _lockstep_search(residual, starts, wt0, wp0)
+    values = _cq_residual(rho, _sph(theta, phi))
+    best = 0
+    for k in range(1, len(starts)):
+        if values[k] < values[best] - _TIE:
+            best = k
 
     return DiscordResult(
-        value=max(best_v, 0.0),
-        argmin_direction=_canonical_direction(_sph(best_t, best_p)),
+        value=max(float(values[best]), 0.0),
+        argmin_direction=_canonical_direction(_sph(theta[best], phi[best])),
         method="grid-oracle",
     )
 

@@ -196,7 +196,9 @@ class ProtocolRun:
     ``code[k] = 8 i + 4 j + 2 [s < 0] + [t < 0]`` for round k, where i
     indexes Alice's basis in ``ALICE_LABELS``, j Bob's in ``BOB_LABELS``,
     and s, t are their +-1 outcomes. Sifting keeps the rounds with i == j;
-    the discarded (x, b') and (y, b) rounds stay for diagnostics.
+    the discarded (x, b') and (y, b) rounds stay for diagnostics. Raises
+    OutOfRangeError unless ``n_rounds`` is an integer >= 0 and ``code`` a
+    1-D int8 array of ``n_rounds`` entries in 0..15.
 
     ``m_sifted``, the per-basis mismatch rates ``empirical_delta_x``/``_y``,
     their sifted-count weighted mean ``empirical_delta``, ``mismatch_rate``
@@ -212,7 +214,16 @@ class ProtocolRun:
     code: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "code", _read_only(np.asarray(self.code)))
+        n, code = self.n_rounds, np.asarray(self.code)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise OutOfRangeError(f"n_rounds must be an integer >= 0, got {n!r}")
+        if code.dtype != np.int8 or code.shape != (n,):
+            raise OutOfRangeError(
+                f"code must be a 1-D int8 array of n_rounds = {n} entries, got {code.dtype} of shape {code.shape}"
+            )
+        if n and (code.min() < 0 or code.max() > 15):
+            raise OutOfRangeError(f"round codes must lie in 0..15, got {code.min()}..{code.max()}")
+        object.__setattr__(self, "code", _read_only(code))
 
     @cached_property
     def _counts(self) -> np.ndarray:

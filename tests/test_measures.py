@@ -2,7 +2,10 @@
 
 The grid-search discord is itself the definition-based oracle for the
 closed forms; the dephasing map is additionally cross-checked here
-against an independently assembled projector construction.
+against an independently assembled projector construction. The oracle's
+per-start search from before the starts ran in lockstep on the residual's
+3x3 form is kept here as ``reference_discord_grid_oracle``, and the oracle
+must agree with it bit for bit.
 """
 
 import math
@@ -14,6 +17,7 @@ from twirlkit import (
     BranchConditionError,
     ConditionsNotMetError,
     OutOfRangeError,
+    PauliDecomposition,
     XStateParams,
     bell,
     binary_entropy,
@@ -30,6 +34,7 @@ from twirlkit import (
     k_values,
     measures,
     min_error_rate,
+    pauli_compose,
     pure_state,
     random_state,
     twirl_discord_comparison,
@@ -37,6 +42,7 @@ from twirlkit import (
     werner,
     x_state,
 )
+from twirlkit.states import sample_x_params
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -55,6 +61,106 @@ def oracle_dephase(rho, n):
 def unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def _reference_pattern_search(rho, theta, phi, wt, wp):
+    """One start's shrinking-neighborhood search, scored by the dephasing
+    definition: re-center a 5x5 stencil until no strict improvement
+    remains, then halve both half-widths; 40 stages."""
+    offsets = np.linspace(-1.0, 1.0, 5)
+    best_v = float(measures._cq_residual(rho, measures._sph(np.array([theta]), np.array([phi])))[0])
+    best_t, best_p = theta, phi
+    for _ in range(40):
+        for _ in range(60):
+            tt, pp = np.meshgrid(best_t + wt * offsets, best_p + wp * offsets, indexing="ij")
+            vv = measures._cq_residual(rho, measures._sph(tt.ravel(), pp.ravel()))
+            j = int(np.argmin(vv))
+            if vv[j] < best_v - measures._TIE:
+                best_v = float(vv[j])
+                best_t = float(tt.ravel()[j])
+                best_p = float(pp.ravel()[j])
+            else:
+                break
+        wt *= 0.5
+        wp *= 0.5
+    return best_v, best_t, best_p
+
+
+def reference_discord_grid_oracle(state):
+    """The grid oracle searching each start on its own, every point dephased."""
+    coarse_steps = 24
+    rho = state.rho
+    thetas = np.linspace(0.0, np.pi / 2, coarse_steps)
+    phis = np.linspace(0.0, 2 * np.pi, coarse_steps, endpoint=False)
+    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
+    tg, pg = tg.ravel(), pg.ravel()
+    vals = measures._cq_residual(rho, measures._sph(tg, pg))
+    k_global = int(np.flatnonzero(vals <= vals.min() + measures._TIE)[0])
+    equator = vals[-coarse_steps:]
+    k_eq = len(vals) - coarse_steps + int(np.flatnonzero(equator <= equator.min() + measures._TIE)[0])
+    wt0 = (np.pi / 2) / (coarse_steps - 1)
+    wp0 = 2 * np.pi / coarse_steps
+    starts = list(dict.fromkeys(
+        ((0.0, 0.0), (float(tg[k_global]), float(pg[k_global])), (float(tg[k_eq]), float(pg[k_eq])))
+    ))
+    best_v, best_t, best_p = _reference_pattern_search(rho, *starts[0], wt0, wp0)
+    for start in starts[1:]:
+        v, t, p = _reference_pattern_search(rho, *start, wt0, wp0)
+        if v < best_v - measures._TIE:
+            best_v, best_t, best_p = v, t, p
+    return max(best_v, 0.0), measures._canonical_direction(measures._sph(best_t, best_p))
+
+
+def _near_degenerate():
+    """The oracle probe T = diag(0.5, -0.5(1-eps), 0.3), x = y = 0: each of
+    12 eps from 1e-9 to 1e-3 under 10 local Haar rotations."""
+    rng = np.random.default_rng(2024)
+    for eps in np.logspace(-9, -3, 12):
+        near = pauli_compose(PauliDecomposition(np.zeros(3), np.zeros(3), np.diag([0.5, -0.5 * (1 - eps), 0.3])))
+        for _ in range(10):
+            w = np.kron(haar_su2(rng), haar_su2(rng))
+            yield validate_density(w @ near @ w.conj().T)
+
+
+def _products():
+    """Product states (random local spectra and frames, and two with zero
+    in-plane correlation rows) and I/4."""
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        u, v = haar_su2(rng), haar_su2(rng)
+        yield validate_density(np.kron(u @ np.diag([0.8, 0.2]) @ u.conj().T, v @ np.diag([0.6, 0.4]) @ v.conj().T))
+    a, b = np.array([0.0, 0.0, 0.6]), np.array([0.3, 0.4, 0.5])
+    yield validate_density(pauli_compose(PauliDecomposition(a, b, np.outer(a, b))))
+    yield validate_density(pauli_compose(PauliDecomposition(-a, b, np.outer(-a, b))))
+    yield validate_density(np.eye(4) / 4)
+
+
+def _x_states():
+    rng = np.random.default_rng(11)
+    return (x_state(sample_x_params(rng)) for _ in range(40))
+
+
+def _mirror_states():
+    """Correlation matrices with a decoupled x row and dyadic entries: the
+    residual is exactly even in n_x, so the first move from the z pole
+    meets two exactly tied lowest stencil points, at offsets (-dt, +dp)
+    and (+dt, -dp), and the stencil's point order picks the sign of the
+    reported n_x."""
+    for t in ([0.25, 0.5, 0.25, 0.125, -0.5], [0.125, 0.5, 0.125, -0.125, -0.5],
+              [0.25, 0.25, 0.125, 0.125, -0.5], [0.25, 0.25, -0.25, 0.125, 0.25]):
+        T = np.array([[t[0], 0.0, 0.0], [0.0, t[1], t[2]], [0.0, t[3], t[4]]])
+        yield validate_density(pauli_compose(PauliDecomposition(np.zeros(3), np.zeros(3), T)))
+
+
+ORACLE_FAMILIES = {
+    "random": lambda: (random_state(seed) for seed in range(200)),
+    "near_degenerate": _near_degenerate,
+    "pure": lambda: (pure_state(g) for g in np.linspace(0.0, math.pi / 2, 21)),
+    "werner": lambda: (werner(f) for f in np.linspace(0.25, 1.0, 16)),
+    "product": _products,
+    "x_params": _x_states,
+    "mirror": _mirror_states,
+}
 
 
 class TestCqState:
@@ -133,12 +239,37 @@ class TestDiscordGridOracle:
     def test_repeated_start_searched_once(self, monkeypatch):
         # on the pure family the best grid point is the z pole, the first start
         calls = []
-        search = measures._pattern_search
-        monkeypatch.setattr(measures, "_pattern_search", lambda *a: calls.append(a[1:3]) or search(*a))
+        search = measures._lockstep_search
+        monkeypatch.setattr(measures, "_lockstep_search", lambda *a: calls.append(list(a[1])) or search(*a))
         result = discord_grid_oracle(pure_state(1.0))
-        assert calls[:2] == [(0.0, 0.0), (math.pi / 2, 0.0)]
-        assert len(calls) == 2
+        assert calls == [[(0.0, 0.0), (math.pi / 2, 0.0)]]
         assert result.value == pytest.approx(0.5 * math.cos(1.0) ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_bit_identical_to_per_start_reference(self, family):
+        for k, s in enumerate(ORACLE_FAMILIES[family]()):
+            res = discord_grid_oracle(s)
+            value, direction = reference_discord_grid_oracle(s)
+            assert type(res.value) is float
+            assert (repr(res.value), res.argmin_direction.tobytes()) == (repr(value), direction.tobytes()), (family, k)
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_residual_form_is_the_dephasing_distance(self, family):
+        rng = np.random.default_rng(8)
+        for s in ORACLE_FAMILIES[family]():
+            dirs = np.array([unit(rng) for _ in range(16)])
+            form = measures._residual_form(s.rho)(dirs)
+            np.testing.assert_allclose(form, measures._cq_residual(s.rho, dirs), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_value_is_dephased_once(self, monkeypatch, seed):
+        # the search scores with the 3x3 form; only the reported value comes from the definition
+        calls = []
+        residual = measures._cq_residual
+        monkeypatch.setattr(measures, "_cq_residual", lambda rho, dirs: calls.append(dirs.shape) or residual(rho, dirs))
+        discord_grid_oracle(random_state(seed))
+        assert len(calls) == 1
+        assert calls[0][0] <= 3
 
 
 class TestDiscordEigen:

@@ -34,7 +34,7 @@ from twirlkit import (
     validate_density,
     werner,
 )
-from twirlkit.protocol import ALICE_LABELS, BOB_LABELS, _LEDGER_CHUNK
+from twirlkit.protocol import ALICE_LABELS, BOB_LABELS, _LEDGER_CHUNK, ProtocolRun
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -504,6 +504,28 @@ class TestRoundCode:
             tracemalloc.stop()
         assert run.code.nbytes == run.n_rounds
         assert retained < 1.5 * 2**20
+
+    @pytest.mark.parametrize("n_rounds,code,message", [
+        (5, np.zeros(3, np.int8), "1-D int8 array of n_rounds = 5"),
+        (3, np.zeros(5, np.int8), "1-D int8 array of n_rounds = 3"),
+        (4, np.zeros((2, 2), np.int8), "1-D int8 array"),
+        (3, np.zeros(3, np.int64), "1-D int8 array"),
+        (3, [0, 1, 2], "1-D int8 array"),
+        (3, np.array([0, 20, 1], np.int8), "0..15, got 0..20"),
+        (3, np.array([0, -1, 15], np.int8), "0..15, got -1..15"),
+        (-1, np.zeros(0, np.int8), "integer >= 0"),
+        (2.0, np.zeros(2, np.int8), "integer >= 0"),
+        (True, np.zeros(1, np.int8), "integer >= 0"),
+    ])
+    def test_rejects_inconsistent_record(self, n_rounds, code, message):
+        with pytest.raises(OutOfRangeError, match=message):
+            ProtocolRun(n_rounds, code)
+
+    def test_accepts_consistent_record(self):
+        empty = ProtocolRun(0, np.zeros(0, np.int8))
+        assert empty.summary()["n_rounds"] == 0 and empty.m_sifted == 0
+        run = ProtocolRun(np.int64(16), np.arange(16, dtype=np.int8))
+        assert run.m_sifted == 8 and not run.code.flags.writeable
 
     def test_mismatch_rate_rejects_unknown_basis(self):
         run = simulate_protocol(werner(0.75), 100, 0, SETTING_X, SETTING_Y)
