@@ -32,6 +32,7 @@ from .qubit_algebra import (
     ID2,
     SIGMA_Y,
     TwoQubitState,
+    _check_one_state,
     _item,
     _vector_norm,
     as_unit_vector,
@@ -183,12 +184,13 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     (theta, phi).
 
     Args:
-        state: the input state.
+        state: the input state; a stacked state raises OutOfRangeError.
 
     Returns:
         DiscordResult with the minimal squared distance and the canonical
         minimizing direction.
     """
+    _check_one_state(state)
     coarse_steps = 24
     rho = state.rho
     residual = _residual_form(rho)
@@ -345,8 +347,10 @@ def delta_min_from_discord(state: TwoQubitState) -> float:
     one, for a state already in the frame with no in-plane first-qubit
     Bloch components, and (II) the two optimal correlation values agree.
     Raises ConditionsNotMetError naming the failed condition; when both
-    hold the result equals min_error_rate(state).value to 1e-8.
+    hold the result equals min_error_rate(state).value to 1e-8. Raises
+    OutOfRangeError for a stacked state.
     """
+    _check_one_state(state)
     d = state.decomp
     in_plane = math.hypot(d.x[0], d.x[1])
     if in_plane > 1e-9:

@@ -10,7 +10,11 @@ rate is the probability that the two parties' sifted symbols disagree.
 
 A simulated run (``ProtocolRun``) keeps one int8 code per round, packing
 both basis choices and both outcomes. Its summary counts, the per-round
-ledger and the per-round arrays are all read from that one array.
+ledger and the per-round arrays are all read from that one array. The
+simulator fills the codes, the summary counts them and the ledger writer
+formats them in chunks of ``_CHUNK`` rounds, so the memory beyond that
+one byte per round does not grow with the round count. The chunked draws
+give the same stream as one draw per whole array.
 """
 
 from __future__ import annotations
@@ -175,8 +179,14 @@ _LEDGER_TAILS = np.array([
     f",{ALICE_LABELS[i]},{BOB_LABELS[j]},{s},{t},{int(i == j)}\n"
     for i in (0, 1) for j in (0, 1) for s in (1, -1) for t in (1, -1)
 ])
-# Rounds formatted per write, so the writer's memory does not grow with n.
-_LEDGER_CHUNK = 1 << 16
+# Rounds per chunk of the simulator, the summary count and the ledger writer,
+# so that only the run's one byte per round grows with n.
+_CHUNK = 1 << 13
+
+
+def _chunks(n: int):
+    """Consecutive slices of at most _CHUNK rounds that cover range(n)."""
+    return (slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -198,7 +208,9 @@ class ProtocolRun:
     and s, t are their +-1 outcomes. Sifting keeps the rounds with i == j;
     the discarded (x, b') and (y, b) rounds stay for diagnostics. Raises
     OutOfRangeError unless ``n_rounds`` is an integer >= 0 and ``code`` a
-    1-D int8 array of ``n_rounds`` entries in 0..15.
+    1-D int8 array of ``n_rounds`` entries in 0..15. A read-only ``code`` is
+    kept as it is; a writeable one is copied, and the caller's array stays
+    writeable.
 
     ``m_sifted``, the per-basis mismatch rates ``empirical_delta_x``/``_y``,
     their sifted-count weighted mean ``empirical_delta``, ``mismatch_rate``
@@ -223,12 +235,15 @@ class ProtocolRun:
             )
         if n and (code.min() < 0 or code.max() > 15):
             raise OutOfRangeError(f"round codes must lie in 0..15, got {code.min()}..{code.max()}")
-        object.__setattr__(self, "code", _read_only(code))
+        object.__setattr__(self, "code", _read_only(code.copy()) if code.flags.writeable else code)
 
     @cached_property
     def _counts(self) -> np.ndarray:
         """Rounds per code, as a (2, 2, 2, 2) table over (i, j, [s<0], [t<0])."""
-        return _read_only(np.bincount(self.code, minlength=16).reshape(2, 2, 2, 2))
+        counts = np.zeros(16, dtype=np.intp)
+        for s in _chunks(self.n_rounds):
+            counts += np.bincount(self.code[s], minlength=16)
+        return _read_only(counts.reshape(2, 2, 2, 2))
 
     def _rate(self, i, j) -> float:
         """Disagreeing share of the rounds with Alice basis i and Bob basis j
@@ -284,9 +299,8 @@ class ProtocolRun:
         """Write the per-round ledger: round, bases, bits, sifted flag."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("round,alice_basis,bob_basis,alice_bit,bob_bit,sifted\n")
-            for lo in range(0, self.n_rounds, _LEDGER_CHUNK):
-                code = self.code[lo:lo + _LEDGER_CHUNK]
-                rows = np.char.add(np.arange(lo, lo + code.size).astype(str), _LEDGER_TAILS[code])
+            for s in _chunks(self.n_rounds):
+                rows = np.char.add(np.arange(s.start, s.stop).astype(str), _LEDGER_TAILS[self.code[s]])
                 fh.write("".join(rows.tolist()))
 
 
@@ -305,27 +319,33 @@ def simulate_protocol(state: TwoQubitState, n_rounds: int, seed: int, b, b_prime
     """
     _check_sampler_inputs(state, n_rounds, "n_rounds", seed)
     bob_settings = (MeasurementSetting.of(b), MeasurementSetting.of(b_prime))
-    # Cumulative outcome distributions for the four setting pairings.
+    # Cumulative outcome distributions, one row per pairing 2 i + j.
     probs = [[outcome_probs(state, a, bs).as_array() for bs in bob_settings] for a in (SETTING_X, SETTING_Y)]
-    cums = np.cumsum(probs, axis=-1)
-    cums[..., 3] = np.maximum(cums[..., 3], 1.0)
+    thresholds = np.cumsum(probs, axis=-1).reshape(4, 4)[:, :3].T
 
     rng = np.random.default_rng(seed)
-    # int64 draws keep the seeded stream; the code holds them as int8
-    code = 8 * rng.integers(0, 2, n_rounds).astype(np.int8)
-    code += 4 * rng.integers(0, 2, n_rounds).astype(np.int8)
-    u = rng.random(n_rounds)
+    code = np.empty(n_rounds, dtype=np.int8)
+    # The chunks draw in the single-shot order, all of Alice's choices, then
+    # Bob's, then the uniforms, and give the single-shot stream: integers(0, 2)
+    # takes a 32-bit half-word from a buffer the generator carries between
+    # calls, random() whole words. The draws stay int64: int8 draws differ.
+    for s in _chunks(n_rounds):
+        code[s] = rng.integers(0, 2, s.stop - s.start) << 3
+    for s in _chunks(n_rounds):
+        code[s] |= rng.integers(0, 2, s.stop - s.start) << 2
+    # The outcome index 0 (+,+), 1 (+,-), 2 (-,+), 3 (-,-) becomes the code's
+    # low two bits: the count of the pairing's first three cumulative
+    # probabilities at or below u, which is searchsorted(side="right") over
+    # all four capped at 3.
+    for s in _chunks(n_rounds):
+        chunk = code[s]
+        u = rng.random(chunk.size)
+        pairing = chunk >> 2
+        for row in thresholds:
+            chunk += row[pairing] <= u
 
-    # The outcome index 0 (+,+), 1 (+,-), 2 (-,+), 3 (-,-) is the code's
-    # low two bits. A pairing's codes rise only within its own block of
-    # four, so the later pairings' masks never catch a finished round.
-    for i in range(2):
-        for j in range(2):
-            mask = code == 4 * (2 * i + j)
-            if mask.any():
-                code[mask] += np.minimum(np.searchsorted(cums[i, j], u[mask], side="right"), 3)
-
-    run = ProtocolRun(n_rounds=n_rounds, code=code)
+    # read-only, so the run keeps this array without a copy
+    run = ProtocolRun(n_rounds=n_rounds, code=_read_only(code))
     if run.m_sifted == 0:
         raise EmptySiftedSetError(f"no sifted rounds among {n_rounds}")
     return run

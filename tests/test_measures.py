@@ -206,6 +206,27 @@ class TestCqState:
             cq_state(werner(0.5), (0.0, 0.0, 2.0))
 
 
+STACKS = {
+    "two": lambda: pure_state(np.array([0.3, 0.5])),
+    "three": lambda: werner(np.array([0.5, 0.75, 0.9])),
+    # as many members as the coarse scan has points
+    "576": lambda: pure_state(np.linspace(0.1, 1.4, 576)),
+}
+ONE_STATE_CALLS = {
+    "discord_grid_oracle": discord_grid_oracle,
+    "discord_error_rate_bound": lambda s: discord_error_rate_bound(s, method="grid-oracle"),
+    "delta_min_from_discord": delta_min_from_discord,
+    "twirl_discord_comparison": twirl_discord_comparison,
+}
+
+
+@pytest.mark.parametrize("stack", list(STACKS))
+@pytest.mark.parametrize("call", list(ONE_STATE_CALLS))
+def test_one_state_calls_reject_a_stack(call, stack):
+    with pytest.raises(OutOfRangeError, match="expected one state"):
+        ONE_STATE_CALLS[call](STACKS[stack]())
+
+
 class TestDiscordGridOracle:
     def test_pure_state_value(self):
         res = discord_grid_oracle(pure_state(math.pi / 3))

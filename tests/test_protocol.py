@@ -34,7 +34,7 @@ from twirlkit import (
     validate_density,
     werner,
 )
-from twirlkit.protocol import ALICE_LABELS, BOB_LABELS, _LEDGER_CHUNK, ProtocolRun
+from twirlkit.protocol import ALICE_LABELS, BOB_LABELS, _CHUNK, ProtocolRun
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -367,7 +367,7 @@ def reference_rounds_csv(run, path):
 
 
 class TestLedger:
-    @pytest.mark.parametrize("n", [7, _LEDGER_CHUNK - 1, _LEDGER_CHUNK, _LEDGER_CHUNK + 1])
+    @pytest.mark.parametrize("n", [7, _CHUNK + 1, 8 * _CHUNK - 1, 8 * _CHUNK, 8 * _CHUNK + 1])
     @pytest.mark.parametrize("state", [werner(0.75), pure_state(1.0)], ids=["werner", "pure"])
     def test_matches_reference_writer(self, tmp_path, state, n):
         mer = min_error_rate(state)
@@ -454,13 +454,18 @@ SIM_STATES = {
     "pure": lambda: pure_state(1.0),
     "mixed": lambda: validate_density(np.eye(4) / 4),
     "random3": lambda: random_state(3),
+    # the sifted pairings' thresholds tie: (1/2, 1/2, 1/2), two outcomes never occur
+    "psi_minus": lambda: bell("psi-"),
 }
 VIEWS = ("alice_choice", "bob_choice", "alice_bits", "bob_bits", "sifted_indices", "alice_bases", "bob_bases")
 
 
 class TestRoundCode:
     @pytest.mark.parametrize("seed", [0, 1, 42])
-    @pytest.mark.parametrize("n", [1, 2, 7, _LEDGER_CHUNK - 1, _LEDGER_CHUNK, _LEDGER_CHUNK + 1])
+    # several whole chunks, and an odd leftover after several chunks
+    @pytest.mark.parametrize("n", [
+        1, 2, 7, 8 * _CHUNK - 1, 8 * _CHUNK, 8 * _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK - 1,
+    ])
     @pytest.mark.parametrize("name", list(SIM_STATES))
     def test_matches_reference_simulator(self, tmp_path, name, n, seed):
         state = SIM_STATES[name]()
@@ -505,6 +510,23 @@ class TestRoundCode:
         assert run.code.nbytes == run.n_rounds
         assert retained < 1.5 * 2**20
 
+    def test_memory_stays_flat_while_drawing_and_writing(self, tmp_path):
+        state = werner(0.75)
+        mer = min_error_rate(state)
+        simulate_protocol(state, 10, 5, mer.b, mer.b_prime).write_rounds_csv(tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            run = simulate_protocol(state, 1_000_000, 5, mer.b, mer.b_prime)
+            run.summary()
+            _, simulate_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            run.write_rounds_csv(tmp_path / "rounds.csv")
+            _, ledger_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert simulate_peak < 2 * 2**20
+        assert ledger_peak < 8 * 2**20
+
     @pytest.mark.parametrize("n_rounds,code,message", [
         (5, np.zeros(3, np.int8), "1-D int8 array of n_rounds = 5"),
         (3, np.zeros(5, np.int8), "1-D int8 array of n_rounds = 3"),
@@ -526,6 +548,15 @@ class TestRoundCode:
         assert empty.summary()["n_rounds"] == 0 and empty.m_sifted == 0
         run = ProtocolRun(np.int64(16), np.arange(16, dtype=np.int8))
         assert run.m_sifted == 8 and not run.code.flags.writeable
+
+    def test_copies_only_a_writeable_code(self):
+        code = np.zeros(3, np.int8)
+        run = ProtocolRun(3, code)
+        assert code.flags.writeable and run.code is not code and not run.code.flags.writeable
+        code[0] = 5
+        assert run.code[0] == 0
+        code.flags.writeable = False
+        assert ProtocolRun(3, code).code is code
 
     def test_mismatch_rate_rejects_unknown_basis(self):
         run = simulate_protocol(werner(0.75), 100, 0, SETTING_X, SETTING_Y)
