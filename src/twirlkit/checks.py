@@ -21,6 +21,7 @@ from .qubit_algebra import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
     TRACE_ATOL,
+    _vector_norm,
     hermitian_eigenvalues,
     hs_norm_sq,
     pauli_compose,
@@ -125,12 +126,31 @@ def _random_states(config: CheckConfig, lane: int, count: int):
     return [states.random_state(int(s)) for s in seeds]
 
 
+def _stack(pool):
+    """The members of the states in ``pool`` (single or stacked) as one (m, 4, 4) stacked state."""
+    return validate_density(np.concatenate([s.rho.reshape(-1, 4, 4) for s in pool]))
+
+
 def _unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.standard_normal(3)
         n = np.linalg.norm(v)
         if n > 1e-6:
             return v / n
+
+
+def _units(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """A (*shape, 3) array of the unit vectors that as many ``_unit(rng)``
+    calls draw, in C order, from one block of normals. A block with a
+    vector too short to normalize is drawn again by the calls themselves,
+    which reject that vector and draw another."""
+    saved = rng.bit_generator.state
+    v = rng.standard_normal((*shape, 3))
+    n = _vector_norm(v)
+    if (n > 1e-6).all():
+        return v / n[..., None]
+    rng.bit_generator.state = saved
+    return np.array([_unit(rng) for _ in range(math.prod(shape))]).reshape(*shape, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +318,12 @@ def check_protocol_correlation_identity(config: CheckConfig) -> PropertyResult:
 def check_protocol_partner_optimality(config: CheckConfig) -> PropertyResult:
     rng = _rng(config, 25)
     pool = _random_states(config, 26, config.random_states)
-    worst = -math.inf
-    count = 0
-    for s in pool:
-        T = s.T
-        for _ in range(20):
-            a = _unit(rng)
-            best = protocol.optimal_partner(s, a)
-            brute = np.array([a @ T @ _unit(rng) for _ in range(100)])
-            worst = max(worst, float(np.max(brute)) - best.value)
-            count += 1
-    return _result("protocol_partner_optimality", count, worst - TOLERANCES["entrywise"])
+    # per state, 20 Alice settings, each followed by its 100 brute-force partners
+    units = _units(rng, (len(pool), 20, 101))
+    a, b = units[:, :, 0], units[:, :, 1:]
+    best = np.array([[protocol.optimal_partner(s, v).value for v in row] for s, row in zip(pool, a)])
+    brute = np.vecdot(b, (a @ np.stack([s.T for s in pool]))[:, :, None]).max(axis=-1)
+    return _result("protocol_partner_optimality", best.size, float(np.max(brute - best)) - TOLERANCES["entrywise"])
 
 
 def check_protocol_optimal_value_row_norm(config: CheckConfig) -> PropertyResult:
@@ -347,44 +362,39 @@ def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
 # correlation measures
 
 def check_measures_eigen_grid_agreement(config: CheckConfig) -> PropertyResult:
-    pool = _random_states(config, 29, config.random_states)
-    worst = 0.0
-    for s in pool:
-        worst = max(worst, abs(measures.discord_eigen(s).value - measures.discord_grid_oracle(s).value))
-    return _result("measures_eigen_grid_agreement", len(pool), worst - TOLERANCES["eigen_grid_agreement"])
+    pool = _stack(_random_states(config, 29, config.random_states))
+    gap = np.abs(measures.discord_eigen(pool).value - measures.discord_grid_oracle(pool).value)
+    return _result("measures_eigen_grid_agreement", gap.size, float(np.max(gap)) - TOLERANCES["eigen_grid_agreement"])
 
 
 def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResult:
     rng = _rng(config, 30)
-    accepted = 0
-    rejected_checked = 0
+    accepted = []
+    rejected = []
     rejected_cap = max(1, config.x_states // 3)
     attempts = 0
-    worst_value = 0.0
-    branch_mismatches = 0
-    while accepted < config.x_states and attempts < 100 * config.x_states:
+    while len(accepted) < config.x_states and attempts < 100 * config.x_states:
         attempts += 1
         p = states.sample_x_params(rng)
         k = measures.k_values(p)
         if abs(k.k1 - k.k3) <= TOLERANCES["branch_tie"]:
             continue  # skip boundary ties where the branch is genuinely ambiguous
         if k.k1 <= k.k3:
-            accepted += 1
-            oracle = measures.discord_grid_oracle(states.x_state(p))
-            worst_value = max(worst_value, abs(measures.discord_x_closed_form(p).value - oracle.value))
-            if math.hypot(oracle.argmin_direction[0], oracle.argmin_direction[1]) > TOLERANCES["on_axis"]:
-                branch_mismatches += 1
-        elif rejected_checked < rejected_cap:
-            # Reverse direction: outside the branch the oracle must leave the z axis.
-            rejected_checked += 1
-            oracle = measures.discord_grid_oracle(states.x_state(p))
-            on_axis = math.hypot(oracle.argmin_direction[0], oracle.argmin_direction[1]) <= TOLERANCES["on_axis"]
-            if on_axis and oracle.value > TOLERANCES["zero_discord"]:
-                branch_mismatches += 1
+            accepted.append(p)
+        elif len(rejected) < rejected_cap:
+            rejected.append(p)
+    oracle = measures.discord_grid_oracle(_stack([states.x_state(p) for p in accepted + rejected]))
+    n = oracle.argmin_direction
+    on_axis = measures._hypot(n[:, 0], n[:, 1]) <= TOLERANCES["on_axis"]
+    closed = np.array([measures.discord_x_closed_form(p).value for p in accepted])
+    worst_value = float(np.max(np.abs(closed - oracle.value[:len(accepted)]), initial=0.0))
+    # inside the branch the oracle must pick the z axis; outside it must leave it
+    off_branch = on_axis[len(accepted):] & (oracle.value[len(accepted):] > TOLERANCES["zero_discord"])
+    branch_mismatches = int(np.sum(~on_axis[:len(accepted)]) + np.sum(off_branch))
     # any mismatch fails; with none, the margin is the value gap's distance to its gate
     margin = float(branch_mismatches) if branch_mismatches else worst_value - TOLERANCES["oracle_agreement"]
     return _result(
-        "measures_xstate_oracle_agreement", accepted + rejected_checked, margin,
+        "measures_xstate_oracle_agreement", len(accepted) + len(rejected), margin,
         f"{branch_mismatches} branch decisions disagree with the oracle argmin; "
         f"worst value gap {worst_value:.3e}",
     )
@@ -397,16 +407,15 @@ def check_measures_discord_range(config: CheckConfig) -> PropertyResult:
     worst = float(max(np.max(-d - TOLERANCES["entrywise"]), np.max(d - 0.5 - TOLERANCES["entrywise"])))
     # zero iff a dephasing fixes the state: product states reach zero,
     # and the reported value equals the residual at the reported argmin.
-    rng = _rng(config, 32)
-    for _ in range(10):
-        u = twirl.haar_su2(rng)
-        v = twirl.haar_su2(rng)
-        local = validate_density(
-            np.kron(u @ np.diag([1.0, 0.0]) @ u.conj().T, v @ np.diag([0.7, 0.3]) @ v.conj().T)
-        )
-        res = measures.discord_grid_oracle(local)
-        residual = hs_norm_sq(measures.cq_state(local, res.argmin_direction).rho - local.rho)
-        worst = max(worst, res.value - TOLERANCES["product_discord"], residual - TOLERANCES["product_discord"])
+    rows = twirl._haar_su2_batch(_rng(config, 32), 20)
+    products = [
+        validate_density(np.kron(u @ np.diag([1.0, 0.0]) @ u.conj().T, v @ np.diag([0.7, 0.3]) @ v.conj().T))
+        for u, v in zip(rows[0::2], rows[1::2])
+    ]
+    res = measures.discord_grid_oracle(_stack(products))
+    for local, value, direction in zip(products, res.value, res.argmin_direction):
+        residual = hs_norm_sq(measures.cq_state(local, direction).rho - local.rho)
+        worst = max(worst, value - TOLERANCES["product_discord"], residual - TOLERANCES["product_discord"])
     for s, value, direction in zip(pool[:50], d, eigen.argmin_direction):
         residual = hs_norm_sq(measures.cq_state(s, direction).rho - s.rho)
         worst = max(worst, abs(residual - value) - TOLERANCES["argmin_residual"])
@@ -414,25 +423,25 @@ def check_measures_discord_range(config: CheckConfig) -> PropertyResult:
 
 
 def check_measures_concurrence_lu_invariant(config: CheckConfig) -> PropertyResult:
-    rng = _rng(config, 33)
     pool = _random_states(config, 34, config.random_states)
-    worst = 0.0
-    for s in pool:
-        w = np.kron(twirl.haar_su2(rng), twirl.haar_su2(rng))
-        rotated = validate_density(w @ s.rho @ w.conj().T)
-        worst = max(worst, abs(measures.concurrence(rotated) - measures.concurrence(s)))
-    return _result("measures_concurrence_lu_invariant", len(pool), worst - TOLERANCES["concurrence_invariance"])
+    rows = twirl._haar_su2_batch(_rng(config, 33), 2 * len(pool))
+    rotated = [validate_density(w @ s.rho @ w.conj().T)
+               for s, w in zip(pool, (np.kron(u, v) for u, v in zip(rows[0::2], rows[1::2])))]
+    gap = np.abs(measures.concurrence(_stack(rotated)) - measures.concurrence(_stack(pool)))
+    return _result(
+        "measures_concurrence_lu_invariant", gap.size, float(np.max(gap)) - TOLERANCES["concurrence_invariance"]
+    )
 
 
 def check_measures_discord_error_bound(config: CheckConfig) -> PropertyResult:
-    # the eigen route runs on the whole pool as one stack; the first
-    # BOUND_CROSS_CHECKS states also go through the grid oracle one by one
-    pool = [states.random_state(i) for i in range(config.bound_states)]
-    lhs, rhs = measures.discord_error_rate_bound(validate_density(np.stack([s.rho for s in pool])), method="eigen")
-    worst = float(np.max(lhs - rhs))
-    for i, s in enumerate(pool[:BOUND_CROSS_CHECKS]):
-        lhs_grid, rhs_grid = measures.discord_error_rate_bound(s, method="grid-oracle")
-        worst = max(worst, lhs_grid - rhs_grid, abs(lhs_grid - lhs[i]))
+    # the whole pool takes the eigen route; its first BOUND_CROSS_CHECKS
+    # states also take the grid oracle
+    pool = _stack([states.random_state(i) for i in range(config.bound_states)])
+    lhs, rhs = measures.discord_error_rate_bound(pool, method="eigen")
+    cross = validate_density(pool.rho[:BOUND_CROSS_CHECKS])
+    lhs_grid, rhs_grid = measures.discord_error_rate_bound(cross, method="grid-oracle")
+    worst = float(max(np.max(lhs - rhs), np.max(lhs_grid - rhs_grid),
+                      np.max(np.abs(lhs_grid - lhs[:BOUND_CROSS_CHECKS]))))
     return _result("measures_discord_error_bound", config.bound_states, worst - TOLERANCES["bound_slack"])
 
 
@@ -455,16 +464,13 @@ def check_measures_bound_saturation_families(config: CheckConfig) -> PropertyRes
 
 
 def check_measures_delta_min_relation(config: CheckConfig) -> PropertyResult:
-    worst = 0.0
-    targets = [states.pure_state(g) for g in np.linspace(0.0, math.pi / 2, GRID_POINTS)]
-    targets += [states.werner(f) for f in np.linspace(0.0, 1.0, 16)]
-    targets.append(states.depolarized_pure(0.0, 0.0))
-    for s in targets:
-        worst = max(
-            worst,
-            abs(measures.delta_min_from_discord(s) - protocol.min_error_rate(s).value),
-        )
-    return _result("measures_delta_min_relation", len(targets), worst - TOLERANCES["relation_equality"])
+    targets = _stack([
+        states.pure_state(np.linspace(0.0, math.pi / 2, GRID_POINTS)),
+        states.werner(np.linspace(0.0, 1.0, 16)),
+        states.depolarized_pure(0.0, 0.0),
+    ])
+    gap = np.abs(measures.delta_min_from_discord(targets) - protocol.min_error_rate(targets).value)
+    return _result("measures_delta_min_relation", gap.size, float(np.max(gap)) - TOLERANCES["relation_equality"])
 
 
 def check_measures_twirl_pair_monotonicity(config: CheckConfig) -> PropertyResult:
@@ -472,25 +478,25 @@ def check_measures_twirl_pair_monotonicity(config: CheckConfig) -> PropertyResul
     into the Werner value (2/3) sin^2(g/2), keeps the concurrence cos g and
     the entanglement of formation, and raises the oracle discord from
     cos^2 g / 2 to ((2 cos g + 1) / 3)^2 / 2."""
-    worst_ratio = worst_rate = worst_c = worst_e = worst_d = 0.0
-    min_gap = math.inf
-    for g in OPEN_GAMMA_GRID:
-        pure = states.pure_state(g)
-        d_pure = protocol.min_error_rate(pure).value
-        d_twirled = protocol.min_error_rate(twirl.twirl_analytic(pure)).value
-        d_werner = protocol.min_error_rate(states.werner(math.cos(g / 2) ** 2)).value
-        s2 = math.sin(g / 2) ** 2
-        worst_ratio = max(worst_ratio, abs(d_twirled / d_pure - 2 / 3))
-        worst_rate = max(worst_rate, abs(d_pure - s2), abs(d_werner - (2 / 3) * s2))
-        cmp = measures.twirl_discord_comparison(pure)
-        c = math.cos(g)
-        worst_c = max(worst_c, abs(cmp.c_before - cmp.c_after), abs(cmp.c_before - c), abs(cmp.c_after - c))
-        worst_e = max(
-            worst_e,
-            abs(measures.eof_from_concurrence(cmp.c_before) - measures.eof_from_concurrence(cmp.c_after)),
-        )
-        worst_d = max(worst_d, abs(cmp.d_before - 0.5 * c**2), abs(cmp.d_after - 0.5 * ((2 * c + 1) / 3) ** 2))
-        min_gap = min(min_gap, cmp.d_after - cmp.d_before)
+    grid = OPEN_GAMMA_GRID
+    pure = states.pure_state(grid)
+    d_pure = protocol.min_error_rate(pure).value
+    d_twirled = protocol.min_error_rate(twirl.twirl_analytic(pure)).value
+    # the closed forms per angle in Python floats, as math and ** give them
+    d_werner = protocol.min_error_rate(states.werner(np.array([math.cos(g / 2) ** 2 for g in grid]))).value
+    s2 = np.array([math.sin(g / 2) ** 2 for g in grid])
+    c = np.array([math.cos(g) for g in grid])
+    closed_before = np.array([0.5 * math.cos(g) ** 2 for g in grid])
+    closed_after = np.array([0.5 * ((2 * math.cos(g) + 1) / 3) ** 2 for g in grid])
+    worst_ratio = float(np.max(np.abs(d_twirled / d_pure - 2 / 3)))
+    worst_rate = float(max(np.max(np.abs(d_pure - s2)), np.max(np.abs(d_werner - (2 / 3) * s2))))
+    cmp = measures.twirl_discord_comparison(pure)
+    worst_c = float(max(np.max(np.abs(cmp.c_before - cmp.c_after)), np.max(np.abs(cmp.c_before - c)),
+                        np.max(np.abs(cmp.c_after - c))))
+    worst_e = float(np.max(np.abs(measures.eof_from_concurrence(cmp.c_before)
+                                  - measures.eof_from_concurrence(cmp.c_after))))
+    worst_d = float(max(np.max(np.abs(cmp.d_before - closed_before)), np.max(np.abs(cmp.d_after - closed_after))))
+    min_gap = float(np.min(cmp.d_after - cmp.d_before))
     margin = max(
         max(worst_ratio, worst_rate) - TOLERANCES["entrywise"],
         max(worst_c, worst_e) - TOLERANCES["concurrence_invariance"],

@@ -9,19 +9,20 @@ also implements Wootters concurrence, entanglement of formation, the
 bound tying discord to the two optimal error rates, and the before/after
 comparison under twirling.
 
-The eigenvalue form (Dakic, Vedral & Brukner, PRL 105, 190502 (2010)),
-the concurrence, the entanglement of formation and the error-rate bound
-on that route are batch-first: given a stacked state (see
+The grid oracle, the eigenvalue form (Dakic, Vedral & Brukner, PRL 105,
+190502 (2010)), the concurrence, the entanglement of formation, the
+error-rate bound on either route, the discord form of the minimal error
+rate and the twirl comparison are batch-first: given a stacked state (see
 :mod:`twirlkit.qubit_algebra`) they return arrays, each member bit for
 bit its own single-state value, and on one state the float they always
-returned. The grid oracle, the X-state closed form and the twirl
-comparison take one state at a time.
+returned. The X-state closed form takes one parameter set at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,8 +33,8 @@ from .qubit_algebra import (
     ID2,
     SIGMA_Y,
     TwoQubitState,
-    _check_one_state,
     _item,
+    _raise_first_failure,
     _vector_norm,
     as_unit_vector,
     pauli_sigma,
@@ -102,14 +103,16 @@ def _sph(theta, phi) -> np.ndarray:
 
 
 def _cq_residual(rho: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """||rho - chi(n)||^2 for a batch of projector directions (m, 3)."""
+    """||rho - chi(n)||^2 for a batch of projector directions (m, 3), of one
+    state rho (4, 4) or of one state per direction (m, 4, 4)."""
     d = rho - _dephase(rho, dirs)
     return np.einsum("mij,mij->m", d, d.conj()).real
 
 
 def _residual_form(rho: np.ndarray):
-    """The residual n -> ||rho - chi(n)||^2 as the quadratic form
-    (tr rho^2 - n^T G n) / 2, a function of unit directions (..., 3).
+    """The residual n -> ||rho - chi(n)||^2 of each member of a (m, 4, 4)
+    stack as the quadratic form (tr rho^2 - n^T G n) / 2: returns the
+    (m, 3, 3) stack of G and the (m,) purities tr rho^2.
 
     With S = (n.sigma) x I, rho - chi(n) = (rho - S rho S)/2 and S^2 = I,
     so the squared distance is (tr rho^2 - tr(rho S rho S))/2; S is linear
@@ -117,10 +120,18 @@ def _residual_form(rho: np.ndarray):
     G_kl = Re tr(rho A_k rho A_l). Built from rho and the operators alone,
     with no decomposition or eigenvalue.
     """
-    ra = rho @ _A_OPS
-    purity = float(np.einsum("ij,ji->", rho, rho).real)
-    g = np.einsum("kij,lji->kl", ra, ra).real
-    return lambda dirs: 0.5 * (purity - ((dirs @ g) * dirs).sum(axis=-1))
+    ra = rho[:, None] @ _A_OPS
+    purity = np.einsum("mij,mji->m", rho, rho).real
+    g = np.einsum("mkij,mlji->mkl", ra, ra).real
+    return g, purity
+
+
+def _form_residual(g: np.ndarray, purity: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """(tr rho^2 - n^T G n) / 2 for G (m, 3, 3) and purities (m,), at unit
+    directions (m, k, 3), or (k, 3) shared by every member; shape (m, k)."""
+    q = dirs @ g
+    q *= dirs
+    return 0.5 * (purity[:, None] - q.sum(axis=-1))
 
 
 # The 5x5 stencil's (theta, phi) offsets in units of the half-widths,
@@ -128,26 +139,27 @@ def _residual_form(rho: np.ndarray):
 _T_OFFSETS, _P_OFFSETS = (o.ravel() for o in np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * 2, indexing="ij"))
 
 
-def _lockstep_search(residual, starts: list[tuple[float, float]], wt: float, wp: float):
+def _lockstep_search(starts: list[tuple[float, float]], g: np.ndarray, purity: np.ndarray, wt: float, wp: float):
     """Shrinking-neighborhood search from every start at once.
 
     Each start re-centres its 5x5 stencil of (theta, phi) points while the
     stencil's first lowest point improves on it by more than _TIE, for at
     most 60 moves; then all half-widths halve together; 40 stages. The
     active starts' stencils are scored as one batch, and every start takes
-    exactly the moves a search from it alone would. ``residual`` scores
-    unit directions (..., 3). Returns the final (theta, phi) arrays, one
-    entry per start.
+    exactly the moves a search from it alone would. Start k scores with
+    the form ``g[k]``, ``purity[k]`` of its own state (see
+    ``_residual_form``), so the starts may come from many states. Returns
+    the final (theta, phi) arrays, one entry per start.
     """
     best_t = np.array([t for t, _ in starts])
     best_p = np.array([p for _, p in starts])
-    best_v = residual(_sph(best_t, best_p))
+    best_v = _form_residual(g, purity, _sph(best_t, best_p)[:, None])[:, 0]
     for _ in range(40):
         active = np.arange(len(starts))
         for _ in range(60):
             tt = best_t[active, None] + wt * _T_OFFSETS
             pp = best_p[active, None] + wp * _P_OFFSETS
-            vv = residual(_sph(tt, pp))
+            vv = _form_residual(g[active], purity[active], _sph(tt, pp))
             rows = np.arange(len(active))
             j = vv.argmin(axis=1)
             moved = vv[rows, j] < best_v[active] - _TIE
@@ -160,6 +172,11 @@ def _lockstep_search(residual, starts: list[tuple[float, float]], wt: float, wp:
         wt *= 0.5
         wp *= 0.5
     return best_t, best_p
+
+
+def _first_at_min(vals: np.ndarray) -> np.ndarray:
+    """Per row, the index of the first value within _TIE of the row's minimum."""
+    return np.argmax(vals <= vals.min(axis=-1, keepdims=True) + _TIE, axis=-1)
 
 
 def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
@@ -176,49 +193,57 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     a single pole-adjacent search could stall.
 
     The scan and the search score directions with the residual's 3x3
-    quadratic form (see ``_residual_form``), and the starts are searched
-    in lockstep, each taking the moves it would take alone. The value
-    reported comes from the definition: each start's final direction is
-    dephased and its distance to the state taken once, and near-ties
+    quadratic form (see ``_residual_form``). The starts of every member of
+    a stack are searched in lockstep, each taking the moves it would take
+    alone, so each member gets bit for bit its single-state result. The
+    value reported comes from the definition: each start's final direction
+    is dephased and its distance to the state taken once, and near-ties
     resolve toward the earlier start and the lexicographically first
     (theta, phi).
 
     Args:
-        state: the input state; a stacked state raises OutOfRangeError.
+        state: the input state, or a stacked state.
 
     Returns:
         DiscordResult with the minimal squared distance and the canonical
-        minimizing direction.
+        minimizing direction: a float and a 3-vector for one state, an
+        array and a (..., 3) stack for a stacked state.
     """
-    _check_one_state(state)
     coarse_steps = 24
-    rho = state.rho
-    residual = _residual_form(rho)
+    shape = state.rho.shape[:-2]
+    rho = state.rho.reshape(-1, 4, 4)
+    g, purity = _residual_form(rho)
     thetas = np.linspace(0.0, np.pi / 2, coarse_steps)
     phis = np.linspace(0.0, 2 * np.pi, coarse_steps, endpoint=False)
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
     tg, pg = tg.ravel(), pg.ravel()
-    vals = residual(_sph(tg, pg))
-    k_global = int(np.flatnonzero(vals <= vals.min() + _TIE)[0])
-    equator = vals[-coarse_steps:]
-    k_eq = len(vals) - coarse_steps + int(np.flatnonzero(equator <= equator.min() + _TIE)[0])
+    vals = _form_residual(g, purity, _sph(tg, pg))
+    k_global = _first_at_min(vals)
+    k_eq = len(tg) - coarse_steps + _first_at_min(vals[:, -coarse_steps:])
 
     wt0 = (np.pi / 2) / (coarse_steps - 1)
     wp0 = 2 * np.pi / coarse_steps
-    # a repeated start reruns the same deterministic search and cannot win
-    starts = list(dict.fromkeys(
-        ((0.0, 0.0), (float(tg[k_global]), float(pg[k_global])), (float(tg[k_eq]), float(pg[k_eq])))
-    ))
-    theta, phi = _lockstep_search(residual, starts, wt0, wp0)
-    values = _cq_residual(rho, _sph(theta, phi))
-    best = 0
-    for k in range(1, len(starts)):
-        if values[k] < values[best] - _TIE:
-            best = k
-
+    tg, pg = tg.tolist(), pg.tolist()
+    starts, owner = [], []
+    for i, (kg, ke) in enumerate(zip(k_global.tolist(), k_eq.tolist())):
+        # a repeated start reruns the same deterministic search and cannot win
+        for start in dict.fromkeys(((0.0, 0.0), (tg[kg], pg[kg]), (tg[ke], pg[ke]))):
+            starts.append(start)
+            owner.append(i)
+    owner = np.array(owner, dtype=np.intp)
+    theta, phi = _lockstep_search(starts, g[owner], purity[owner], wt0, wp0)
+    values = _cq_residual(rho[owner], _sph(theta, phi))
+    # per state, a later start wins only by more than _TIE
+    best = {}
+    vlist = values.tolist()
+    for k, i in enumerate(owner.tolist()):
+        if i not in best or vlist[k] < vlist[best[i]] - _TIE:
+            best[i] = k
+    pick = np.array(list(best.values()), dtype=np.intp)
+    value = values[pick].reshape(shape)
     return DiscordResult(
-        value=max(float(values[best]), 0.0),
-        argmin_direction=_canonical_direction(_sph(theta[best], phi[best])),
+        value=_item(np.where(0.0 > value, 0.0, value)),
+        argmin_direction=_canonical_direction(_sph(theta[pick], phi[pick])).reshape(shape + (3,)),
         method="grid-oracle",
     )
 
@@ -320,12 +345,11 @@ def discord_error_rate_bound(state: TwoQubitState, method: str = "grid-oracle") 
     alignment is part of the contract.
 
     Args:
-        state: the input state.
+        state: the input state, or a stacked state.
         method: "grid-oracle" (default) or "eigen" for the fast path.
 
     Returns:
-        (lhs, rhs) with lhs <= rhs + 1e-9; arrays for a stacked state,
-        which takes the "eigen" method only.
+        (lhs, rhs) with lhs <= rhs + 1e-9; arrays for a stacked state.
     """
     aligned = _align_first_bloch_to_z(state)
     if method == "eigen":
@@ -340,6 +364,11 @@ def discord_error_rate_bound(state: TwoQubitState, method: str = "grid-oracle") 
     return lhs, _item(rhs)
 
 
+def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # math.hypot per entry: numpy's hypot is the C library's, which may differ from it in the last place
+    return np.array([math.hypot(u, v) for u, v in zip(a.ravel().tolist(), b.ravel().tolist())]).reshape(a.shape)
+
+
 def delta_min_from_discord(state: TwoQubitState) -> float:
     """Minimal error rate from the discord: (1 - sqrt(2 D_g)) / 2.
 
@@ -347,30 +376,26 @@ def delta_min_from_discord(state: TwoQubitState) -> float:
     one, for a state already in the frame with no in-plane first-qubit
     Bloch components, and (II) the two optimal correlation values agree.
     Raises ConditionsNotMetError naming the failed condition; when both
-    hold the result equals min_error_rate(state).value to 1e-8. Raises
-    OutOfRangeError for a stacked state.
+    hold the result equals min_error_rate(state).value to 1e-8. A stacked
+    state gives an array; the error names the first failing member and
+    its first failed condition.
     """
-    _check_one_state(state)
     d = state.decomp
-    in_plane = math.hypot(d.x[0], d.x[1])
-    if in_plane > 1e-9:
-        raise ConditionsNotMetError(
-            "I", f"first-qubit Bloch vector has in-plane magnitude {in_plane:.3e}"
-        )
+    in_plane = _hypot(d.x[..., 0], d.x[..., 1])
     oracle = discord_grid_oracle(state)
     n = oracle.argmin_direction
-    off_axis = math.hypot(n[0], n[1])
-    if off_axis > 1e-4:
-        raise ConditionsNotMetError(
-            "I", f"minimizing direction {n} is off the z axis by {off_axis:.3e}"
-        )
-    r1 = float(np.linalg.norm(d.T[0]))
-    r2 = float(np.linalg.norm(d.T[1]))
-    if abs(r1 - r2) > 1e-9:
-        raise ConditionsNotMetError(
-            "II", f"optimal correlation values differ: {r1:.12g} vs {r2:.12g}"
-        )
-    return 0.5 * (1.0 - math.sqrt(2.0 * oracle.value))
+    off_axis = _hypot(n[..., 0], n[..., 1])
+    r1 = _vector_norm(d.T[..., 0, :])
+    r2 = _vector_norm(d.T[..., 1, :])
+    _raise_first_failure(in_plane.shape, (
+        (in_plane > 1e-9, partial(ConditionsNotMetError, "I"),
+         lambda i: f"first-qubit Bloch vector has in-plane magnitude {in_plane[i]:.3e}"),
+        (off_axis > 1e-4, partial(ConditionsNotMetError, "I"),
+         lambda i: f"minimizing direction {n[i]} is off the z axis by {off_axis[i]:.3e}"),
+        (np.abs(r1 - r2) > 1e-9, partial(ConditionsNotMetError, "II"),
+         lambda i: f"optimal correlation values differ: {r1[i]:.12g} vs {r2[i]:.12g}"),
+    ))
+    return _item(0.5 * (1.0 - np.sqrt(2.0 * oracle.value)))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -422,7 +447,7 @@ def entanglement_of_formation(state: TwoQubitState) -> float:
 
 @dataclass(frozen=True)
 class TwirlComparison:
-    """Discord and concurrence before and after the exact twirl."""
+    """Discord and concurrence before and after the exact twirl (arrays for a stacked state)."""
 
     d_before: float
     d_after: float
@@ -436,6 +461,7 @@ def twirl_discord_comparison(state: TwoQubitState) -> TwirlComparison:
     Reports the four numbers without asserting any ordering; twirling
     preserves the concurrence-based entanglement only for specific
     families, and whether it raises the discord depends on the state.
+    A stacked state gives four arrays.
     """
     after = twirl_analytic(state)
     return TwirlComparison(

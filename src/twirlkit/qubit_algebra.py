@@ -250,12 +250,6 @@ def validate_density(rho) -> TwoQubitState:
     return TwoQubitState(m)
 
 
-def _check_one_state(state: TwoQubitState) -> None:
-    """Raise OutOfRangeError unless ``state`` is one (4, 4) state, not a stack."""
-    if state.rho.ndim != 2:
-        raise OutOfRangeError(f"expected one state, got a stack of shape {state.rho.shape[:-2]}")
-
-
 def _check_sampler_inputs(state: TwoQubitState, count, count_name: str, seed) -> None:
     """Reject what a seeded sampler of one state cannot run on.
 
@@ -263,7 +257,8 @@ def _check_sampler_inputs(state: TwoQubitState, count, count_name: str, seed) ->
     integer >= 1 (a bool is not a count) or a ``seed`` that is not an
     integer >= 0.
     """
-    _check_one_state(state)
+    if state.rho.ndim != 2:
+        raise OutOfRangeError(f"expected one state, got a stack of shape {state.rho.shape[:-2]}")
     for value, name, minimum in ((count, count_name, 1), (seed, "seed", 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise OutOfRangeError(f"{name} must be an integer, got {value!r}")

@@ -141,17 +141,14 @@ def test_x_state_closed_form_agrees_with_oracle(default_check):
 
 def test_depolarized_family_discord_never_drops_under_twirl():
     t0 = time.perf_counter()
-    worst_before = 0.0
-    worst_after = 0.0
-    min_gap = math.inf
-    for g in np.linspace(0.0, math.pi / 2, 10):
-        for p in np.linspace(0.0, 1.0, 10):
-            state = depolarized_pure(g, p)
-            d_before = discord_grid_oracle(state).value
-            d_after = discord_grid_oracle(twirl_analytic(state)).value
-            worst_before = max(worst_before, abs(d_before - p**2 * math.cos(g) ** 2 / 2))
-            worst_after = max(worst_after, abs(d_after - p**2 * (1 + 2 * math.cos(g)) ** 2 / 18))
-            min_gap = min(min_gap, d_after - d_before)
+    grid = np.meshgrid(np.linspace(0.0, math.pi / 2, 10), np.linspace(0.0, 1.0, 10), indexing="ij")
+    g, p = (a.ravel() for a in grid)
+    state = depolarized_pure(g, p)
+    d_before = discord_grid_oracle(state).value
+    d_after = discord_grid_oracle(twirl_analytic(state)).value
+    worst_before = float(np.max(np.abs(d_before - p**2 * np.cos(g) ** 2 / 2)))
+    worst_after = float(np.max(np.abs(d_after - p**2 * (1 + 2 * np.cos(g)) ** 2 / 18)))
+    min_gap = float(np.min(d_after - d_before))
     elapsed = time.perf_counter() - t0
     report(
         "depolarized family: discord non-decreasing under twirl, closed forms match",

@@ -507,6 +507,18 @@ class TestCheck:
         args = build_parser().parse_args(["check"])
         assert checks.CheckConfig(**{f.name: getattr(args, f.name) for f in checks.FLAG_FIELDS}) == checks.CheckConfig()
 
+    def test_oracle_calls_do_not_grow_with_counts(self, tmp_path, monkeypatch):
+        # each oracle property calls the oracle once per pool, whatever its size
+        calls = []
+        oracle = measures.discord_grid_oracle
+        monkeypatch.setattr(measures, "discord_grid_oracle", lambda state: calls.append(state) or oracle(state))
+        counts = []
+        for flags in (MIN_CHECK_FLAGS, FAST_CHECK_FLAGS):
+            calls.clear()
+            assert main(["check", "--seed", "7", *flags, "--out", str(tmp_path / "report.json")]) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 8
+
     def test_twirl_pair_states_the_ratio(self, monkeypatch):
         result = checks.check_measures_twirl_pair_monotonicity(checks.CheckConfig())
         assert result.status == "pass"

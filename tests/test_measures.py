@@ -8,6 +8,7 @@ per-start search from before the starts ran in lockstep on the residual's
 must agree with it bit for bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -212,7 +213,7 @@ STACKS = {
     # as many members as the coarse scan has points
     "576": lambda: pure_state(np.linspace(0.1, 1.4, 576)),
 }
-ONE_STATE_CALLS = {
+ORACLE_CALLS = {
     "discord_grid_oracle": discord_grid_oracle,
     "discord_error_rate_bound": lambda s: discord_error_rate_bound(s, method="grid-oracle"),
     "delta_min_from_discord": delta_min_from_discord,
@@ -220,11 +221,27 @@ ONE_STATE_CALLS = {
 }
 
 
+def _fields(result):
+    """A result's fields in order: the (lhs, rhs) pair, a dataclass's fields, or the value itself."""
+    if isinstance(result, tuple):
+        return list(result)
+    if dataclasses.is_dataclass(result):
+        return [getattr(result, f.name) for f in dataclasses.fields(result)]
+    return [result]
+
+
 @pytest.mark.parametrize("stack", list(STACKS))
-@pytest.mark.parametrize("call", list(ONE_STATE_CALLS))
-def test_one_state_calls_reject_a_stack(call, stack):
-    with pytest.raises(OutOfRangeError, match="expected one state"):
-        ONE_STATE_CALLS[call](STACKS[stack]())
+@pytest.mark.parametrize("call", list(ORACLE_CALLS))
+def test_stacked_call_matches_members(call, stack):
+    stacked = STACKS[stack]()
+    fields = _fields(ORACLE_CALLS[call](stacked))
+    for i, rho in enumerate(stacked.rho):
+        single = _fields(ORACLE_CALLS[call](validate_density(rho)))
+        # one state keeps its Python floats
+        assert all(type(v) is float for v in single if not isinstance(v, (str, np.ndarray)))
+        assert [v if isinstance(v, str) else v[i].tobytes() for v in fields] == [
+            v if isinstance(v, str) else np.asarray(v).tobytes() for v in single
+        ], (call, i)
 
 
 class TestDiscordGridOracle:
@@ -261,7 +278,7 @@ class TestDiscordGridOracle:
         # on the pure family the best grid point is the z pole, the first start
         calls = []
         search = measures._lockstep_search
-        monkeypatch.setattr(measures, "_lockstep_search", lambda *a: calls.append(list(a[1])) or search(*a))
+        monkeypatch.setattr(measures, "_lockstep_search", lambda *a: calls.append(list(a[0])) or search(*a))
         result = discord_grid_oracle(pure_state(1.0))
         assert calls == [[(0.0, 0.0), (math.pi / 2, 0.0)]]
         assert result.value == pytest.approx(0.5 * math.cos(1.0) ** 2, abs=1e-12)
@@ -275,22 +292,35 @@ class TestDiscordGridOracle:
             assert (repr(res.value), res.argmin_direction.tobytes()) == (repr(value), direction.tobytes()), (family, k)
 
     @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_stack_matches_members(self, family):
+        members = list(ORACLE_FAMILIES[family]())
+        res = discord_grid_oracle(validate_density(np.stack([s.rho for s in members])))
+        assert res.value.shape == (len(members),) and res.argmin_direction.shape == (len(members), 3)
+        for k, s in enumerate(members):
+            single = discord_grid_oracle(s)
+            assert (repr(float(res.value[k])), res.argmin_direction[k].tobytes()) == (
+                repr(single.value), single.argmin_direction.tobytes()), (family, k)
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
     def test_residual_form_is_the_dephasing_distance(self, family):
         rng = np.random.default_rng(8)
-        for s in ORACLE_FAMILIES[family]():
-            dirs = np.array([unit(rng) for _ in range(16)])
-            form = measures._residual_form(s.rho)(dirs)
-            np.testing.assert_allclose(form, measures._cq_residual(s.rho, dirs), rtol=0.0, atol=1e-15)
+        rho = np.stack([s.rho for s in ORACLE_FAMILIES[family]()])
+        dirs = np.array([[unit(rng) for _ in range(16)] for _ in rho])
+        form = measures._form_residual(*measures._residual_form(rho), dirs)
+        for k, m in enumerate(rho):
+            np.testing.assert_allclose(form[k], measures._cq_residual(m, dirs[k]), rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_value_is_dephased_once(self, monkeypatch, seed):
-        # the search scores with the 3x3 form; only the reported value comes from the definition
+    @pytest.mark.parametrize("seeds", [pytest.param([0], id="0"), pytest.param([5], id="5"),
+                                       pytest.param(list(range(10)), id="stack")])
+    def test_value_is_dephased_once(self, monkeypatch, seeds):
+        # the search scores with the 3x3 form; only the reported values come from the definition
         calls = []
         residual = measures._cq_residual
         monkeypatch.setattr(measures, "_cq_residual", lambda rho, dirs: calls.append(dirs.shape) or residual(rho, dirs))
-        discord_grid_oracle(random_state(seed))
+        states = [random_state(seed) for seed in seeds]
+        discord_grid_oracle(states[0] if len(states) == 1 else validate_density(np.stack([s.rho for s in states])))
         assert len(calls) == 1
-        assert calls[0][0] <= 3
+        assert calls[0][0] <= 3 * len(seeds)
 
 
 class TestDiscordEigen:
@@ -463,6 +493,30 @@ class TestDeltaMinFromDiscord:
         with pytest.raises(ConditionsNotMetError) as err:
             delta_min_from_discord(validate_density(rho))
         assert err.value.condition == "I"
+
+    @pytest.mark.parametrize("members,index,condition", [
+        # unequal rows (II) at index 2
+        (["werner", "pure", "unequal"], 2, "II"),
+        # the first failing member decides, with its own first failed condition
+        (["pure", "tilted", "unequal", "off_axis"], 1, "I"),
+        (["werner", "unequal", "tilted"], 1, "II"),
+        (["pure", "werner", "off_axis"], 2, "I"),
+    ])
+    def test_stack_names_first_failing_member(self, members, index, condition):
+        rhos = {
+            "werner": werner(0.75).rho,
+            "pure": pure_state(math.pi / 3).rho,
+            "unequal": x_state(XStateParams(0.4, 0.35, 0.15, 0.1, 0.1, 0.05)).rho,
+            "off_axis": x_state(XStateParams(0.25, 0.25, 0.25, 0.25, 0.25, 0.25)).rho,
+            "tilted": 0.25 * (np.eye(4) + 0.5 * np.kron(_SX, np.eye(2)) + 0.5 * np.kron(_SZ, _SZ)),
+        }
+        stack = validate_density(np.stack([rhos[m] for m in members]))
+        with pytest.raises(ConditionsNotMetError) as err:
+            delta_min_from_discord(stack)
+        assert err.value.condition == condition
+        with pytest.raises(ConditionsNotMetError) as single:
+            delta_min_from_discord(validate_density(rhos[members[index]]))
+        assert str(err.value) == str(single.value).replace("not met: ", f"not met: state {index}: ")
 
 
 class TestConcurrence:
