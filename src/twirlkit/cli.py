@@ -210,9 +210,10 @@ def cmd_simulate(args) -> int:
     b_prime = optimal.b_prime if args.b_prime is None else _parse_direction(args.b_prime)
     run = simulate_protocol(state, args.n, args.seed, b, b_prime)
     summary = run.summary(delta_analytic=error_rate(state, b, b_prime))
-    _write(_dump_json(summary), args.out)
+    # the ledger first: a ledger that cannot be written leaves no summary
     if args.rounds_csv:
         run.write_rounds_csv(args.rounds_csv)
+    _write(_dump_json(summary), args.out)
     return 0
 
 

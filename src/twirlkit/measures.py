@@ -47,6 +47,9 @@ from .twirl import twirl_analytic
 # Improvements below this size are treated as ties during the grid search,
 # so exactly degenerate landscapes keep the first (lexicographic) direction.
 _TIE = 1e-13
+# States per block of the oracle's 24x24 scan, which holds a (block, 576, 3)
+# float64 product (about 14 KiB per state) rather than one for the stack.
+_SCAN_BLOCK = 256
 
 _SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
 
@@ -193,8 +196,9 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     a single pole-adjacent search could stall.
 
     The scan and the search score directions with the residual's 3x3
-    quadratic form (see ``_residual_form``). The starts of every member of
-    a stack are searched in lockstep, each taking the moves it would take
+    quadratic form (see ``_residual_form``). The scan takes the members of
+    a stack ``_SCAN_BLOCK`` at a time, and the starts of every member are
+    searched in lockstep, each taking the moves it would take
     alone, so each member gets bit for bit its single-state result. The
     value reported comes from the definition: each start's final direction
     is dephased and its distance to the state taken once, and near-ties
@@ -217,9 +221,13 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     phis = np.linspace(0.0, 2 * np.pi, coarse_steps, endpoint=False)
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
     tg, pg = tg.ravel(), pg.ravel()
-    vals = _form_residual(g, purity, _sph(tg, pg))
-    k_global = _first_at_min(vals)
-    k_eq = len(tg) - coarse_steps + _first_at_min(vals[:, -coarse_steps:])
+    dirs = _sph(tg, pg)
+    k_global, k_eq = np.empty((2, len(rho)), dtype=np.intp)
+    for lo in range(0, len(rho), _SCAN_BLOCK):
+        block = slice(lo, lo + _SCAN_BLOCK)
+        vals = _form_residual(g[block], purity[block], dirs)
+        k_global[block] = _first_at_min(vals)
+        k_eq[block] = len(tg) - coarse_steps + _first_at_min(vals[:, -coarse_steps:])
 
     wt0 = (np.pi / 2) / (coarse_steps - 1)
     wp0 = 2 * np.pi / coarse_steps

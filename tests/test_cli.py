@@ -339,6 +339,17 @@ class TestSimulate:
         assert lines[0] == "round,alice_basis,bob_basis,alice_bit,bob_bit,sifted"
         assert len(lines) == 401
 
+    def test_unwritable_rounds_csv_leaves_no_summary(self, tmp_path, werner_file, capsys):
+        out = tmp_path / "summary.json"
+        rounds = tmp_path / "missing_dir" / "rounds.csv"
+        code = main([
+            "simulate", "--state", str(werner_file), "--n", "400", "--seed", "2",
+            "--out", str(out), "--rounds-csv", str(rounds),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: file not found: {rounds}\n"
+        assert not out.exists()
+
     def test_missing_state_exits_one(self, tmp_path, capsys):
         assert main(["simulate", "--state", str(tmp_path / "none.json")]) == 1
         assert "not found" in capsys.readouterr().err

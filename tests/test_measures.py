@@ -301,6 +301,26 @@ class TestDiscordGridOracle:
             assert (repr(float(res.value[k])), res.argmin_direction[k].tobytes()) == (
                 repr(single.value), single.argmin_direction.tobytes()), (family, k)
 
+    def test_scan_blocks_match_members(self, monkeypatch):
+        # two whole scan blocks and one state over; the scan is the one
+        # _form_residual call with a shared (576, 3) set of directions
+        members = [random_state(seed) for seed in range(2 * measures._SCAN_BLOCK + 1)]
+        scanned = []
+        form = measures._form_residual
+
+        def recording_form(g, purity, dirs):
+            if dirs.ndim == 2:
+                scanned.append(len(g))
+            return form(g, purity, dirs)
+
+        monkeypatch.setattr(measures, "_form_residual", recording_form)
+        res = discord_grid_oracle(validate_density(np.stack([s.rho for s in members])))
+        assert scanned == [measures._SCAN_BLOCK, measures._SCAN_BLOCK, 1]
+        for k, s in enumerate(members):
+            single = discord_grid_oracle(s)
+            assert (repr(float(res.value[k])), res.argmin_direction[k].tobytes()) == (
+                repr(single.value), single.argmin_direction.tobytes()), k
+
     @pytest.mark.parametrize("family", ORACLE_FAMILIES)
     def test_residual_form_is_the_dephasing_distance(self, family):
         rng = np.random.default_rng(8)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twirlkit import (
     EmptySiftedSetError,
@@ -367,7 +367,12 @@ def reference_rounds_csv(run, path):
 
 
 class TestLedger:
-    @pytest.mark.parametrize("n", [7, _CHUNK + 1, 8 * _CHUNK - 1, 8 * _CHUNK, 8 * _CHUNK + 1])
+    # simulator chunk edges, then every round-number width and the edges of
+    # the writer's 10^4-row blocks
+    @pytest.mark.parametrize("n", [
+        7, _CHUNK + 1, 8 * _CHUNK - 1, 8 * _CHUNK, 8 * _CHUNK + 1,
+        9, 10, 11, 99, 100, 1000, 9999, 10_000, 10_001, 20_000, 100_001,
+    ])
     @pytest.mark.parametrize("state", [werner(0.75), pure_state(1.0)], ids=["werner", "pure"])
     def test_matches_reference_writer(self, tmp_path, state, n):
         mer = min_error_rate(state)
@@ -375,6 +380,19 @@ class TestLedger:
         run.write_rounds_csv(tmp_path / "fast.csv")
         reference_rounds_csv(run, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    # any code at every round-number width; n = 0 writes the header alone
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(min_value=0, max_value=30_000), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(n=0, seed=0)
+    def test_any_codes_match_reference_writer(self, tmp_path_factory, n, seed):
+        run = ProtocolRun(n, np.random.default_rng(seed).integers(0, 16, n).astype(np.int8))
+        path = tmp_path_factory.mktemp("ledger")
+        run.write_rounds_csv(path / "fast.csv")
+        reference_rounds_csv(run, path / "reference.csv")
+        assert (path / "fast.csv").read_bytes() == (path / "reference.csv").read_bytes()
+        if n == 0:
+            assert (path / "fast.csv").read_bytes() == b"round,alice_basis,bob_basis,alice_bit,bob_bit,sifted\n"
 
     def test_choices_are_int8_label_indices(self):
         run = simulate_protocol(werner(0.75), 1_000, 37, (1.0, 0.0, 0.0), (0.0, -1.0, 0.0))
