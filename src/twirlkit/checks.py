@@ -7,6 +7,12 @@ the only inputs. The counts follow the documented defaults and can be
 reduced for quick runs; the Monte Carlo agreement property reports
 itself as skipped instead of failing when its sample budget is too small
 to be meaningful.
+
+A random pool is one stacked state from one ``states.random_state`` call,
+and each pool or family grid is evaluated as one stacked expression. Only
+the seeded samplers, ``protocol_partner_optimality``'s per-state Alice
+settings and the ``cq_state`` residuals of ``measures_discord_range`` loop
+over states.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .qubit_algebra import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
     TRACE_ATOL,
+    TwoQubitState,
     _vector_norm,
     hermitian_eigenvalues,
     hs_norm_sq,
@@ -120,10 +127,14 @@ def _rng(config: CheckConfig, lane: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([config.seed, lane]))
 
 
-def _random_states(config: CheckConfig, lane: int, count: int):
-    rng = _rng(config, lane)
-    seeds = rng.integers(0, 2**63 - 1, count)
-    return [states.random_state(int(s)) for s in seeds]
+def _random_states(config: CheckConfig, lane: int, count: int) -> TwoQubitState:
+    """A stacked state of ``count`` random states, one per seed drawn on the lane."""
+    return states.random_state(_rng(config, lane).integers(0, 2**63 - 1, count))
+
+
+def _members(rhos: np.ndarray) -> list[TwoQubitState]:
+    """The matrices of a validated (m, 4, 4) stack, each as a state of its own."""
+    return [TwoQubitState(rho) for rho in rhos]
 
 
 def _stack(pool):
@@ -157,37 +168,24 @@ def _units(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 # operator algebra
 
 def check_algebra_roundtrip(config: CheckConfig) -> PropertyResult:
-    worst = 0.0
     pool = _random_states(config, 11, config.random_states)
-    for s in pool:
-        rebuilt = pauli_compose(pauli_decompose(s.rho))
-        worst = max(worst, float(np.max(np.abs(rebuilt - s.rho))))
-    return _result("algebra_pauli_roundtrip", len(pool), worst - TOLERANCES["entrywise"])
+    worst = float(np.max(np.abs(pauli_compose(pauli_decompose(pool.rho)) - pool.rho)))
+    return _result("algebra_pauli_roundtrip", len(pool.rho), worst - TOLERANCES["entrywise"])
 
 
 def check_algebra_purity_identity(config: CheckConfig) -> PropertyResult:
-    worst = 0.0
     pool = _random_states(config, 12, config.random_states)
-    for s in pool:
-        d = s.decomp
-        predicted = (1.0 + d.x @ d.x + d.y @ d.y + np.sum(d.T * d.T)) / 4.0
-        worst = max(worst, abs(hs_norm_sq(s.rho) - predicted))
-    return _result("algebra_purity_identity", len(pool), worst - TOLERANCES["entrywise"])
+    d = pool.decomp
+    predicted = (1.0 + np.vecdot(d.x, d.x) + np.vecdot(d.y, d.y) + np.sum(d.T * d.T, axis=(-2, -1))) / 4.0
+    worst = float(np.max(np.abs(hs_norm_sq(pool.rho) - predicted)))
+    return _result("algebra_purity_identity", len(pool.rho), worst - TOLERANCES["entrywise"])
 
 
 def check_algebra_eigenvalue_range(config: CheckConfig) -> PropertyResult:
-    worst = -math.inf
-    floor = TOLERANCES["eigen_floor"]
     pool = _random_states(config, 13, config.random_states)
-    for s in pool:
-        ev = hermitian_eigenvalues(s.rho)
-        worst = max(
-            worst,
-            float(-ev[-1]) - floor,
-            float(ev[0]) - 1.0 - floor,
-            abs(float(np.sum(ev)) - 1.0) - floor,
-        )
-    return _result("algebra_eigenvalue_range", len(pool), worst)
+    ev = hermitian_eigenvalues(pool.rho)
+    worst = max(np.max(-ev[:, -1]), np.max(ev[:, 0] - 1.0), np.max(np.abs(np.sum(ev, axis=-1) - 1.0)))
+    return _result("algebra_eigenvalue_range", len(pool.rho), float(worst) - TOLERANCES["eigen_floor"])
 
 
 # ---------------------------------------------------------------------------
@@ -213,66 +211,45 @@ def check_states_constructors_valid(config: CheckConfig) -> PropertyResult:
 
 
 def check_states_pure_fidelity(config: CheckConfig) -> PropertyResult:
-    worst = 0.0
     gammas = np.linspace(0.0, math.pi / 2, GRID_POINTS)
-    for g in gammas:
-        worst = max(worst, abs(states.fidelity_phi_plus(states.pure_state(g)) - math.cos(g / 2) ** 2))
+    closed = np.array([math.cos(g / 2) ** 2 for g in gammas])
+    worst = float(np.max(np.abs(states.fidelity_phi_plus(states.pure_state(gammas)) - closed)))
     return _result("states_pure_fidelity_grid", len(gammas), worst - TOLERANCES["entrywise"])
 
 
 def check_states_cross_constructor(config: CheckConfig) -> PropertyResult:
-    worst = 0.0
-    count = 0
-    for f in np.linspace(0.25, 1.0, 16):
-        a = states.werner(f).rho
-        b = states.x_state(states.werner_x_params(f)).rho
-        worst = max(worst, float(np.max(np.abs(a - b))))
-        count += 1
-    for g in np.linspace(0.0, math.pi / 2, 16):
-        a = states.pure_state(g).rho
-        b = states.x_state(states.pure_x_params(g)).rho
-        worst = max(worst, float(np.max(np.abs(a - b))))
-        count += 1
-    return _result("states_cross_constructor", count, worst - TOLERANCES["entrywise"])
+    fs, gammas = np.linspace(0.25, 1.0, 16), np.linspace(0.0, math.pi / 2, 16)
+    families = np.concatenate([states.werner(fs).rho, states.pure_state(gammas).rho])
+    params = [states.werner_x_params(f) for f in fs] + [states.pure_x_params(g) for g in gammas]
+    worst = float(np.max(np.abs(families - np.stack([states.x_state(p).rho for p in params]))))
+    return _result("states_cross_constructor", len(params), worst - TOLERANCES["entrywise"])
 
 
 # ---------------------------------------------------------------------------
 # twirling channel
 
 def check_twirl_idempotent(config: CheckConfig) -> PropertyResult:
-    worst = 0.0
     pool = _random_states(config, 15, config.random_states)
-    for s in pool:
-        once = twirl.twirl_analytic(s)
-        twice = twirl.twirl_analytic(once)
-        worst = max(worst, float(np.max(np.abs(twice.rho - once.rho))))
-    return _result("twirl_idempotent", len(pool), worst - TOLERANCES["entrywise"])
+    once = twirl.twirl_analytic(pool)
+    worst = float(np.max(np.abs(twirl.twirl_analytic(once).rho - once.rho)))
+    return _result("twirl_idempotent", len(pool.rho), worst - TOLERANCES["entrywise"])
 
 
 def check_twirl_fidelity_preserved(config: CheckConfig) -> PropertyResult:
-    worst = 0.0
     pool = _random_states(config, 16, config.random_states)
-    for s in pool:
-        worst = max(
-            worst,
-            abs(states.fidelity_phi_plus(twirl.twirl_analytic(s)) - states.fidelity_phi_plus(s)),
-        )
-    return _result("twirl_fidelity_preserved", len(pool), worst - TOLERANCES["entrywise"])
+    gap = np.abs(states.fidelity_phi_plus(twirl.twirl_analytic(pool)) - states.fidelity_phi_plus(pool))
+    return _result("twirl_fidelity_preserved", len(pool.rho), float(np.max(gap)) - TOLERANCES["entrywise"])
 
 
 def check_twirl_linear(config: CheckConfig) -> PropertyResult:
     rng = _rng(config, 17)
     pool = _random_states(config, 18, 2 * config.random_states)
-    worst = 0.0
     n_pairs = config.random_states
-    for i in range(n_pairs):
-        s1, s2 = pool[2 * i], pool[2 * i + 1]
-        p = float(rng.uniform())
-        mixed = validate_density(p * s1.rho + (1.0 - p) * s2.rho)
-        lhs = twirl.twirl_analytic(mixed).rho
-        rhs = p * twirl.twirl_analytic(s1).rho + (1.0 - p) * twirl.twirl_analytic(s2).rho
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result("twirl_linear", n_pairs, worst - TOLERANCES["entrywise"])
+    p = rng.uniform(size=n_pairs)[:, None, None]
+    lhs = twirl.twirl_analytic(validate_density(p * pool.rho[0::2] + (1.0 - p) * pool.rho[1::2])).rho
+    twirled = twirl.twirl_analytic(pool).rho
+    rhs = p * twirled[0::2] + (1.0 - p) * twirled[1::2]
+    return _result("twirl_linear", n_pairs, float(np.max(np.abs(lhs - rhs))) - TOLERANCES["entrywise"])
 
 
 def check_twirl_mc_agreement(config: CheckConfig) -> PropertyResult:
@@ -283,7 +260,7 @@ def check_twirl_mc_agreement(config: CheckConfig) -> PropertyResult:
             f"below-threshold: {config.mc_samples} Monte Carlo samples < {MC_MIN_SAMPLES}",
         )
     rng = _rng(config, 19)
-    pool = _random_states(config, 20, config.mc_states)
+    pool = _members(_random_states(config, 20, config.mc_states).rho)
     worst = 0.0
     for s in pool:
         report = twirl.twirl_monte_carlo(s, config.mc_samples, int(rng.integers(0, 2**62)))
@@ -297,45 +274,37 @@ def check_twirl_mc_agreement(config: CheckConfig) -> PropertyResult:
 def check_protocol_outcome_closure(config: CheckConfig) -> PropertyResult:
     rng = _rng(config, 21)
     pool = _random_states(config, 22, config.random_states)
-    worst = 0.0
-    for s in pool:
-        w = protocol.outcome_probs(s, _unit(rng), _unit(rng)).as_array()
-        worst = max(worst, abs(float(np.sum(w)) - 1.0), float(np.max(-w)), float(np.max(w - 1.0)))
-    return _result("protocol_outcome_closure", len(pool), worst - TOLERANCES["entrywise"])
+    # per state, Alice's direction and then Bob's
+    a, b = _units(rng, (len(pool.rho), 2)).swapaxes(0, 1)
+    w = protocol.outcome_probs(pool, a, b).as_array()
+    worst = max(np.max(np.abs(np.sum(w, axis=-1) - 1.0)), np.max(-w), np.max(w - 1.0))
+    return _result("protocol_outcome_closure", len(pool.rho), float(worst) - TOLERANCES["entrywise"])
 
 
 def check_protocol_correlation_identity(config: CheckConfig) -> PropertyResult:
     rng = _rng(config, 23)
     pool = _random_states(config, 24, config.random_states)
-    worst = 0.0
-    for s in pool:
-        a, b = _unit(rng), _unit(rng)
-        w = protocol.outcome_probs(s, a, b)
-        worst = max(worst, abs(w.correlation() - protocol.correlation(s, a, b)))
-    return _result("protocol_correlation_identity", len(pool), worst - TOLERANCES["entrywise"])
+    a, b = _units(rng, (len(pool.rho), 2)).swapaxes(0, 1)
+    gap = np.abs(protocol.outcome_probs(pool, a, b).correlation() - protocol.correlation(pool, a, b))
+    return _result("protocol_correlation_identity", len(pool.rho), float(np.max(gap)) - TOLERANCES["entrywise"])
 
 
 def check_protocol_partner_optimality(config: CheckConfig) -> PropertyResult:
     rng = _rng(config, 25)
     pool = _random_states(config, 26, config.random_states)
     # per state, 20 Alice settings, each followed by its 100 brute-force partners
-    units = _units(rng, (len(pool), 20, 101))
+    units = _units(rng, (len(pool.rho), 20, 101))
     a, b = units[:, :, 0], units[:, :, 1:]
-    best = np.array([[protocol.optimal_partner(s, v).value for v in row] for s, row in zip(pool, a)])
-    brute = np.vecdot(b, (a @ np.stack([s.T for s in pool]))[:, :, None]).max(axis=-1)
+    best = np.array([[protocol.optimal_partner(s, v).value for v in row] for s, row in zip(_members(pool.rho), a)])
+    brute = np.vecdot(b, (a @ pool.T)[:, :, None]).max(axis=-1)
     return _result("protocol_partner_optimality", best.size, float(np.max(brute - best)) - TOLERANCES["entrywise"])
 
 
 def check_protocol_optimal_value_row_norm(config: CheckConfig) -> PropertyResult:
     pool = _random_states(config, 27, config.random_states)
-    worst = 0.0
-    for s in pool:
-        worst = max(
-            worst,
-            abs(protocol.optimal_partner(s, protocol.SETTING_X).value - float(np.linalg.norm(s.T[0]))),
-            abs(protocol.optimal_partner(s, protocol.SETTING_Y).value - float(np.linalg.norm(s.T[1]))),
-        )
-    return _result("protocol_optimal_value_row_norm", len(pool), worst - TOLERANCES["entrywise"])
+    gap = [np.abs(protocol.optimal_partner(pool, setting).value - _vector_norm(pool.T[:, k]))
+           for k, setting in enumerate((protocol.SETTING_X, protocol.SETTING_Y))]
+    return _result("protocol_optimal_value_row_norm", len(pool.rho), float(np.max(gap)) - TOLERANCES["entrywise"])
 
 
 def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
@@ -362,7 +331,7 @@ def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
 # correlation measures
 
 def check_measures_eigen_grid_agreement(config: CheckConfig) -> PropertyResult:
-    pool = _stack(_random_states(config, 29, config.random_states))
+    pool = _random_states(config, 29, config.random_states)
     gap = np.abs(measures.discord_eigen(pool).value - measures.discord_grid_oracle(pool).value)
     return _result("measures_eigen_grid_agreement", gap.size, float(np.max(gap)) - TOLERANCES["eigen_grid_agreement"])
 
@@ -402,7 +371,7 @@ def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResul
 
 def check_measures_discord_range(config: CheckConfig) -> PropertyResult:
     pool = _random_states(config, 31, config.range_states)
-    eigen = measures.discord_eigen(validate_density(np.stack([s.rho for s in pool])))
+    eigen = measures.discord_eigen(pool)
     d = eigen.value
     worst = float(max(np.max(-d - TOLERANCES["entrywise"]), np.max(d - 0.5 - TOLERANCES["entrywise"])))
     # zero iff a dephasing fixes the state: product states reach zero,
@@ -416,18 +385,19 @@ def check_measures_discord_range(config: CheckConfig) -> PropertyResult:
     for local, value, direction in zip(products, res.value, res.argmin_direction):
         residual = hs_norm_sq(measures.cq_state(local, direction).rho - local.rho)
         worst = max(worst, value - TOLERANCES["product_discord"], residual - TOLERANCES["product_discord"])
-    for s, value, direction in zip(pool[:50], d, eigen.argmin_direction):
+    for s, value, direction in zip(_members(pool.rho[:50]), d, eigen.argmin_direction):
         residual = hs_norm_sq(measures.cq_state(s, direction).rho - s.rho)
         worst = max(worst, abs(residual - value) - TOLERANCES["argmin_residual"])
-    return _result("measures_discord_range", len(pool) + 60, worst)
+    return _result("measures_discord_range", len(pool.rho) + 60, worst)
 
 
 def check_measures_concurrence_lu_invariant(config: CheckConfig) -> PropertyResult:
     pool = _random_states(config, 34, config.random_states)
-    rows = twirl._haar_su2_batch(_rng(config, 33), 2 * len(pool))
-    rotated = [validate_density(w @ s.rho @ w.conj().T)
-               for s, w in zip(pool, (np.kron(u, v) for u, v in zip(rows[0::2], rows[1::2])))]
-    gap = np.abs(measures.concurrence(_stack(rotated)) - measures.concurrence(_stack(pool)))
+    rows = twirl._haar_su2_batch(_rng(config, 33), 2 * len(pool.rho))
+    # u x v for each pair of rows, the products np.kron takes
+    w = (rows[0::2, :, None, :, None] * rows[1::2, None, :, None, :]).reshape(-1, 4, 4)
+    rotated = validate_density(w @ pool.rho @ w.conj().mT)
+    gap = np.abs(measures.concurrence(rotated) - measures.concurrence(pool))
     return _result(
         "measures_concurrence_lu_invariant", gap.size, float(np.max(gap)) - TOLERANCES["concurrence_invariance"]
     )
@@ -436,7 +406,7 @@ def check_measures_concurrence_lu_invariant(config: CheckConfig) -> PropertyResu
 def check_measures_discord_error_bound(config: CheckConfig) -> PropertyResult:
     # the whole pool takes the eigen route; its first BOUND_CROSS_CHECKS
     # states also take the grid oracle
-    pool = _stack([states.random_state(i) for i in range(config.bound_states)])
+    pool = states.random_state(np.arange(config.bound_states))
     lhs, rhs = measures.discord_error_rate_bound(pool, method="eigen")
     cross = validate_density(pool.rho[:BOUND_CROSS_CHECKS])
     lhs_grid, rhs_grid = measures.discord_error_rate_bound(cross, method="grid-oracle")
@@ -448,19 +418,12 @@ def check_measures_discord_error_bound(config: CheckConfig) -> PropertyResult:
 def check_measures_bound_saturation_families(config: CheckConfig) -> PropertyResult:
     """The bound is tight on the pure and Werner families; the closed-form
     route must match the error-rate side exactly."""
-    worst = 0.0
-    count = 0
-    for g in np.linspace(0.0, math.pi / 2, GRID_POINTS):
-        lhs = measures.discord_x_closed_form(states.pure_x_params(g)).value
-        _, rhs = measures.discord_error_rate_bound(states.pure_state(g), method="eigen")
-        worst = max(worst, abs(lhs - rhs))
-        count += 1
-    for f in np.linspace(0.25, 1.0, 16):
-        lhs = measures.discord_x_closed_form(states.werner_x_params(f)).value
-        _, rhs = measures.discord_error_rate_bound(states.werner(f), method="eigen")
-        worst = max(worst, abs(lhs - rhs))
-        count += 1
-    return _result("measures_bound_saturation_families", count, worst - TOLERANCES["bound_slack"])
+    gammas, fs = np.linspace(0.0, math.pi / 2, GRID_POINTS), np.linspace(0.25, 1.0, 16)
+    params = [states.pure_x_params(g) for g in gammas] + [states.werner_x_params(f) for f in fs]
+    lhs = np.array([measures.discord_x_closed_form(p).value for p in params])
+    _, rhs = measures.discord_error_rate_bound(_stack([states.pure_state(gammas), states.werner(fs)]), method="eigen")
+    return _result("measures_bound_saturation_families", len(params),
+                   float(np.max(np.abs(lhs - rhs))) - TOLERANCES["bound_slack"])
 
 
 def check_measures_delta_min_relation(config: CheckConfig) -> PropertyResult:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -210,10 +211,16 @@ def cmd_simulate(args) -> int:
     b_prime = optimal.b_prime if args.b_prime is None else _parse_direction(args.b_prime)
     run = simulate_protocol(state, args.n, args.seed, b, b_prime)
     summary = run.summary(delta_analytic=error_rate(state, b, b_prime))
-    # the ledger first: a ledger that cannot be written leaves no summary
+    # the ledger first: a ledger that cannot be written leaves no summary,
+    # and a summary that cannot be written takes the ledger with it
     if args.rounds_csv:
         run.write_rounds_csv(args.rounds_csv)
-    _write(_dump_json(summary), args.out)
+    try:
+        _write(_dump_json(summary), args.out)
+    except OSError:
+        if args.rounds_csv:
+            os.remove(args.rounds_csv)
+        raise
     return 0
 
 

@@ -9,8 +9,8 @@ the pairing is (x, b') or (y, b) are discarded during sifting; the error
 rate is the probability that the two parties' sifted symbols disagree.
 
 A simulated run (``ProtocolRun``) keeps one int8 code per round, packing
-both basis choices and both outcomes. Its summary counts, the per-round
-ledger and the per-round arrays are all read from that one array. The
+both basis choices and both outcomes. Its summary counts and the
+per-round ledger are both read from that one array. The
 simulator fills the codes and the summary counts them in chunks of
 ``_CHUNK`` rounds; the chunked draws give the same stream as one draw per
 whole array. The ledger writer builds the rows' bytes in blocks of 10^4
@@ -28,7 +28,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptySiftedSetError, NotADistributionError, OutOfRangeError
-from .qubit_algebra import TwoQubitState, _check_sampler_inputs, _item, _vector_norm, as_unit_vector
+from .qubit_algebra import (
+    TwoQubitState,
+    _check_sampler_inputs,
+    _item,
+    _raise_first_failure,
+    _vector_norm,
+    as_unit_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,8 @@ BOB_LABELS = ("b", "b'")
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities of the four joint outcomes (+,+), (+,-), (-,+), (-,-)."""
+    """Probabilities of the four joint outcomes (+,+), (+,-), (-,+), (-,-);
+    arrays for a stacked state or stacked settings."""
 
     w_pp: float
     w_pm: float
@@ -68,7 +76,8 @@ class OutcomeDistribution:
     w_mm: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.w_pp, self.w_pm, self.w_mp, self.w_mm])
+        """The four probabilities along a last axis of length 4."""
+        return np.stack([self.w_pp, self.w_pm, self.w_mp, self.w_mm], axis=-1)
 
     def correlation(self) -> float:
         return self.w_pp + self.w_mm - self.w_pm - self.w_mp
@@ -78,32 +87,37 @@ class OutcomeDistribution:
 
 
 def correlation(state: TwoQubitState, a, b) -> float:
-    """Expectation of (a . sigma) x (b . sigma), computed as a^T T b."""
+    """Expectation of (a . sigma) x (b . sigma), computed as a^T T b; an
+    array for a stacked state or stacked settings."""
     av = MeasurementSetting.of(a).n
     bv = MeasurementSetting.of(b).n
-    return float(av @ state.T @ bv)
+    # (a^T T) . b, in the order av @ T @ bv takes on one state, so a member's bits are its own
+    return _item(np.vecdot((av[..., None, :] @ state.T)[..., 0, :], bv))
 
 
 def outcome_probs(state: TwoQubitState, a, b) -> OutcomeDistribution:
     """Born-rule probabilities for the joint measurement along a and b.
 
     w(s, s') = (1/4) [1 + s (a . x) + s' (b . y) + s s' a^T T b] for signs
-    s, s' in {+1, -1}. Raises NotADistributionError when a probability
-    falls below -1e-10, which signals an invalid state slipped through.
+    s, s' in {+1, -1}, each clamped to [0, 1]. Raises NotADistributionError
+    when a probability falls below -1e-10, which signals an invalid state
+    slipped through. A stacked state or stacked settings give arrays; the
+    error then names the first failing member.
     """
     av = MeasurementSetting.of(a).n
     bv = MeasurementSetting.of(b).n
-    d = state.decomp
-    ax = float(av @ d.x)
-    by = float(bv @ d.y)
-    corr = float(av @ d.T @ bv)
-    w = {}
-    for s, sp, key in ((1, 1, "w_pp"), (1, -1, "w_pm"), (-1, 1, "w_mp"), (-1, -1, "w_mm")):
-        p = 0.25 * (1.0 + s * ax + sp * by + s * sp * corr)
-        if p < -1e-10:
-            raise NotADistributionError(f"{key} = {p:.3e} for a={av}, b={bv}")
-        w[key] = min(max(p, 0.0), 1.0)
-    return OutcomeDistribution(**w)
+    ax, by, corr = np.vecdot(av, state.x), np.vecdot(bv, state.y), correlation(state, av, bv)
+    w = {key: 0.25 * (1.0 + s * ax + sp * by + s * sp * corr)
+         for s, sp, key in ((1, 1, "w_pp"), (1, -1, "w_pm"), (-1, 1, "w_mp"), (-1, -1, "w_mm"))}
+    shape = np.shape(w["w_pp"])
+    an, bn = np.broadcast_to(av, shape + (3,)), np.broadcast_to(bv, shape + (3,))
+    _raise_first_failure(shape, [
+        (p < -1e-10, NotADistributionError, lambda i, key=key, p=p: f"{key} = {p[i]:.3e} for a={an[i]}, b={bn[i]}")
+        for key, p in w.items()
+    ])
+    # the picks of Python's max(p, 0.0) and then min(., 1.0), signed zeros and nan included
+    return OutcomeDistribution(**{key: _item(np.where(1.0 < p, 1.0, np.where(0.0 > p, 0.0, p)))
+                                  for key, p in w.items()})
 
 
 @dataclass(frozen=True)
@@ -210,11 +224,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _view(decode) -> cached_property:
-    """A per-round array ``decode(run)``, built on first use, cached read-only."""
-    return cached_property(lambda run: _read_only(decode(run)))
-
-
 @dataclass(frozen=True)
 class ProtocolRun:
     """Record of one simulated key distribution run: one int8 code per round.
@@ -230,12 +239,7 @@ class ProtocolRun:
 
     ``m_sifted``, the per-basis mismatch rates ``empirical_delta_x``/``_y``,
     their sifted-count weighted mean ``empirical_delta``, ``mismatch_rate``
-    and ``random_key_bias`` all read one 16-bin count of the codes. The
-    per-round arrays are read-only views decoded from the codes on first
-    use and then cached: the int8 basis indices ``alice_choice`` and
-    ``bob_choice``, their labels ``alice_bases`` and ``bob_bases``, the
-    int8 +-1 outcomes ``alice_bits`` and ``bob_bits``, and the kept rounds
-    ``sifted_indices``.
+    and ``random_key_bias`` all read one 16-bin count of the codes.
     """
 
     n_rounds: int
@@ -274,25 +278,6 @@ class ProtocolRun:
     empirical_delta_x = property(lambda run: run._rate(0, 0))
     empirical_delta_y = property(lambda run: run._rate(1, 1))
     empirical_delta = property(lambda run: run._rate([0, 1], [0, 1]))
-
-    alice_choice = _view(lambda run: run.code >> 3)
-    bob_choice = _view(lambda run: (run.code >> 2) & 1)
-    alice_bits = _view(lambda run: 1 - 2 * ((run.code >> 1) & 1))
-    bob_bits = _view(lambda run: 1 - 2 * (run.code & 1))
-    sifted_indices = _view(lambda run: np.flatnonzero(run.alice_choice == run.bob_choice))
-    alice_bases = _view(lambda run: np.array(ALICE_LABELS)[run.alice_choice])
-    bob_bases = _view(lambda run: np.array(BOB_LABELS)[run.bob_choice])
-
-    def _key(self, bits: np.ndarray) -> str:
-        kept = bits[self.sifted_indices]
-        return "".join("+" if v > 0 else "-" for v in kept)
-
-    def alice_key(self) -> str:
-        """Alice's sifted key as a +/- symbol string in time order."""
-        return self._key(self.alice_bits)
-
-    def bob_key(self) -> str:
-        return self._key(self.bob_bits)
 
     def mismatch_rate(self, alice_basis: str, bob_basis: str) -> float:
         """Observed disagreement rate for one basis pairing (nan if unseen)."""

@@ -5,15 +5,17 @@ product basis |uu>, |ud>, |du>, |dd>, where |u> is the +1 eigenvector of
 sigma_z. A state is carried as a :class:`TwoQubitState`, which caches its
 Pauli decomposition (local Bloch vectors and the 3x3 correlation matrix).
 
-The kernels are batch-first. ``validate_density`` and ``pauli_decompose``
-take a stack of shape (..., 4, 4), and a ``TwoQubitState`` may hold such
-a stack; every array derived from it (Bloch vectors, correlation
-matrices, directions, values) carries the same leading axes. One 4x4
-matrix is the stack with no leading axes, so the per-state calls run the
-same code and return the same types as before: a float where a stack
-gives an array. Each member of a stack gets bit for bit the result it
-gets on its own, and every member is validated; an error raised for a
-stack names the index of the first failing member.
+The kernels are batch-first. ``validate_density``, ``pauli_decompose``,
+``hs_norm_sq`` and ``hermitian_eigenvalues`` take a stack of shape
+(..., 4, 4), ``pauli_compose`` a stacked decomposition, and a
+``TwoQubitState`` may hold such a stack; every array derived from it
+(Bloch vectors, correlation matrices, directions, values) carries the
+same leading axes. One 4x4 matrix is the stack with no leading axes, so
+the per-state calls run the same code and return the same types as
+before: a float where a stack gives an array. Each member of a stack
+gets bit for bit the result it gets on its own, and every member is
+validated; an error raised for a stack names the index of the first
+failing member.
 """
 
 from __future__ import annotations
@@ -114,9 +116,10 @@ def as_unit_vector(n) -> np.ndarray:
 
 
 def hs_norm_sq(a) -> float:
-    """Squared Hilbert-Schmidt norm Tr(A A^dag) = sum of squared entry moduli."""
-    m = _as_square(a, 4)
-    return float(np.sum(np.abs(m) ** 2))
+    """Squared Hilbert-Schmidt norm Tr(A A^dag) = sum of squared entry
+    moduli; an array of them for a (..., 4, 4) stack."""
+    m = _as_square(a, 4, stack=True)
+    return _item(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
 
 
 def _hermitian_defect(m: np.ndarray) -> np.ndarray:
@@ -125,16 +128,17 @@ def _hermitian_defect(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
-    """Real eigenvalues of a Hermitian 4x4 matrix, sorted in descending order.
+    """Real eigenvalues of a Hermitian 4x4 matrix, sorted in descending
+    order; a (..., 4) array of them for a (..., 4, 4) stack.
 
-    Raises NonHermitianError when ``a`` deviates from its adjoint by more
-    than 1e-10 in any entry.
+    Raises NonHermitianError when a matrix deviates from its adjoint by
+    more than 1e-10 in any entry.
     """
-    m = _as_square(a, 4)
-    defect = float(_hermitian_defect(m))
-    if defect > 1e-10:
-        raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e} (atol 1.0e-10)")
-    return np.linalg.eigvalsh(m)[::-1]
+    m = _as_square(a, 4, stack=True)
+    defect = _hermitian_defect(m)
+    message = "matrix deviates from Hermitian by {:.3e} (atol 1.0e-10)"
+    _raise_first_failure(m.shape[:-2], ((defect > 1e-10, NonHermitianError, lambda i: message.format(defect[i])),))
+    return np.linalg.eigvalsh(m)[..., ::-1]
 
 
 # Fixed operator stacks used by the decomposition; built once at import.
@@ -183,11 +187,11 @@ def pauli_decompose(rho) -> PauliDecomposition:
 
 
 def pauli_compose(d: PauliDecomposition) -> np.ndarray:
-    """Rebuild the 4x4 matrix from a Pauli decomposition (inverse of pauli_decompose)."""
-    m = np.array(ID4)
-    m += np.einsum("k,kij->ij", d.x, _A_OPS)
-    m += np.einsum("k,kij->ij", d.y, _B_OPS)
-    m += np.einsum("kl,klij->ij", d.T, _AB_OPS)
+    """Rebuild the 4x4 matrix from a Pauli decomposition (inverse of
+    pauli_decompose); a (..., 4, 4) stack for a stacked decomposition."""
+    m = ID4 + np.einsum("...k,kij->...ij", d.x, _A_OPS)
+    m += np.einsum("...k,kij->...ij", d.y, _B_OPS)
+    m += np.einsum("...kl,klij->...ij", d.T, _AB_OPS)
     return m / 4.0
 
 
@@ -223,7 +227,7 @@ class TwoQubitState:
         return self.decomp.T
 
     def purity(self) -> float:
-        """Tr(rho^2) of a single state."""
+        """Tr(rho^2); an array of them for a stacked state."""
         return hs_norm_sq(self.rho)
 
 

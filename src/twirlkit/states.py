@@ -6,9 +6,9 @@ families and for random sampling, depolarized pure states, a fidelity
 functional, a seeded random-state generator, and the JSON state-file
 loader consumed by the command line front end.
 
-The family constructors and the fidelity are batch-first: a parameter
-array gives a stacked state (see :mod:`twirlkit.qubit_algebra`), and a
-stack gives an array of fidelities.
+The family constructors, the random-state generator and the fidelity
+are batch-first: a parameter or seed array gives a stacked state (see
+:mod:`twirlkit.qubit_algebra`), and a stack gives an array of fidelities.
 """
 
 from __future__ import annotations
@@ -194,15 +194,21 @@ def fidelity_phi_plus(state: TwoQubitState):
     return _item(np.where(1.0 < value, 1.0, value))
 
 
-def random_state(seed: int) -> TwoQubitState:
+def random_state(seed) -> TwoQubitState:
     """Random density matrix G G^dag / Tr(G G^dag) for a complex Gaussian G.
 
     Samples from the Hilbert-Schmidt measure; deterministic given the seed.
+    An array of seeds gives a stacked state with one member per seed, each
+    drawn from its own ``default_rng(seed)``, and validates it once.
     """
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    return validate_density(m / np.trace(m).real)
+    seeds = np.asarray(seed)
+    # per seed, one draw of the real parts of G and then its imaginary parts
+    normals = np.empty((seeds.size, 2, 4, 4))
+    for k, s in enumerate(seeds.ravel().tolist()):
+        normals[k] = np.random.default_rng(s).standard_normal((2, 4, 4))
+    g = (normals[:, 0] + 1j * normals[:, 1]).reshape(seeds.shape + (4, 4))
+    m = g @ g.conj().mT
+    return validate_density(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
 
 
 FAMILY_PARAMS = {"pure": ("gamma",), "werner": ("F",), "depolarized": ("gamma", "p")}

@@ -33,15 +33,6 @@ _CHUNK = 8192
 _PAIRS = np.triu_indices(4)
 
 
-def haar_su2(rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed SU(2) matrix drawn from ``rng``.
-
-    A uniform unit quaternion (four standard normals, normalized) maps to
-    U = q0 I + i (q1 sx + q2 sy + q3 sz), which is exactly Haar on SU(2).
-    """
-    return _haar_su2_batch(rng, 1)[0]
-
-
 def _haar_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
     """``n`` uniform unit quaternions: four standard normals per row, normalized."""
     q = rng.standard_normal((n, 4))
@@ -60,6 +51,12 @@ def _su2(q: np.ndarray) -> np.ndarray:
 
 
 def _haar_su2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Haar-distributed SU(2) matrices drawn from ``rng``, an (n, 2, 2) stack.
+
+    A uniform unit quaternion (four standard normals, normalized) maps to
+    U = q0 I + i (q1 sx + q2 sy + q3 sz), which is exactly Haar on SU(2).
+    The rows are the matrices that ``n`` successive one-matrix draws give.
+    """
     return _su2(_haar_quaternions(rng, n))
 
 

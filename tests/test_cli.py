@@ -350,6 +350,17 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: file not found: {rounds}\n"
         assert not out.exists()
 
+    def test_unwritable_summary_leaves_no_rounds_csv(self, tmp_path, werner_file, capsys):
+        out = tmp_path / "missing_dir" / "summary.json"
+        rounds = tmp_path / "rounds.csv"
+        code = main([
+            "simulate", "--state", str(werner_file), "--n", "400", "--seed", "2",
+            "--out", str(out), "--rounds-csv", str(rounds),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: file not found: {out}\n"
+        assert not rounds.exists() and not out.exists()
+
     def test_missing_state_exits_one(self, tmp_path, capsys):
         assert main(["simulate", "--state", str(tmp_path / "none.json")]) == 1
         assert "not found" in capsys.readouterr().err
@@ -529,6 +540,18 @@ class TestCheck:
             assert main(["check", "--seed", "7", *flags, "--out", str(tmp_path / "report.json")]) == 0
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 8
+
+    def test_random_state_calls_do_not_grow_with_counts(self, tmp_path, monkeypatch):
+        # each of the 15 random pools is one stacked state, drawn in one call whatever its size
+        calls = []
+        sampler = states.random_state
+        monkeypatch.setattr(states, "random_state", lambda seed: calls.append(seed) or sampler(seed))
+        counts = []
+        for flags in (MIN_CHECK_FLAGS, FAST_CHECK_FLAGS):
+            calls.clear()
+            assert main(["check", "--seed", "7", *flags, "--out", str(tmp_path / "report.json")]) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 15
 
     def test_twirl_pair_states_the_ratio(self, monkeypatch):
         result = checks.check_measures_twirl_pair_monotonicity(checks.CheckConfig())

@@ -31,7 +31,6 @@ from twirlkit import (
     discord_grid_oracle,
     discord_x_closed_form,
     entanglement_of_formation,
-    haar_su2,
     k_values,
     measures,
     min_error_rate,
@@ -44,6 +43,13 @@ from twirlkit import (
     x_state,
 )
 from twirlkit.states import sample_x_params
+from twirlkit.twirl import _haar_su2_batch
+
+
+def _haar_su2(rng):
+    """One Haar-distributed SU(2) matrix from ``rng``."""
+    return _haar_su2_batch(rng, 1)[0]
+
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -119,7 +125,7 @@ def _near_degenerate():
     for eps in np.logspace(-9, -3, 12):
         near = pauli_compose(PauliDecomposition(np.zeros(3), np.zeros(3), np.diag([0.5, -0.5 * (1 - eps), 0.3])))
         for _ in range(10):
-            w = np.kron(haar_su2(rng), haar_su2(rng))
+            w = np.kron(_haar_su2(rng), _haar_su2(rng))
             yield validate_density(w @ near @ w.conj().T)
 
 
@@ -128,7 +134,7 @@ def _products():
     in-plane correlation rows) and I/4."""
     rng = np.random.default_rng(3)
     for _ in range(5):
-        u, v = haar_su2(rng), haar_su2(rng)
+        u, v = _haar_su2(rng), _haar_su2(rng)
         yield validate_density(np.kron(u @ np.diag([0.8, 0.2]) @ u.conj().T, v @ np.diag([0.6, 0.4]) @ v.conj().T))
     a, b = np.array([0.0, 0.0, 0.6]), np.array([0.3, 0.4, 0.5])
     yield validate_density(pauli_compose(PauliDecomposition(a, b, np.outer(a, b))))
@@ -260,7 +266,7 @@ class TestDiscordGridOracle:
     def test_product_states_have_zero_discord(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            u, v = haar_su2(rng), haar_su2(rng)
+            u, v = _haar_su2(rng), _haar_su2(rng)
             a = u @ np.diag([0.8, 0.2]) @ u.conj().T
             b = v @ np.diag([0.6, 0.4]) @ v.conj().T
             s = validate_density(np.kron(a, b))
@@ -563,7 +569,7 @@ class TestConcurrence:
         rng = np.random.default_rng(5)
         for seed in range(50):
             s = random_state(seed)
-            w = np.kron(haar_su2(rng), haar_su2(rng))
+            w = np.kron(_haar_su2(rng), _haar_su2(rng))
             rotated = validate_density(w @ s.rho @ w.conj().T)
             assert abs(concurrence(rotated) - concurrence(s)) <= 1e-10
 

@@ -58,6 +58,22 @@ def unit(rng):
     return v / np.linalg.norm(v)
 
 
+def decode(run):
+    """The per-round arrays of a run, read from its codes by the documented
+    layout code = 8 i + 4 j + 2 [s < 0] + [t < 0]."""
+    i, j = run.code >> 3, (run.code >> 2) & 1
+    return SimpleNamespace(
+        n_rounds=run.n_rounds,
+        alice_choice=i,
+        bob_choice=j,
+        alice_bits=1 - 2 * ((run.code >> 1) & 1),
+        bob_bits=1 - 2 * (run.code & 1),
+        sifted_indices=np.flatnonzero(i == j),
+        alice_bases=np.array(ALICE_LABELS)[i],
+        bob_bases=np.array(BOB_LABELS)[j],
+    )
+
+
 class TestOutcomeProbs:
     def test_against_born_oracle(self):
         rng = np.random.default_rng(0)
@@ -209,8 +225,10 @@ class TestSimulateProtocol:
     def test_bell_has_no_errors(self):
         run = simulate_protocol(bell("phi+"), 2_000, 0, (1.0, 0.0, 0.0), (0.0, -1.0, 0.0))
         assert run.empirical_delta == 0.0
-        assert run.alice_key() == run.bob_key()
-        assert set(run.alice_key()) <= {"+", "-"}
+        rounds = decode(run)
+        kept = rounds.sifted_indices
+        np.testing.assert_array_equal(rounds.alice_bits[kept], rounds.bob_bits[kept])
+        assert set(rounds.alice_bits.tolist()) <= {1, -1}
 
     @pytest.mark.parametrize(
         "state,delta",
@@ -237,23 +255,23 @@ class TestSimulateProtocol:
         mer = min_error_rate(s)
         a = simulate_protocol(s, 5_000, 3, mer.b, mer.b_prime)
         b = simulate_protocol(s, 5_000, 3, mer.b, mer.b_prime)
-        np.testing.assert_array_equal(a.alice_bits, b.alice_bits)
-        np.testing.assert_array_equal(a.bob_bits, b.bob_bits)
-        np.testing.assert_array_equal(a.sifted_indices, b.sifted_indices)
+        np.testing.assert_array_equal(a.code, b.code)
         assert a.empirical_delta == b.empirical_delta
 
     def test_sifting_keeps_matching_pairings(self):
         run = simulate_protocol(werner(0.9), 4_000, 5, (1.0, 0.0, 0.0), (0.0, -1.0, 0.0))
-        keep = ((run.alice_bases == "x") & (run.bob_bases == "b")) | (
-            (run.alice_bases == "y") & (run.bob_bases == "b'")
+        rounds = decode(run)
+        keep = ((rounds.alice_bases == "x") & (rounds.bob_bases == "b")) | (
+            (rounds.alice_bases == "y") & (rounds.bob_bases == "b'")
         )
-        np.testing.assert_array_equal(run.sifted_indices, np.flatnonzero(keep))
+        assert run.m_sifted == np.count_nonzero(keep) == rounds.sifted_indices.size
 
     def test_delta_is_sifted_weighted_mean(self):
         run = simulate_protocol(werner(0.8), 20_000, 13, (1.0, 0.0, 0.0), (0.0, -1.0, 0.0))
-        mism = run.alice_bits != run.bob_bits
-        mask_x = (run.alice_bases == "x") & (run.bob_bases == "b")
-        mask_y = (run.alice_bases == "y") & (run.bob_bases == "b'")
+        rounds = decode(run)
+        mism = rounds.alice_bits != rounds.bob_bits
+        mask_x = (rounds.alice_bases == "x") & (rounds.bob_bases == "b")
+        mask_y = (rounds.alice_bases == "y") & (rounds.bob_bases == "b'")
         n_x, n_y = mask_x.sum(), mask_y.sum()
         assert run.empirical_delta_x == pytest.approx(mism[mask_x].mean(), abs=0)
         assert run.empirical_delta_y == pytest.approx(mism[mask_y].mean(), abs=0)
@@ -304,11 +322,12 @@ class TestRandomKeyBias:
         s = pure_state(gamma)
         mer = min_error_rate(s)
         run = simulate_protocol(s, 100_000, 17, mer.b, mer.b_prime)
+        rounds = decode(run)
         counts = [
-            (run.alice_bases == "x").sum(),
-            (run.alice_bases == "y").sum(),
-            (run.bob_bases == "b").sum(),
-            (run.bob_bases == "b'").sum(),
+            (rounds.alice_bases == "x").sum(),
+            (rounds.alice_bases == "y").sum(),
+            (rounds.bob_bases == "b").sum(),
+            (rounds.bob_bases == "b'").sum(),
         ]
         gate = 4 * math.sqrt(1 / (4 * min(counts)))
         assert random_key_bias(run) <= gate
@@ -356,7 +375,8 @@ class TestExports:
 
 
 def reference_rounds_csv(run, path):
-    """The ledger writer as a csv.writer loop over rows, kept as reference."""
+    """The ledger writer as a csv.writer loop over rows, kept as reference;
+    ``run`` holds the per-round arrays (see ``decode``)."""
     sifted = np.zeros(run.n_rounds, dtype=int)
     sifted[run.sifted_indices] = 1
     columns = (run.alice_bases, run.bob_bases, run.alice_bits, run.bob_bits, sifted)
@@ -378,7 +398,7 @@ class TestLedger:
         mer = min_error_rate(state)
         run = simulate_protocol(state, n, 31, mer.b, mer.b_prime)
         run.write_rounds_csv(tmp_path / "fast.csv")
-        reference_rounds_csv(run, tmp_path / "reference.csv")
+        reference_rounds_csv(decode(run), tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     # any code at every round-number width; n = 0 writes the header alone
@@ -389,18 +409,17 @@ class TestLedger:
         run = ProtocolRun(n, np.random.default_rng(seed).integers(0, 16, n).astype(np.int8))
         path = tmp_path_factory.mktemp("ledger")
         run.write_rounds_csv(path / "fast.csv")
-        reference_rounds_csv(run, path / "reference.csv")
+        reference_rounds_csv(decode(run), path / "reference.csv")
         assert (path / "fast.csv").read_bytes() == (path / "reference.csv").read_bytes()
         if n == 0:
             assert (path / "fast.csv").read_bytes() == b"round,alice_basis,bob_basis,alice_bit,bob_bit,sifted\n"
 
     def test_choices_are_int8_label_indices(self):
         run = simulate_protocol(werner(0.75), 1_000, 37, (1.0, 0.0, 0.0), (0.0, -1.0, 0.0))
-        assert run.alice_choice.dtype == np.int8
-        assert run.bob_choice.dtype == np.int8
-        np.testing.assert_array_equal(run.alice_bases, np.array(ALICE_LABELS)[run.alice_choice])
-        np.testing.assert_array_equal(run.bob_bases, np.array(BOB_LABELS)[run.bob_choice])
-        assert set(run.alice_bases) == {"x", "y"} and set(run.bob_bases) == {"b", "b'"}
+        rounds = decode(run)
+        assert rounds.alice_choice.dtype == rounds.bob_choice.dtype == np.int8
+        assert set(rounds.alice_choice.tolist()) == set(rounds.bob_choice.tolist()) == {0, 1}
+        assert set(rounds.alice_bases) == {"x", "y"} and set(rounds.bob_bases) == {"b", "b'"}
 
 
 def reference_simulate_protocol(state, n_rounds, seed, b, b_prime):
@@ -475,7 +494,6 @@ SIM_STATES = {
     # the sifted pairings' thresholds tie: (1/2, 1/2, 1/2), two outcomes never occur
     "psi_minus": lambda: bell("psi-"),
 }
-VIEWS = ("alice_choice", "bob_choice", "alice_bits", "bob_bits", "sifted_indices", "alice_bases", "bob_bases")
 
 
 class TestRoundCode:
@@ -501,12 +519,9 @@ class TestRoundCode:
             "delta_y_hat": ref.empirical_delta_y, "delta_hat": ref.empirical_delta, "delta_analytic": 0.1,
         }
         assert repr(run.summary(delta_analytic=0.1)) == repr(expected)
-        for view in VIEWS:
-            got, want = getattr(run, view), getattr(ref, view)
-            assert got.dtype == want.dtype and not got.flags.writeable
-            np.testing.assert_array_equal(got, want)
-        assert run.alice_key() == "".join("+" if v > 0 else "-" for v in ref.alice_bits[ref.sifted_indices])
-        assert run.bob_key() == "".join("+" if v > 0 else "-" for v in ref.bob_bits[ref.sifted_indices])
+        assert not run.code.flags.writeable
+        want = 8 * ref.alice_choice + 4 * ref.bob_choice + 2 * (ref.alice_bits < 0) + (ref.bob_bits < 0)
+        np.testing.assert_array_equal(run.code, want)
         assert repr(random_key_bias(run)) == repr(reference_random_key_bias(ref))
         for a in ALICE_LABELS:
             for b in BOB_LABELS:

@@ -18,20 +18,27 @@ import numpy as np
 import pytest
 
 from twirlkit import (
+    SETTING_X,
+    SETTING_Y,
     NonHermitianError,
+    NotADistributionError,
     NotPositiveError,
     OutOfRangeError,
     PauliDecomposition,
     TraceNotOneError,
+    TwoQubitState,
     concurrence,
+    correlation,
     depolarized_pure,
     discord_eigen,
     discord_error_rate_bound,
     entanglement_of_formation,
     eof_from_concurrence,
     fidelity_phi_plus,
-    haar_su2,
+    hermitian_eigenvalues,
+    hs_norm_sq,
     min_error_rate,
+    outcome_probs,
     pauli_compose,
     pauli_decompose,
     pure_state,
@@ -42,6 +49,7 @@ from twirlkit import (
 )
 from twirlkit.measures import _SPIN_FLIP, _align_first_bloch_to_z
 from twirlkit.qubit_algebra import _A_OPS, _AB_OPS, _B_OPS, ID2, pauli_sigma
+from twirlkit.twirl import _haar_su2_batch
 
 _PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
@@ -49,6 +57,42 @@ _PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 def reference_decompose(rho):
     return tuple(np.einsum(sub, rho, ops).real
                  for sub, ops in (("ij,kji->k", _A_OPS), ("ij,kji->k", _B_OPS), ("ij,klji->kl", _AB_OPS)))
+
+
+def reference_random_state(seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def reference_compose(x, y, T):
+    m = np.array(np.eye(4, dtype=complex))
+    m += np.einsum("k,kij->ij", x, _A_OPS)
+    m += np.einsum("k,kij->ij", y, _B_OPS)
+    m += np.einsum("kl,klij->ij", T, _AB_OPS)
+    return m / 4.0
+
+
+def reference_hs_norm_sq(m):
+    return float(np.sum(np.abs(m) ** 2))
+
+
+def reference_eigenvalues(m):
+    return np.linalg.eigvalsh(m)[::-1]
+
+
+def reference_correlation(a, T, b):
+    return float(a @ T @ b)
+
+
+def reference_outcome_probs(a, x, y, T, b):
+    """The four probabilities w_pp, w_pm, w_mp, w_mm, each clamped by min and max."""
+    ax, by, corr = float(a @ x), float(b @ y), float(a @ T @ b)
+    w = []
+    for s, sp in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        w.append(min(max(0.25 * (1.0 + s * ax + sp * by + s * sp * corr), 0.0), 1.0))
+    return w
 
 
 def reference_fidelity(rho):
@@ -121,7 +165,7 @@ def reference_align(rho, x):
 
 
 def _rotated(rho, rng):
-    w = np.kron(haar_su2(rng), haar_su2(rng))
+    w = np.kron(_haar_su2_batch(rng, 1)[0], _haar_su2_batch(rng, 1)[0])
     return w @ rho @ w.conj().T
 
 
@@ -162,6 +206,81 @@ def assert_bits(stacked, singles):
 def test_validate_density_keeps_every_member(stack, members):
     assert stack.rho.shape == (len(members), 4, 4)
     assert_bits(stack.rho, [s.rho for s in members])
+
+
+def test_random_state():
+    seeds = np.arange(200)
+    stacked = random_state(seeds)
+    assert_bits(stacked.rho, [random_state(int(seed)).rho for seed in seeds])
+    assert_bits(stacked.rho, [reference_random_state(int(seed)) for seed in seeds])
+    # the seeds check draws for its pools, and a 2-D array of seeds
+    large = np.random.default_rng(0).integers(0, 2**63 - 1, 20)
+    assert_bits(random_state(large).rho, [reference_random_state(int(seed)) for seed in large])
+    grid = random_state(np.arange(6).reshape(2, 3))
+    assert grid.rho.shape == (2, 3, 4, 4)
+    assert_bits(grid.rho, stacked.rho[:6].reshape(2, 3, 4, 4))
+    assert random_state([]).rho.shape == (0, 4, 4)
+
+
+def test_pauli_compose(stack, members):
+    singles = [pauli_compose(s.decomp) for s in members]
+    assert_bits(pauli_compose(stack.decomp), singles)
+    assert_bits(singles, [reference_compose(s.x, s.y, s.T) for s in members])
+
+
+def test_hs_norm_sq_and_eigenvalues(stack, members):
+    singles = [hs_norm_sq(s.rho) for s in members]
+    assert all(type(v) is float for v in singles)
+    assert_bits(hs_norm_sq(stack.rho), singles)
+    assert_bits(singles, [reference_hs_norm_sq(s.rho) for s in members])
+    assert_bits(stack.purity(), singles)
+    singles = [hermitian_eigenvalues(s.rho) for s in members]
+    assert_bits(hermitian_eigenvalues(stack.rho), singles)
+    assert_bits(singles, [reference_eigenvalues(s.rho) for s in members])
+
+
+def _units(rng, n):
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+# random settings per member, then the axes, where probabilities reach 0 and 1
+_AXES = [(np.eye(3)[i], np.eye(3)[j]) for i in range(3) for j in range(3)] + [(np.eye(3)[0], -np.eye(3)[1])]
+
+
+def test_correlation(stack, members):
+    rng = np.random.default_rng(11)
+    pairs = [(_units(rng, len(members)), _units(rng, len(members)))] + _AXES
+    for a, b in pairs:
+        a_rows, b_rows = np.broadcast_to(a, (len(members), 3)), np.broadcast_to(b, (len(members), 3))
+        singles = [correlation(s, u, v) for s, u, v in zip(members, a_rows, b_rows)]
+        assert all(type(c) is float for c in singles)
+        assert_bits(correlation(stack, a, b), singles)
+        assert_bits(singles, [reference_correlation(u, s.T, v) for s, u, v in zip(members, a_rows, b_rows)])
+    # one state, stacked settings
+    a, b = pairs[0]
+    assert_bits(correlation(members[0], a, b), [correlation(members[0], u, v) for u, v in zip(a, b)])
+
+
+def test_outcome_probs(stack, members):
+    rng = np.random.default_rng(12)
+    pairs = [(_units(rng, len(members)), _units(rng, len(members)))] + _AXES
+    keys = ("w_pp", "w_pm", "w_mp", "w_mm")
+    for a, b in pairs:
+        a_rows, b_rows = np.broadcast_to(a, (len(members), 3)), np.broadcast_to(b, (len(members), 3))
+        stacked = outcome_probs(stack, a, b)
+        singles = [outcome_probs(s, u, v) for s, u, v in zip(members, a_rows, b_rows)]
+        assert all(type(getattr(w, key)) is float for w in singles for key in keys)
+        for key in keys:
+            assert_bits(getattr(stacked, key), [getattr(w, key) for w in singles])
+        assert_bits(stacked.as_array(), [w.as_array() for w in singles])
+        assert_bits(stacked.as_array(), [reference_outcome_probs(u, s.x, s.y, s.T, v)
+                                         for s, u, v in zip(members, a_rows, b_rows)])
+        assert_bits(stacked.correlation(), [w.correlation() for w in singles])
+    assert any(w == 0.0 for w in outcome_probs(stack, SETTING_X, SETTING_X).as_array().ravel())
+    a, b = pairs[0]
+    assert_bits(outcome_probs(members[0], a, SETTING_Y).as_array(),
+                [outcome_probs(members[0], u, SETTING_Y).as_array() for u in a])
 
 
 def test_pauli_decompose(stack, members):
@@ -279,6 +398,32 @@ def test_bad_member_in_decomposition_and_non_finite(members):
     rhos[1, 0, 0] = np.nan
     with pytest.raises(OutOfRangeError, match=r"^state 1: matrix entries must be finite"):
         validate_density(rhos)
+
+
+def _stacked_error(call, rhos, index, error):
+    """Check that ``call`` on the stack raises what it raises on member ``index``, named."""
+    with pytest.raises(error) as single:
+        call(rhos[index])
+    with pytest.raises(error) as stacked:
+        call(rhos)
+    assert str(stacked.value) == f"state {index}: {single.value}"
+
+
+def test_bad_member_of_the_new_kernels(members):
+    rhos = np.stack([s.rho for s in members[:10]])
+    rhos[6] = _broken("hermitian")
+    rhos[8] = _broken("hermitian")
+    _stacked_error(hermitian_eigenvalues, rhos, 6, NonHermitianError)
+    rhos[4, 1, 1] = np.inf
+    _stacked_error(hs_norm_sq, rhos, 4, OutOfRangeError)
+    # a negative eigenvalue gives w_mp = -1/4 at a = b = z; validation would reject the matrix
+    rhos = np.stack([s.rho for s in members[:10]])
+    rhos[3] = rhos[7] = _broken("negative")
+    z = (0.0, 0.0, 1.0)
+    _stacked_error(lambda m: outcome_probs(TwoQubitState(m), z, z), rhos, 3, NotADistributionError)
+    units = _units(np.random.default_rng(13), 10)
+    units[5] *= 2.0
+    _stacked_error(lambda a: correlation(members[0], a, z), units, 5, OutOfRangeError)
 
 
 def test_family_range_names_the_first_bad_value():

@@ -12,7 +12,6 @@ from twirlkit import (
     bell,
     conjugate_pair_apply,
     fidelity_phi_plus,
-    haar_su2,
     pure_state,
     random_state,
     trace_distance,
@@ -22,6 +21,11 @@ from twirlkit import (
     werner,
 )
 from twirlkit.twirl import _CHUNK, _haar_su2_batch
+
+
+def _haar_su2(rng):
+    """One Haar-distributed SU(2) matrix from ``rng``."""
+    return _haar_su2_batch(rng, 1)[0]
 
 
 def reference_twirl_monte_carlo(state, n_samples, seed):
@@ -56,7 +60,7 @@ class TestHaarSampling:
     def test_unitarity_and_det(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
-            u = haar_su2(rng)
+            u = _haar_su2(rng)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
             assert abs(np.linalg.det(u) - 1.0) <= 1e-12
 
@@ -72,9 +76,9 @@ class TestHaarSampling:
         assert abs(np.mean(samples)) <= 0.01
 
     def test_batch_rows_are_successive_draws(self):
-        # So the batched moment tests see the very samples of a haar_su2 loop.
+        # So the batched moment tests see the very samples of a one-matrix draw loop.
         rng = np.random.default_rng(1)
-        loop = np.array([haar_su2(rng) for _ in range(1000)])
+        loop = np.array([_haar_su2(rng) for _ in range(1000)])
         np.testing.assert_array_equal(_haar_su2_batch(np.random.default_rng(1), 1000), loop)
 
 
@@ -87,7 +91,7 @@ class TestConjugatePair:
         rng = np.random.default_rng(3)
         phi = bell("phi+")
         for _ in range(100):
-            out = conjugate_pair_apply(phi, haar_su2(rng))
+            out = conjugate_pair_apply(phi, _haar_su2(rng))
             np.testing.assert_allclose(out.rho, phi.rho, atol=1e-12)
 
     @pytest.mark.parametrize("f", [0.1, 0.5, 0.9])
@@ -95,7 +99,7 @@ class TestConjugatePair:
         rng = np.random.default_rng(4)
         w = werner(f)
         for _ in range(20):
-            out = conjugate_pair_apply(w, haar_su2(rng))
+            out = conjugate_pair_apply(w, _haar_su2(rng))
             np.testing.assert_allclose(out.rho, w.rho, atol=1e-12)
 
     def test_stack_of_unitaries_matches_each(self):
@@ -109,7 +113,7 @@ class TestConjugatePair:
     def test_output_is_valid(self):
         rng = np.random.default_rng(6)
         for seed in range(10):
-            validate_density(conjugate_pair_apply(random_state(seed), haar_su2(rng)).rho)
+            validate_density(conjugate_pair_apply(random_state(seed), _haar_su2(rng)).rho)
 
 
 class TestTwirlAnalytic:
