@@ -10,9 +10,8 @@ to be meaningful.
 
 A random pool is one stacked state from one ``states.random_state`` call,
 and each pool or family grid is evaluated as one stacked expression. Only
-the seeded samplers, ``protocol_partner_optimality``'s per-state Alice
-settings and the ``cq_state`` residuals of ``measures_discord_range`` loop
-over states.
+the seeded samplers loop over states: the X-parameter sampler, the Monte
+Carlo twirls and the simulator runs.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .qubit_algebra import (
     HERMITIAN_ATOL,
     TRACE_ATOL,
     TwoQubitState,
+    _hermitian_defect,
     _vector_norm,
     hermitian_eigenvalues,
     hs_norm_sq,
@@ -132,11 +132,6 @@ def _random_states(config: CheckConfig, lane: int, count: int) -> TwoQubitState:
     return states.random_state(_rng(config, lane).integers(0, 2**63 - 1, count))
 
 
-def _members(rhos: np.ndarray) -> list[TwoQubitState]:
-    """The matrices of a validated (m, 4, 4) stack, each as a state of its own."""
-    return [TwoQubitState(rho) for rho in rhos]
-
-
 def _stack(pool):
     """The members of the states in ``pool`` (single or stacked) as one (m, 4, 4) stacked state."""
     return validate_density(np.concatenate([s.rho.reshape(-1, 4, 4) for s in pool]))
@@ -191,23 +186,25 @@ def check_algebra_eigenvalue_range(config: CheckConfig) -> PropertyResult:
 # ---------------------------------------------------------------------------
 # state constructors
 
-def _validity_margin(s) -> float:
-    herm = float(np.max(np.abs(s.rho - s.rho.conj().T)))
-    tr = abs(complex(np.trace(s.rho)) - 1.0)
-    lo = float(np.linalg.eigvalsh(s.rho)[0])
-    return max(herm - HERMITIAN_ATOL, tr - TRACE_ATOL, -lo + EIGENVALUE_FLOOR)
+def _validity_margin(rho: np.ndarray) -> float:
+    """The worst margin of a (m, 4, 4) stack against validate_density's rules."""
+    herm = _hermitian_defect(rho)
+    tr = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    lo = np.linalg.eigvalsh(rho)[:, 0]
+    return float(np.max([herm - HERMITIAN_ATOL, tr - TRACE_ATOL, -lo + EIGENVALUE_FLOOR]))
 
 
 def check_states_constructors_valid(config: CheckConfig) -> PropertyResult:
     rng = _rng(config, 14)
-    constructed = [states.bell(k) for k in states.BELL_KINDS]
     gammas = np.linspace(0.0, math.pi / 2, 21)
-    constructed += [states.pure_state(g) for g in gammas]
-    constructed += [states.werner(f) for f in np.linspace(0.0, 1.0, 21)]
-    constructed += [states.depolarized_pure(g, p) for g in gammas[::5] for p in (0.0, 0.3, 1.0)]
-    constructed += [states.x_state(states.sample_x_params(rng)) for _ in range(20)]
-    worst = max(_validity_margin(s) for s in constructed)
-    return _result("states_constructors_valid", len(constructed), worst)
+    constructed = np.concatenate([
+        [states.bell(k).rho for k in states.BELL_KINDS],
+        states.pure_state(gammas).rho,
+        states.werner(np.linspace(0.0, 1.0, 21)).rho,
+        states.depolarized_pure(gammas[::5, None], np.array([0.0, 0.3, 1.0])).rho.reshape(-1, 4, 4),
+        [states.x_state(states.sample_x_params(rng)).rho for _ in range(20)],
+    ])
+    return _result("states_constructors_valid", len(constructed), _validity_margin(constructed))
 
 
 def check_states_pure_fidelity(config: CheckConfig) -> PropertyResult:
@@ -260,12 +257,11 @@ def check_twirl_mc_agreement(config: CheckConfig) -> PropertyResult:
             f"below-threshold: {config.mc_samples} Monte Carlo samples < {MC_MIN_SAMPLES}",
         )
     rng = _rng(config, 19)
-    pool = _members(_random_states(config, 20, config.mc_states).rho)
     worst = 0.0
-    for s in pool:
-        report = twirl.twirl_monte_carlo(s, config.mc_samples, int(rng.integers(0, 2**62)))
+    for rho in _random_states(config, 20, config.mc_states).rho:
+        report = twirl.twirl_monte_carlo(TwoQubitState(rho), config.mc_samples, int(rng.integers(0, 2**62)))
         worst = max(worst, report.trace_distance_to_analytic)
-    return _result(name, len(pool), worst - TOLERANCES["mc_trace_distance"])
+    return _result(name, config.mc_states, worst - TOLERANCES["mc_trace_distance"])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +291,7 @@ def check_protocol_partner_optimality(config: CheckConfig) -> PropertyResult:
     # per state, 20 Alice settings, each followed by its 100 brute-force partners
     units = _units(rng, (len(pool.rho), 20, 101))
     a, b = units[:, :, 0], units[:, :, 1:]
-    best = np.array([[protocol.optimal_partner(s, v).value for v in row] for s, row in zip(_members(pool.rho), a)])
+    best = protocol.optimal_partner(TwoQubitState(pool.rho[:, None]), a).value
     brute = np.vecdot(b, (a @ pool.T)[:, :, None]).max(axis=-1)
     return _result("protocol_partner_optimality", best.size, float(np.max(brute - best)) - TOLERANCES["entrywise"])
 
@@ -377,17 +373,16 @@ def check_measures_discord_range(config: CheckConfig) -> PropertyResult:
     # zero iff a dephasing fixes the state: product states reach zero,
     # and the reported value equals the residual at the reported argmin.
     rows = twirl._haar_su2_batch(_rng(config, 32), 20)
-    products = [
-        validate_density(np.kron(u @ np.diag([1.0, 0.0]) @ u.conj().T, v @ np.diag([0.7, 0.3]) @ v.conj().T))
-        for u, v in zip(rows[0::2], rows[1::2])
-    ]
-    res = measures.discord_grid_oracle(_stack(products))
-    for local, value, direction in zip(products, res.value, res.argmin_direction):
-        residual = hs_norm_sq(measures.cq_state(local, direction).rho - local.rho)
-        worst = max(worst, value - TOLERANCES["product_discord"], residual - TOLERANCES["product_discord"])
-    for s, value, direction in zip(_members(pool.rho[:50]), d, eigen.argmin_direction):
-        residual = hs_norm_sq(measures.cq_state(s, direction).rho - s.rho)
-        worst = max(worst, abs(residual - value) - TOLERANCES["argmin_residual"])
+    # u P u^dag x v R v^dag for each pair of rows, the products np.kron takes
+    a = rows[0::2] @ np.diag([1.0, 0.0]) @ rows[0::2].conj().mT
+    b = rows[1::2] @ np.diag([0.7, 0.3]) @ rows[1::2].conj().mT
+    products = validate_density((a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, 4, 4))
+    res = measures.discord_grid_oracle(products)
+    residual = hs_norm_sq(measures.cq_state(products, res.argmin_direction).rho - products.rho)
+    worst = max(worst, float(np.max([res.value, residual])) - TOLERANCES["product_discord"])
+    head = TwoQubitState(pool.rho[:50])
+    residual = hs_norm_sq(measures.cq_state(head, eigen.argmin_direction[:50]).rho - head.rho)
+    worst = max(worst, float(np.max(np.abs(residual - d[:50]))) - TOLERANCES["argmin_residual"])
     return _result("measures_discord_range", len(pool.rho) + 60, worst)
 
 

@@ -181,8 +181,11 @@ def _parse_direction(text: str) -> MeasurementSetting:
         v = np.array([float(t) for t in text.split(",")], dtype=float)
     except ValueError as exc:
         raise InvalidSpecError(f"direction expects three comma-separated numbers, got {text!r}") from exc
-    if v.shape != (3,) or not np.all(np.isfinite(v)) or np.linalg.norm(v) <= 0:
+    if v.shape != (3,) or not np.all(np.isfinite(v)) or not np.any(v):
         raise InvalidSpecError(f"direction expects a finite nonzero 3-vector, got {text!r}")
+    with np.errstate(over="ignore"):
+        if not np.finfo(float).tiny <= v.dot(v) < np.inf:  # the sum of squares over- or underflows
+            v = v / np.max(np.abs(v))
     return MeasurementSetting(v / np.linalg.norm(v))
 
 

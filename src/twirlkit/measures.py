@@ -9,13 +9,13 @@ also implements Wootters concurrence, entanglement of formation, the
 bound tying discord to the two optimal error rates, and the before/after
 comparison under twirling.
 
-The grid oracle, the eigenvalue form (Dakic, Vedral & Brukner, PRL 105,
-190502 (2010)), the concurrence, the entanglement of formation, the
-error-rate bound on either route, the discord form of the minimal error
-rate and the twirl comparison are batch-first: given a stacked state (see
-:mod:`twirlkit.qubit_algebra`) they return arrays, each member bit for
-bit its own single-state value, and on one state the float they always
-returned. The X-state closed form takes one parameter set at a time.
+``cq_state``, the grid oracle, the eigenvalue form (Dakic, Vedral &
+Brukner, PRL 105, 190502 (2010)), the concurrence, the entanglement of
+formation, the error-rate bound on either route, the discord form of the
+minimal error rate and the twirl comparison are batch-first: given a
+stacked state (see :mod:`twirlkit.qubit_algebra`) they return stacks, each
+member bit for bit its own single-state value, and on one state what they
+always returned. The X-state closed form takes one parameter set at a time.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ _SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
 
 def _dephase(rho: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """(rho + S rho S)/2 = P rho P + Q rho Q with S = (n.sigma) x I and
-    P, Q = (I +- S)/2, for unit directions ``dirs`` (m, 3); shape (m, 4, 4)."""
-    s = np.einsum("mk,kij->mij", dirs, _A_OPS)
+    P, Q = (I +- S)/2, for unit directions ``dirs`` (..., 3), broadcast with ``rho``."""
+    s = np.einsum("...k,kij->...ij", dirs, _A_OPS)
     return 0.5 * (rho + s @ rho @ s)
 
 
@@ -66,9 +66,9 @@ def cq_state(state: TwoQubitState, direction) -> TwoQubitState:
 
     Applies the projector pair (I +- n.sigma)/2 on the first factor and
     sums, producing the classical-quantum state left invariant by that
-    measurement. Idempotent in ``direction``.
+    measurement. Idempotent in ``direction``; stacked states and directions broadcast.
     """
-    return validate_density(_dephase(state.rho, as_unit_vector(direction)[None, :])[0])
+    return validate_density(_dephase(state.rho, as_unit_vector(direction)))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .errors import EmptySiftedSetError, NotADistributionError, OutOfRangeError
 from .qubit_algebra import (
     TwoQubitState,
     _check_sampler_inputs,
+    _clamp_unit,
     _item,
     _raise_first_failure,
     _vector_norm,
@@ -42,8 +43,10 @@ from .qubit_algebra import (
 class MeasurementSetting:
     """A unit Bloch direction naming the spin observable n . sigma.
 
-    ``n`` may also be a (..., 3) stack of directions, one per member of a
-    stacked state, as the optimal settings of a stack are.
+    ``n`` may also be a (..., 3) stack. Kernels broadcast a stacked state's
+    leading axes against the settings': one state with (k, 3) settings gives
+    k values, an (m,) stack with (m, 3) settings m values, and an (m, 1)
+    stack with (m, k, 3) settings (m, k) values.
     """
 
     n: np.ndarray
@@ -82,9 +85,6 @@ class OutcomeDistribution:
     def correlation(self) -> float:
         return self.w_pp + self.w_mm - self.w_pm - self.w_mp
 
-    def mismatch(self) -> float:
-        return self.w_pm + self.w_mp
-
 
 def correlation(state: TwoQubitState, a, b) -> float:
     """Expectation of (a . sigma) x (b . sigma), computed as a^T T b; an
@@ -115,9 +115,7 @@ def outcome_probs(state: TwoQubitState, a, b) -> OutcomeDistribution:
         (p < -1e-10, NotADistributionError, lambda i, key=key, p=p: f"{key} = {p[i]:.3e} for a={an[i]}, b={bn[i]}")
         for key, p in w.items()
     ])
-    # the picks of Python's max(p, 0.0) and then min(., 1.0), signed zeros and nan included
-    return OutcomeDistribution(**{key: _item(np.where(1.0 < p, 1.0, np.where(0.0 > p, 0.0, p)))
-                                  for key, p in w.items()})
+    return OutcomeDistribution(**{key: _clamp_unit(p) for key, p in w.items()})
 
 
 @dataclass(frozen=True)
@@ -135,9 +133,9 @@ class OptimalPartner:
 
 
 def optimal_partner(state: TwoQubitState, a) -> OptimalPartner:
-    """Maximize a^T T b over unit b: the maximizer is T^T a normalized."""
+    """Maximize a^T T b over unit b: the maximizer is T^T a normalized; arrays for stacks."""
     av = MeasurementSetting.of(a).n
-    row = state.T.mT @ av
+    row = (state.T.mT @ av[..., None])[..., 0]
     norm = _vector_norm(row)
     degenerate = norm < 1e-12
     safe = np.where(degenerate, 1.0, norm)[..., None]
@@ -148,10 +146,10 @@ def optimal_partner(state: TwoQubitState, a) -> OptimalPartner:
 def error_rate(state: TwoQubitState, b, b_prime) -> float:
     """Average sifted-key error rate for Alice fixed at x and y.
 
-    delta = 1/2 - (<x x b> + <y x b'>) / 4, clipped to [0, 1].
+    delta = 1/2 - (<x x b> + <y x b'>) / 4, clipped to [0, 1]; an array for stacks.
     """
     d = 0.5 - 0.25 * (correlation(state, SETTING_X, b) + correlation(state, SETTING_Y, b_prime))
-    return min(max(d, 0.0), 1.0)
+    return _clamp_unit(d)
 
 
 @dataclass(frozen=True)

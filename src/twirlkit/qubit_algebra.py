@@ -51,6 +51,11 @@ def _item(a):
     return a.item() if a.ndim == 0 else a
 
 
+def _clamp_unit(v):
+    """``v`` clamped to [0, 1] with the picks of min(max(v, 0.0), 1.0), signed zeros and nan included."""
+    return _item(np.where(1.0 < v, 1.0, np.where(0.0 > v, 0.0, v)))
+
+
 def _vector_norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norms of real vectors along the last axis.
 

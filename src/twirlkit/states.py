@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidXParamsError, OutOfRangeError, SchemaError
-from .qubit_algebra import ID4, TwoQubitState, _item, pauli_compose, PauliDecomposition, validate_density
+from .qubit_algebra import ID4, TwoQubitState, _clamp_unit, pauli_compose, PauliDecomposition, validate_density
 
 _PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
@@ -189,9 +189,7 @@ def fidelity_phi_plus(state: TwoQubitState):
     # One matrix at a time: the stacked products (einsum, or phi+^dag @ stack)
     # round differently in the last place.
     value = np.array([(_PHI_PLUS.conj() @ m @ _PHI_PLUS).real for m in rho.reshape(-1, 4, 4)])
-    value = value.reshape(rho.shape[:-2])
-    value = np.where(0.0 > value, 0.0, value)
-    return _item(np.where(1.0 < value, 1.0, value))
+    return _clamp_unit(value.reshape(rho.shape[:-2]))
 
 
 def random_state(seed) -> TwoQubitState:

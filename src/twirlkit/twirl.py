@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit_algebra import TwoQubitState, _as_square, _check_sampler_inputs, validate_density
+from .qubit_algebra import TwoQubitState, _as_square, _check_sampler_inputs, _item, validate_density
 from .states import fidelity_phi_plus, werner
 
 # Samples are drawn in fixed-size chunks, each from a sub-seed derived from
@@ -106,9 +106,9 @@ def twirl_analytic(state: TwoQubitState) -> TwoQubitState:
 
 
 def trace_distance(a: TwoQubitState, b: TwoQubitState) -> float:
-    """Half the sum of absolute eigenvalues of the difference a - b."""
-    ev = np.linalg.eigvalsh(a.rho - b.rho)
-    return float(0.5 * np.sum(np.abs(ev)))
+    """Half the sum of absolute eigenvalues of a - b, member by member for stacks."""
+    ev = np.linalg.eigvalsh(_as_square(a.rho - b.rho, 4, stack=True))
+    return _item(0.5 * np.sum(np.abs(ev), axis=-1))
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import twirlkit
-from twirlkit import InvalidSpecError, checks, cli, measures, min_error_rate, states, twirl_analytic
+from twirlkit import InvalidSpecError, checks, cli, measures, min_error_rate, protocol, states, twirl_analytic
 from twirlkit.cli import SweepSpec, build_parser, main, render_sweep_csv, render_sweep_json
 
 EXPECTED_HEADER = (
@@ -382,6 +383,30 @@ class TestSimulate:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("b, scaled", [
+        ("1e200,1e200,0", "1,1,0"), ("1e-160,1e-160,0", "1,1,0"), ("1e-170,0,0", "1,0,0"),
+    ])
+    def test_extreme_direction_is_normalized(self, tmp_path, werner_file, capsys, b, scaled):
+        # finite nonzero directions whose sum of squares over- or underflows
+        outs = [tmp_path / "extreme.json", tmp_path / "scaled.json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for direction, out in zip((b, scaled), outs):
+                argv = ["simulate", "--state", str(werner_file), "--n", "100",
+                        "--b", direction, "--b-prime", "0,1,0", "--out", str(out)]
+                assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert cli._parse_direction(b).n.tobytes() == cli._parse_direction(scaled).n.tobytes()
+
+    def test_direction_keeps_its_plain_normalization(self):
+        # where the sum of squares is a normal float, the direction is v / np.linalg.norm(v)
+        rng = np.random.default_rng(3)
+        for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            for v in scale * rng.standard_normal((50, 3)):
+                n = cli._parse_direction(",".join(repr(float(c)) for c in v)).n
+                assert n.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
     @pytest.mark.parametrize("flag", ["--b", "--b-prime"])
     def test_empty_direction_exits_one(self, tmp_path, werner_file, capsys, flag):
         # an empty direction is an error, not a request for the optimal one
@@ -552,6 +577,52 @@ class TestCheck:
             assert main(["check", "--seed", "7", *flags, "--out", str(tmp_path / "report.json")]) == 0
             counts.append(len(calls))
         assert counts[0] == counts[1] == 15
+
+    def test_state_loops_do_not_grow_with_counts(self, tmp_path, monkeypatch):
+        # the partner and cq_state kernels run on whole pools, not once per member
+        calls = {"optimal_partner": [], "cq_state": []}
+        for module, name in ((protocol, "optimal_partner"), (measures, "cq_state")):
+            kernel = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, kernel=kernel, log=calls[name]: log.append(a) or kernel(*a))
+        counts = []
+        for flags in (MIN_CHECK_FLAGS, FAST_CHECK_FLAGS):
+            for log in calls.values():
+                log.clear()
+            assert main(["check", "--seed", "7", *flags, "--out", str(tmp_path / "report.json")]) == 0
+            counts.append({name: len(log) for name, log in calls.items()})
+        assert counts[0] == counts[1]
+        assert counts[0]["cq_state"] == 2
+
+    def test_units_fallback_matches_unit_calls(self):
+        # a block of normals with a vector too short to normalize is drawn again by _unit
+        class ShortVectorRng:
+            """Normals from default_rng(seed), with the second 3-vector of the stream scaled by 1e-9."""
+
+            def __init__(self, seed):
+                self._rng, self._drawn = np.random.default_rng(seed), 0
+                self.bit_generator = self
+
+            @property
+            def state(self):
+                return self._rng.bit_generator.state, self._drawn
+
+            @state.setter
+            def state(self, value):
+                self._rng.bit_generator.state, self._drawn = value
+
+            def standard_normal(self, size):
+                v = self._rng.standard_normal(size)
+                position = self._drawn + np.arange(v.size).reshape(v.shape)
+                self._drawn += v.size
+                return np.where((3 <= position) & (position < 6), 1e-9 * v, v)
+
+        block, single = ShortVectorRng(5), ShortVectorRng(5)
+        units = checks._units(block, (4, 2))
+        expected = np.array([checks._unit(single) for _ in range(8)]).reshape(4, 2, 3)
+        assert units.tobytes() == expected.tobytes()
+        assert block.bit_generator.state == single.bit_generator.state
+        # the short vector was rejected: nine vectors drawn for eight units
+        assert single._drawn == 27
 
     def test_twirl_pair_states_the_ratio(self, monkeypatch):
         result = checks.check_measures_twirl_pair_monotonicity(checks.CheckConfig())

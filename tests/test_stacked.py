@@ -29,26 +29,30 @@ from twirlkit import (
     TwoQubitState,
     concurrence,
     correlation,
+    cq_state,
     depolarized_pure,
     discord_eigen,
     discord_error_rate_bound,
     entanglement_of_formation,
     eof_from_concurrence,
+    error_rate,
     fidelity_phi_plus,
     hermitian_eigenvalues,
     hs_norm_sq,
     min_error_rate,
+    optimal_partner,
     outcome_probs,
     pauli_compose,
     pauli_decompose,
     pure_state,
     random_state,
+    trace_distance,
     twirl_analytic,
     validate_density,
     werner,
 )
 from twirlkit.measures import _SPIN_FLIP, _align_first_bloch_to_z
-from twirlkit.qubit_algebra import _A_OPS, _AB_OPS, _B_OPS, ID2, pauli_sigma
+from twirlkit.qubit_algebra import _A_OPS, _AB_OPS, _B_OPS, ID2, _clamp_unit, pauli_sigma
 from twirlkit.twirl import _haar_su2_batch
 
 _PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -93,6 +97,29 @@ def reference_outcome_probs(a, x, y, T, b):
     for s, sp in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         w.append(min(max(0.25 * (1.0 + s * ax + sp * by + s * sp * corr), 0.0), 1.0))
     return w
+
+
+def reference_error_rate(T, b, b_prime):
+    x, y = np.eye(3)[:2]
+    return min(max(0.5 - 0.25 * (reference_correlation(x, T, b) + reference_correlation(y, T, b_prime)), 0.0), 1.0)
+
+
+def reference_partner(T, a):
+    """The optimal partner's value, direction and degeneracy, from T^T a."""
+    row = T.T @ a
+    norm = float(np.linalg.norm(row))
+    if norm < 1e-12:
+        return 0.0, np.array([1.0, 0.0, 0.0]), True
+    return norm, row / norm, False
+
+
+def reference_cq_state(rho, n):
+    s = np.einsum("mk,kij->mij", n[None, :], _A_OPS)
+    return (0.5 * (rho + s @ rho @ s))[0]
+
+
+def reference_trace_distance(a, b):
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
 def reference_fidelity(rho):
@@ -431,3 +458,93 @@ def test_family_range_names_the_first_bad_value():
         pure_state(np.array([0.5, 2.0, 3.0]))
     with pytest.raises(OutOfRangeError, match=r"^fidelity must lie in \[0, 1\], got nan$"):
         werner(np.array([0.5, np.nan, -1.0]))
+
+
+def test_clamp_unit():
+    values = [math.nan, -math.inf, -1.0, -1e-300, -0.0, 0.0, 5e-324, 0.5, 1.0, 1.0 + 2**-52, math.inf]
+    singles = [_clamp_unit(v) for v in values]
+    assert all(type(v) is float for v in singles)
+    assert_bits(singles, [min(max(v, 0.0), 1.0) for v in values])
+    assert_bits(_clamp_unit(np.array(values)), singles)
+
+
+def test_cq_state(stack, members):
+    dirs = _units(np.random.default_rng(14), len(members))
+    singles = [cq_state(s, n).rho for s, n in zip(members, dirs)]
+    assert_bits(singles, [reference_cq_state(s.rho, n) for s, n in zip(members, dirs)])
+    # stacked states with stacked directions, one direction for a stack, and one state with stacked directions
+    assert_bits(cq_state(stack, dirs).rho, singles)
+    for n in np.eye(3):
+        assert_bits(cq_state(stack, n).rho, [cq_state(s, n).rho for s in members])
+    assert_bits(cq_state(members[0], dirs).rho, [cq_state(members[0], n).rho for n in dirs])
+    grid = cq_state(validate_density(stack.rho[:6].reshape(2, 3, 4, 4)), dirs[:6].reshape(2, 3, 3))
+    assert_bits(grid.rho, np.reshape(singles[:6], (2, 3, 4, 4)))
+
+
+def test_trace_distance(stack, members):
+    singles = [trace_distance(s, twirl_analytic(s)) for s in members]
+    assert all(type(v) is float for v in singles)
+    assert_bits(singles, [reference_trace_distance(s.rho, twirl_analytic(s).rho) for s in members])
+    assert_bits(trace_distance(stack, twirl_analytic(stack)), singles)
+    assert_bits(trace_distance(stack, members[0]), [trace_distance(s, members[0]) for s in members])
+    assert_bits(trace_distance(members[0], stack), [trace_distance(members[0], s) for s in members])
+
+
+def test_error_rate(stack, members):
+    rng = np.random.default_rng(15)
+    pairs = [(_units(rng, len(members)), _units(rng, len(members)))] + _AXES
+    for b, b_prime in pairs:
+        b_rows, p_rows = np.broadcast_to(b, (len(members), 3)), np.broadcast_to(b_prime, (len(members), 3))
+        singles = [error_rate(s, u, v) for s, u, v in zip(members, b_rows, p_rows)]
+        assert all(type(d) is float for d in singles)
+        assert_bits(error_rate(stack, b, b_prime), singles)
+        assert_bits(singles, [reference_error_rate(s.T, u, v) for s, u, v in zip(members, b_rows, p_rows)])
+    # one state, stacked settings
+    b, b_prime = pairs[0]
+    assert_bits(error_rate(members[0], b, b_prime), [error_rate(members[0], u, v) for u, v in zip(b, b_prime)])
+    assert_bits(error_rate(members[0], b, SETTING_Y), [error_rate(members[0], u, SETTING_Y) for u in b])
+
+
+def _assert_partners(stacked, singles):
+    """``singles`` holds the single-call partners, nested in the shape of the stacked result."""
+    grid = np.array(singles, dtype=object)
+    assert grid.shape == np.shape(stacked.value)
+    flat = grid.ravel()
+    assert all(type(p.value) is float and type(p.degenerate) is bool for p in flat)
+    for field in ("value", "degenerate"):
+        assert_bits(getattr(stacked, field), np.reshape([getattr(p, field) for p in flat], grid.shape))
+    assert_bits(stacked.setting.n, np.reshape([p.setting.n for p in flat], grid.shape + (3,)))
+
+
+def test_optimal_partner(stack, members):
+    rng = np.random.default_rng(16)
+    # one state, a (k, 3) stack of settings, on random and on every adversarial member
+    for s in members[:20] + members[200:]:
+        for settings in (_units(rng, 1), _units(rng, 2), np.eye(3), _units(rng, 3), _units(rng, 20)):
+            singles = [optimal_partner(s, a) for a in settings]
+            _assert_partners(optimal_partner(s, settings), singles)
+            references = [reference_partner(s.T, a) for a in settings]
+            assert_bits([p.value for p in singles], [v for v, _, _ in references])
+            assert_bits([p.setting.n for p in singles], [n for _, n, _ in references])
+            assert_bits([p.degenerate for p in singles], [d for _, _, d in references])
+    # an (m, 1) state with (m, 20, 3) settings
+    settings = _units(rng, 20 * len(members)).reshape(len(members), 20, 3)
+    singles = [[optimal_partner(s, a) for a in row] for s, row in zip(members, settings)]
+    _assert_partners(optimal_partner(TwoQubitState(stack.rho[:, None]), settings), singles)
+    # the product state among the adversarial members has degenerate x and y partners
+    assert optimal_partner(members[204], np.eye(3)[:2]).degenerate.tolist() == [True, True]
+
+
+def test_bad_member_of_the_state_kernels(members):
+    z = (0.0, 0.0, 1.0)
+    units = _units(np.random.default_rng(17), 10)
+    units[5] *= 2.0
+    units[7] *= 2.0
+    _stacked_error(lambda a: optimal_partner(members[0], a), units, 5, OutOfRangeError)
+    _stacked_error(lambda b: error_rate(members[0], b, SETTING_Y), units, 5, OutOfRangeError)
+    _stacked_error(lambda n: cq_state(members[0], n), units, 5, OutOfRangeError)
+    rhos = np.stack([s.rho for s in members[:10]])
+    rhos[3] = rhos[7] = _broken("negative")
+    _stacked_error(lambda m: cq_state(TwoQubitState(m), z), rhos, 3, NotPositiveError)
+    rhos[2, 1, 1] = rhos[4, 0, 0] = np.inf
+    _stacked_error(lambda m: trace_distance(TwoQubitState(m), members[0]), rhos, 2, OutOfRangeError)
