@@ -149,9 +149,21 @@ def _dump_json(doc) -> str:
     return json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n"
 
 
+def _json_value(value) -> str:
+    """One sweep cell as ``json.dumps`` writes it: floats by ``repr``, the
+    non-finite ones as null, booleans as true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if math.isfinite(value) else "null"
+
+
 def render_sweep_json(rows: list[dict], spec: SweepSpec) -> str:
+    """The sweep document ``_dump_json`` writes, byte for byte, from one row
+    template: with ``indent`` set, ``json`` runs its pure-Python encoder."""
     cols = spec.columns()
-    return _dump_json({"family": spec.family, "rows": [{c: r[c] for c in cols} for r in rows]})
+    row = "    {\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in cols) + "\n    }"
+    body = ",\n".join(row % tuple(_json_value(r[c]) for c in cols) for r in rows)
+    return f'{{\n  "family": {json.dumps(spec.family)},\n  "rows": [\n{body}\n  ]\n}}\n'
 
 
 def _write(text: str, path: str | None) -> None:

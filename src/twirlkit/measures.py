@@ -33,6 +33,7 @@ from .qubit_algebra import (
     ID2,
     SIGMA_Y,
     TwoQubitState,
+    _check_broadcast,
     _item,
     _raise_first_failure,
     _vector_norm,
@@ -66,9 +67,12 @@ def cq_state(state: TwoQubitState, direction) -> TwoQubitState:
 
     Applies the projector pair (I +- n.sigma)/2 on the first factor and
     sums, producing the classical-quantum state left invariant by that
-    measurement. Idempotent in ``direction``; stacked states and directions broadcast.
+    measurement. Idempotent in ``direction``; stacked states and directions
+    broadcast, and raise OutOfRangeError when their leading axes do not.
     """
-    return validate_density(_dephase(state.rho, as_unit_vector(direction)))
+    n = as_unit_vector(direction)
+    _check_broadcast(state=state.rho.shape[:-2], direction=n.shape[:-1])
+    return validate_density(_dephase(state.rho, n))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ both basis choices and both outcomes. Its summary counts and the
 per-round ledger are both read from that one array. The
 simulator fills the codes and the summary counts them in chunks of
 ``_CHUNK`` rounds; the chunked draws give the same stream as one draw per
-whole array. The ledger writer builds the rows' bytes in blocks of 10^4
+whole array. A chunk takes one pass per draw, and no pass does more than
+that draw needs: the basis choices are packed into the int8 codes in
+place, and the outcome pass indexes the thresholds with an intp copy of
+the pairing. The ledger writer builds the rows' bytes in blocks of 10^4
 rounds that start at multiples of 10^4, so that past the first block
 every round number in a block has the same width. The memory beyond the
 one byte per round does not grow with the round count.
@@ -30,6 +33,7 @@ import numpy as np
 from .errors import EmptySiftedSetError, NotADistributionError, OutOfRangeError
 from .qubit_algebra import (
     TwoQubitState,
+    _check_broadcast,
     _check_sampler_inputs,
     _clamp_unit,
     _item,
@@ -88,9 +92,11 @@ class OutcomeDistribution:
 
 def correlation(state: TwoQubitState, a, b) -> float:
     """Expectation of (a . sigma) x (b . sigma), computed as a^T T b; an
-    array for a stacked state or stacked settings."""
+    array for a stacked state or stacked settings. Raises OutOfRangeError when
+    their leading axes do not broadcast."""
     av = MeasurementSetting.of(a).n
     bv = MeasurementSetting.of(b).n
+    _check_broadcast(state=state.rho.shape[:-2], a=av.shape[:-1], b=bv.shape[:-1])
     # (a^T T) . b, in the order av @ T @ bv takes on one state, so a member's bits are its own
     return _item(np.vecdot((av[..., None, :] @ state.T)[..., 0, :], bv))
 
@@ -102,11 +108,13 @@ def outcome_probs(state: TwoQubitState, a, b) -> OutcomeDistribution:
     s, s' in {+1, -1}, each clamped to [0, 1]. Raises NotADistributionError
     when a probability falls below -1e-10, which signals an invalid state
     slipped through. A stacked state or stacked settings give arrays; the
-    error then names the first failing member.
+    error then names the first failing member. Leading axes that do not
+    broadcast raise OutOfRangeError, as in ``correlation``.
     """
     av = MeasurementSetting.of(a).n
     bv = MeasurementSetting.of(b).n
-    ax, by, corr = np.vecdot(av, state.x), np.vecdot(bv, state.y), correlation(state, av, bv)
+    corr = correlation(state, av, bv)
+    ax, by = np.vecdot(av, state.x), np.vecdot(bv, state.y)
     w = {key: 0.25 * (1.0 + s * ax + sp * by + s * sp * corr)
          for s, sp, key in ((1, 1, "w_pp"), (1, -1, "w_pm"), (-1, 1, "w_mp"), (-1, -1, "w_mm"))}
     shape = np.shape(w["w_pp"])
@@ -133,8 +141,10 @@ class OptimalPartner:
 
 
 def optimal_partner(state: TwoQubitState, a) -> OptimalPartner:
-    """Maximize a^T T b over unit b: the maximizer is T^T a normalized; arrays for stacks."""
+    """Maximize a^T T b over unit b: the maximizer is T^T a normalized; arrays
+    for stacks. Raises OutOfRangeError when their leading axes do not broadcast."""
     av = MeasurementSetting.of(a).n
+    _check_broadcast(state=state.rho.shape[:-2], a=av.shape[:-1])
     row = (state.T.mT @ av[..., None])[..., 0]
     norm = _vector_norm(row)
     degenerate = norm < 1e-12
@@ -146,8 +156,12 @@ def optimal_partner(state: TwoQubitState, a) -> OptimalPartner:
 def error_rate(state: TwoQubitState, b, b_prime) -> float:
     """Average sifted-key error rate for Alice fixed at x and y.
 
-    delta = 1/2 - (<x x b> + <y x b'>) / 4, clipped to [0, 1]; an array for stacks.
+    delta = 1/2 - (<x x b> + <y x b'>) / 4, clipped to [0, 1]; an array for
+    stacks. Raises OutOfRangeError when the leading axes of the state and of
+    the settings do not broadcast.
     """
+    b, b_prime = MeasurementSetting.of(b), MeasurementSetting.of(b_prime)
+    _check_broadcast(state=state.rho.shape[:-2], b=b.n.shape[:-1], b_prime=b_prime.n.shape[:-1])
     d = 0.5 - 0.25 * (correlation(state, SETTING_X, b) + correlation(state, SETTING_Y, b_prime))
     return _clamp_unit(d)
 
@@ -310,7 +324,8 @@ class ProtocolRun:
                 rows = np.empty((hi - lo, head.size + 4 + 14), np.uint8)
                 rows[:, :head.size] = head
                 rows[:, head.size:-14] = (_LEDGER_DIGITS if lo else _LEDGER_FIRST_DIGITS)[:hi - lo]
-                rows[:, -14:] = _LEDGER_TAILS_ASCII[self.code[lo:hi]]
+                # take with an intp index: fancy indexing by int8 casts it at half the speed
+                rows[:, -14:] = _LEDGER_TAILS_ASCII.take(self.code[lo:hi].astype(np.intp), axis=0)
                 fh.write(rows[rows != 0])
 
 
@@ -339,20 +354,27 @@ def simulate_protocol(state: TwoQubitState, n_rounds: int, seed: int, b, b_prime
     # Bob's, then the uniforms, and give the single-shot stream: integers(0, 2)
     # takes a 32-bit half-word from a buffer the generator carries between
     # calls, random() whole words. The draws stay int64: int8 draws differ.
+    # Each draw is cast once into the int8 code and shifted there, or shifted
+    # in its own buffer, so no pass builds a shifted int64 temporary.
     for s in _chunks(n_rounds):
-        code[s] = rng.integers(0, 2, s.stop - s.start) << 3
+        chunk = code[s]
+        chunk[...] = rng.integers(0, 2, chunk.size)
+        chunk <<= 3
     for s in _chunks(n_rounds):
-        code[s] |= rng.integers(0, 2, s.stop - s.start) << 2
+        bob = rng.integers(0, 2, s.stop - s.start)
+        bob <<= 2
+        code[s] |= bob
     # The outcome index 0 (+,+), 1 (+,-), 2 (-,+), 3 (-,-) becomes the code's
     # low two bits: the count of the pairing's first three cumulative
     # probabilities at or below u, which is searchsorted(side="right") over
-    # all four capped at 3.
+    # all four capped at 3. The pairing is cast to intp once per chunk, so
+    # the three gathers index without a cast.
     for s in _chunks(n_rounds):
         chunk = code[s]
         u = rng.random(chunk.size)
-        pairing = chunk >> 2
+        pairing = (chunk >> 2).astype(np.intp)
         for row in thresholds:
-            chunk += row[pairing] <= u
+            chunk += row.take(pairing) <= u
 
     # read-only, so the run keeps this array without a copy
     run = ProtocolRun(n_rounds=n_rounds, code=_read_only(code))

@@ -86,6 +86,18 @@ def _raise_first_failure(shape: tuple, failures) -> None:
             raise error(text)
 
 
+def _check_broadcast(**shapes: tuple) -> None:
+    """Raise OutOfRangeError naming every shape unless the stacks' leading
+    axes ``shapes`` broadcast together."""
+    if len(set(shapes.values()) - {()}) < 2:  # equal or empty shapes always broadcast
+        return
+    try:
+        np.broadcast_shapes(*shapes.values())
+    except ValueError:
+        named = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        raise OutOfRangeError(f"leading axes do not broadcast: {named}") from None
+
+
 def _as_square(a, dim: int, stack: bool = False) -> np.ndarray:
     """A finite complex dim x dim matrix, or with ``stack`` a (..., dim, dim) stack."""
     m = np.asarray(a, dtype=complex)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit_algebra import TwoQubitState, _as_square, _check_sampler_inputs, _item, validate_density
+from .qubit_algebra import TwoQubitState, _as_square, _check_broadcast, _check_sampler_inputs, _item, validate_density
 from .states import fidelity_phi_plus, werner
 
 # Samples are drawn in fixed-size chunks, each from a sub-seed derived from
@@ -106,7 +106,9 @@ def twirl_analytic(state: TwoQubitState) -> TwoQubitState:
 
 
 def trace_distance(a: TwoQubitState, b: TwoQubitState) -> float:
-    """Half the sum of absolute eigenvalues of a - b, member by member for stacks."""
+    """Half the sum of absolute eigenvalues of a - b, member by member for
+    stacks; OutOfRangeError when their leading axes do not broadcast."""
+    _check_broadcast(a=a.rho.shape[:-2], b=b.rho.shape[:-2])
     ev = np.linalg.eigvalsh(_as_square(a.rho - b.rho, 4, stack=True))
     return _item(0.5 * np.sum(np.abs(ev), axis=-1))
 

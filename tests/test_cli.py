@@ -76,6 +76,12 @@ def reference_sweep_rows(spec):
     return rows
 
 
+def reference_sweep_json(rows, spec):
+    """The sweep JSON through the ``json`` encoder, kept as reference."""
+    cols = spec.columns()
+    return cli._dump_json({"family": spec.family, "rows": [{c: r[c] for c in cols} for r in rows]})
+
+
 def run_sweep_to(path, grid="0:1.5707963267948966:4", extra=()):
     code = main(["sweep", "--family", "pure", "--grid", grid, "--out", str(path), *extra])
     assert code == 0
@@ -206,12 +212,13 @@ class TestSweep:
         ("depolarized", "0:1.5707963267948966:301", 0.6, None),
         ("depolarized", "0:1.5707963267948966:31", 1.0, None),
         ("pure", "0:1.5707963267948966:51", None, ["delta_pure", "ratio", "eof_twirled"]),
+        ("depolarized", "0:1.5707963267948966:31", 0.0, None),  # maximally mixed: every ratio is 1
     ])
     def test_matches_reference_loop(self, family, grid, p, quantities):
         spec = SweepSpec(family=family, grid=cli._parse_grid(grid), quantities=quantities, p=p)
         rows, reference = cli.run_sweep(spec), reference_sweep_rows(spec)
         assert render_sweep_csv(rows, spec) == render_sweep_csv(reference, spec)
-        assert render_sweep_json(rows, spec) == render_sweep_json(reference, spec)
+        assert render_sweep_json(rows, spec) == render_sweep_json(reference, spec) == reference_sweep_json(rows, spec)
 
     @pytest.mark.parametrize("argv, message", [
         (["--family", "pure", "--grid", "1:3:3"], "gamma must lie in [0, pi/2], got 2.0"),

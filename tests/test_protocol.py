@@ -496,6 +496,33 @@ SIM_STATES = {
 }
 
 
+def assert_matches_reference_simulator(tmp_path, state, n, seed, b, b_prime):
+    """The run's code, summary, diagnostics and ledger equal the reference simulator's."""
+    try:
+        ref = reference_simulate_protocol(state, n, seed, b, b_prime)
+    except EmptySiftedSetError:
+        with pytest.raises(EmptySiftedSetError):
+            simulate_protocol(state, n, seed, b, b_prime)
+        return
+    run = simulate_protocol(state, n, seed, b, b_prime)
+    assert run.code.dtype == np.int8 and run.code.nbytes == n
+    expected = {
+        "n_rounds": n, "m_sifted": ref.sifted_indices.size, "delta_x_hat": ref.empirical_delta_x,
+        "delta_y_hat": ref.empirical_delta_y, "delta_hat": ref.empirical_delta, "delta_analytic": 0.1,
+    }
+    assert repr(run.summary(delta_analytic=0.1)) == repr(expected)
+    assert not run.code.flags.writeable
+    want = 8 * ref.alice_choice + 4 * ref.bob_choice + 2 * (ref.alice_bits < 0) + (ref.bob_bits < 0)
+    np.testing.assert_array_equal(run.code, want)
+    assert repr(random_key_bias(run)) == repr(reference_random_key_bias(ref))
+    for alice in ALICE_LABELS:
+        for bob in BOB_LABELS:
+            assert repr(run.mismatch_rate(alice, bob)) == repr(reference_mismatch_rate(ref, alice, bob))
+    run.write_rounds_csv(tmp_path / "run.csv")
+    reference_rounds_csv(ref, tmp_path / "reference.csv")
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 class TestRoundCode:
     @pytest.mark.parametrize("seed", [0, 1, 42])
     # several whole chunks, and an odd leftover after several chunks
@@ -506,29 +533,20 @@ class TestRoundCode:
     def test_matches_reference_simulator(self, tmp_path, name, n, seed):
         state = SIM_STATES[name]()
         mer = min_error_rate(state)
-        try:
-            ref = reference_simulate_protocol(state, n, seed, mer.b, mer.b_prime)
-        except EmptySiftedSetError:
-            with pytest.raises(EmptySiftedSetError):
-                simulate_protocol(state, n, seed, mer.b, mer.b_prime)
-            return
-        run = simulate_protocol(state, n, seed, mer.b, mer.b_prime)
-        assert run.code.dtype == np.int8 and run.code.nbytes == n
-        expected = {
-            "n_rounds": n, "m_sifted": ref.sifted_indices.size, "delta_x_hat": ref.empirical_delta_x,
-            "delta_y_hat": ref.empirical_delta_y, "delta_hat": ref.empirical_delta, "delta_analytic": 0.1,
-        }
-        assert repr(run.summary(delta_analytic=0.1)) == repr(expected)
-        assert not run.code.flags.writeable
-        want = 8 * ref.alice_choice + 4 * ref.bob_choice + 2 * (ref.alice_bits < 0) + (ref.bob_bits < 0)
-        np.testing.assert_array_equal(run.code, want)
-        assert repr(random_key_bias(run)) == repr(reference_random_key_bias(ref))
-        for a in ALICE_LABELS:
-            for b in BOB_LABELS:
-                assert repr(run.mismatch_rate(a, b)) == repr(reference_mismatch_rate(ref, a, b))
-        run.write_rounds_csv(tmp_path / "run.csv")
-        reference_rounds_csv(ref, tmp_path / "reference.csv")
-        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert_matches_reference_simulator(tmp_path, state, n, seed, mer.b, mer.b_prime)
+
+    @pytest.mark.parametrize("seed", [3, 4])  # at n = 1 seed 3 sifts no round, seed 4 one
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_each_pairing_gathers_its_own_thresholds(self, tmp_path, n, seed):
+        # non-optimal, asymmetric settings: no two pairings share a row of
+        # cumulative thresholds, so a gather from a wrong row shows
+        state, b, b_prime = random_state(3), (0.6, 0.0, 0.8), (0.0, -0.28, 0.96)
+        rows = [
+            tuple(np.cumsum(outcome_probs(state, a, bs).as_array())[:3])
+            for a in (SETTING_X, SETTING_Y) for bs in (b, b_prime)
+        ]
+        assert len(set(rows)) == 4
+        assert_matches_reference_simulator(tmp_path, state, n, seed, b, b_prime)
 
     def test_run_retains_one_byte_per_round(self):
         state = werner(0.75)

@@ -13,6 +13,7 @@ names the first bad index.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -548,3 +549,22 @@ def test_bad_member_of_the_state_kernels(members):
     _stacked_error(lambda m: cq_state(TwoQubitState(m), z), rhos, 3, NotPositiveError)
     rhos[2, 1, 1] = rhos[4, 0, 0] = np.inf
     _stacked_error(lambda m: trace_distance(TwoQubitState(m), members[0]), rhos, 2, OutOfRangeError)
+
+
+_THREE, _TWO_DIRS = random_state(np.arange(3)), np.eye(3)[:2]
+
+
+@pytest.mark.parametrize("call, shapes", [
+    (lambda: correlation(_THREE, _TWO_DIRS, SETTING_Y), "state (3,), a (2,), b ()"),
+    (lambda: outcome_probs(_THREE, SETTING_X, _TWO_DIRS), "state (3,), a (), b (2,)"),
+    (lambda: error_rate(_THREE, _TWO_DIRS, SETTING_Y), "state (3,), b (2,), b_prime ()"),
+    # each setting broadcasts with one state, but not with the other setting
+    (lambda: error_rate(random_state(0), np.eye(3), _TWO_DIRS), "state (), b (3,), b_prime (2,)"),
+    (lambda: optimal_partner(_THREE, _TWO_DIRS), "state (3,), a (2,)"),
+    (lambda: cq_state(_THREE, _TWO_DIRS), "state (3,), direction (2,)"),
+    (lambda: trace_distance(_THREE, random_state(np.arange(2))), "a (3,), b (2,)"),
+], ids=["correlation", "outcome_probs", "error_rate", "error_rate_settings", "optimal_partner", "cq_state",
+        "trace_distance"])
+def test_leading_axes_that_do_not_broadcast_raise(call, shapes):
+    with pytest.raises(OutOfRangeError, match=f"^leading axes do not broadcast: {re.escape(shapes)}$"):
+        call()
