@@ -26,6 +26,7 @@ from .qubit_algebra import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
     TRACE_ATOL,
+    PauliDecomposition,
     TwoQubitState,
     _hermitian_defect,
     _vector_norm,
@@ -326,8 +327,34 @@ def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
 # ---------------------------------------------------------------------------
 # correlation measures
 
+def _local_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Haar local unitaries u x v, from 2 ``count`` rows drawn in
+    pairs, as the products np.kron takes; a (count, 4, 4) stack."""
+    rows = twirl._haar_su2_batch(rng, 2 * count)
+    return (rows[0::2, :, None, :, None] * rows[1::2, None, :, None, :]).reshape(-1, 4, 4)
+
+
+def _near_degenerate_states(rng: np.random.Generator, count: int) -> TwoQubitState:
+    """``count`` Bell-diagonal states T = diag(c1, -c1 (1 - t), c3) under local
+    Haar rotations, whose two largest correlation values nearly tie: log10 t
+    uniform in [-13, -1], |c1| up to 0.3 and |c3| below 0.9 |c1|, which
+    keep every eigenvalue, (1 - c3) / 4 and (1 +- 2 c1 + c3) / 4 to first
+    order in t, above 0.03."""
+    c1 = rng.uniform(-0.3, 0.3, count)
+    t = 10.0 ** rng.uniform(-13.0, -1.0, count)
+    c3 = c1 * rng.uniform(-0.9, 0.9, count)
+    diagonal = np.stack([c1, -c1 * (1.0 - t), c3], axis=-1)[:, :, None] * np.eye(3)
+    rho = pauli_compose(PauliDecomposition(np.zeros((count, 3)), np.zeros((count, 3)), diagonal))
+    w = _local_unitaries(rng, count)
+    return validate_density(w @ rho @ w.conj().mT)
+
+
 def check_measures_eigen_grid_agreement(config: CheckConfig) -> PropertyResult:
-    pool = _random_states(config, 29, config.random_states)
+    # random states, then as many Bell-diagonal states with nearly tied correlation values
+    pool = _stack([
+        _random_states(config, 29, config.random_states),
+        _near_degenerate_states(_rng(config, 35), config.random_states),
+    ])
     gap = np.abs(measures.discord_eigen(pool).value - measures.discord_grid_oracle(pool).value)
     return _result("measures_eigen_grid_agreement", gap.size, float(np.max(gap)) - TOLERANCES["eigen_grid_agreement"])
 
@@ -388,9 +415,7 @@ def check_measures_discord_range(config: CheckConfig) -> PropertyResult:
 
 def check_measures_concurrence_lu_invariant(config: CheckConfig) -> PropertyResult:
     pool = _random_states(config, 34, config.random_states)
-    rows = twirl._haar_su2_batch(_rng(config, 33), 2 * len(pool.rho))
-    # u x v for each pair of rows, the products np.kron takes
-    w = (rows[0::2, :, None, :, None] * rows[1::2, None, :, None, :]).reshape(-1, 4, 4)
+    w = _local_unitaries(_rng(config, 33), len(pool.rho))
     rotated = validate_density(w @ pool.rho @ w.conj().mT)
     gap = np.abs(measures.concurrence(rotated) - measures.concurrence(pool))
     return _result(

@@ -51,6 +51,12 @@ _TIE = 1e-13
 # States per block of the oracle's 24x24 scan, which holds a (block, 576, 3)
 # float64 product (about 14 KiB per state) rather than one for the stack.
 _SCAN_BLOCK = 256
+# Halving stages of the oracle's pattern search. The closed-form polish
+# (``_polish``) finishes each start, so the search only has to bring it
+# close: 10 is the fewest stages at which the oracle stays within 1e-12 of
+# the eigen form on every probe family in the tests (at 9 a rotated
+# near-degenerate probe reached 1.4e-12).
+_STAGES = 10
 
 _SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
 
@@ -151,7 +157,7 @@ def _lockstep_search(starts: list[tuple[float, float]], g: np.ndarray, purity: n
 
     Each start re-centres its 5x5 stencil of (theta, phi) points while the
     stencil's first lowest point improves on it by more than _TIE, for at
-    most 60 moves; then all half-widths halve together; 40 stages. The
+    most 60 moves; then all half-widths halve together; ``_STAGES`` stages. The
     active starts' stencils are scored as one batch, and every start takes
     exactly the moves a search from it alone would. Start k scores with
     the form ``g[k]``, ``purity[k]`` of its own state (see
@@ -161,7 +167,7 @@ def _lockstep_search(starts: list[tuple[float, float]], g: np.ndarray, purity: n
     best_t = np.array([t for t, _ in starts])
     best_p = np.array([p for _, p in starts])
     best_v = _form_residual(g, purity, _sph(best_t, best_p)[:, None])[:, 0]
-    for _ in range(40):
+    for _ in range(_STAGES):
         active = np.arange(len(starts))
         for _ in range(60):
             tt = best_t[active, None] + wt * _T_OFFSETS
@@ -181,6 +187,63 @@ def _lockstep_search(starts: list[tuple[float, float]], g: np.ndarray, purity: n
     return best_t, best_p
 
 
+def _half_angle(c2: np.ndarray, s2: np.ndarray):
+    """cos and sin of the angle b in [-pi/2, pi/2] with (cos 2b, sin 2b)
+    along (c2, s2), that is of atan2(s2, c2) / 2 up to a half turn; b = 0
+    where both vanish. Built from square roots and divisions only, which
+    round the same for a member wherever it sits in a stack."""
+    r = np.sqrt(c2 * c2 + s2 * s2)
+    # (r + c2, s2) and (|s2|, +-(r - c2)) both point along b; each is free of
+    # the cancellation the other meets
+    x = np.where(c2 >= 0.0, r + c2, np.abs(s2))
+    y = np.where(c2 >= 0.0, s2, np.copysign(r - c2, s2))
+    norm = np.sqrt(x * x + y * y)
+    flat = norm == 0.0
+    norm[flat] = 1.0
+    return np.where(flat, 1.0, x / norm), y / norm
+
+
+def _circle_step(g: np.ndarray, purity: np.ndarray, n: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per start, the direction of the residual's exact minimum on the great
+    circle n cos a + w sin a (n, w orthonormal, (m, 3) each).
+
+    Along the circle the form is A + B cos 2a + C sin 2a, so its values at
+    a = 0, pi/4 and pi/2 fix A, B and C, and the minimum lies at
+    2a = atan2(C, B) + pi.
+    """
+    f = _form_residual(g, purity, np.stack([n, (n + w) * math.sqrt(0.5), w], axis=1))
+    a = 0.5 * (f[:, 0] + f[:, 2])
+    cos_a, sin_a = _half_angle(a - f[:, 0], a - f[:, 1])
+    return cos_a[:, None] * n + sin_a[:, None] * w
+
+
+def _polish(g: np.ndarray, purity: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Finish each start's search in closed form; returns (m, 3) directions.
+
+    The tangent plane at n = _sph(theta, phi) has the basis e_theta, e_phi;
+    the 2x2 block M of the start's own G in it comes from the form at
+    e_theta, e_phi and their bisector, and its principal directions are at
+    the angle atan2(2 M01, M00 - M11) / 2. One exact line step along the
+    great circle toward each principal direction in turn (the second stays
+    orthogonal to the first step's plane) removes what a narrow valley
+    leaves to the axis-aligned stencil. A start keeps the polished
+    direction only where its form value beats the search's by more than
+    _TIE, so exactly degenerate landscapes keep the search's direction.
+    """
+    n = _sph(theta, phi)
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    u = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    v = np.stack([-sp, cp, np.zeros_like(phi)], axis=-1)
+    before, f_u, f_uv, f_v = _form_residual(g, purity, np.stack([n, u, (u + v) * math.sqrt(0.5), v], axis=1)).T
+    # the form is (purity - d^T G d) / 2: M00 - M11 = 2 (f_v - f_u), 2 M01 = 2 (f_u + f_v) - 4 f_uv
+    cos_b, sin_b = _half_angle(f_v - f_u, f_u + f_v - 2.0 * f_uv)
+    w1 = cos_b[:, None] * u + sin_b[:, None] * v
+    w2 = cos_b[:, None] * v - sin_b[:, None] * u
+    stepped = _circle_step(g, purity, _circle_step(g, purity, n, w1), w2)
+    after = _form_residual(g, purity, stepped[:, None])[:, 0]
+    return np.where((after < before - _TIE)[:, None], stepped, n)
+
+
 def _first_at_min(vals: np.ndarray) -> np.ndarray:
     """Per row, the index of the first value within _TIE of the row's minimum."""
     return np.argmax(vals <= vals.min(axis=-1, keepdims=True) + _TIE, axis=-1)
@@ -191,7 +254,8 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
 
     Scans a (theta, phi) grid of 24**2 points on the upper
     hemisphere (antipodal directions define the same projector pair), then
-    refines with a shrinking-neighborhood pattern search. The refinement
+    refines with a shrinking-neighborhood pattern search of ``_STAGES``
+    stages, which ``_polish`` finishes in closed form. The refinement
     runs from three starts: the z pole, the best grid point, and the best
     equator point (a start equal to an earlier one is searched once). The
     pole start keeps exactly degenerate landscapes on the z direction; the
@@ -199,15 +263,15 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     axis-aligned, where the (theta, phi) chart degenerates at the pole and
     a single pole-adjacent search could stall.
 
-    The scan and the search score directions with the residual's 3x3
-    quadratic form (see ``_residual_form``). The scan takes the members of
-    a stack ``_SCAN_BLOCK`` at a time, and the starts of every member are
-    searched in lockstep, each taking the moves it would take
-    alone, so each member gets bit for bit its single-state result. The
-    value reported comes from the definition: each start's final direction
-    is dephased and its distance to the state taken once, and near-ties
-    resolve toward the earlier start and the lexicographically first
-    (theta, phi).
+    The scan, the search and the polish score directions with the
+    residual's 3x3 quadratic form (see ``_residual_form``). The scan takes
+    the members of a stack ``_SCAN_BLOCK`` at a time, and the starts of
+    every member are searched and polished in lockstep, each taking the
+    steps it would take alone, so each member gets bit for bit its
+    single-state result. The value reported comes from the definition:
+    each start's polished direction is dephased and its distance to the
+    state taken once, and near-ties resolve toward the earlier start and
+    the lexicographically first (theta, phi).
 
     Args:
         state: the input state, or a stacked state.
@@ -243,8 +307,9 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
             starts.append(start)
             owner.append(i)
     owner = np.array(owner, dtype=np.intp)
-    theta, phi = _lockstep_search(starts, g[owner], purity[owner], wt0, wp0)
-    values = _cq_residual(rho[owner], _sph(theta, phi))
+    g, purity = g[owner], purity[owner]
+    directions = _polish(g, purity, *_lockstep_search(starts, g, purity, wt0, wp0))
+    values = _cq_residual(rho[owner], directions)
     # per state, a later start wins only by more than _TIE
     best = {}
     vlist = values.tolist()
@@ -255,7 +320,7 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     value = values[pick].reshape(shape)
     return DiscordResult(
         value=_item(np.where(0.0 > value, 0.0, value)),
-        argmin_direction=_canonical_direction(_sph(theta[pick], phi[pick])).reshape(shape + (3,)),
+        argmin_direction=_canonical_direction(directions[pick]).reshape(shape + (3,)),
         method="grid-oracle",
     )
 
@@ -473,12 +538,10 @@ def twirl_discord_comparison(state: TwoQubitState) -> TwirlComparison:
     Reports the four numbers without asserting any ordering; twirling
     preserves the concurrence-based entanglement only for specific
     families, and whether it raises the discord depends on the state.
-    A stacked state gives four arrays.
+    A stacked state gives four arrays. The state and its twirl go through
+    the oracle and the concurrence as one (2, ...) stack.
     """
-    after = twirl_analytic(state)
-    return TwirlComparison(
-        d_before=discord_grid_oracle(state).value,
-        d_after=discord_grid_oracle(after).value,
-        c_before=concurrence(state),
-        c_after=concurrence(after),
-    )
+    pair = TwoQubitState(np.stack([state.rho, twirl_analytic(state).rho]))
+    d = discord_grid_oracle(pair).value
+    c = concurrence(pair)
+    return TwirlComparison(d_before=_item(d[0]), d_after=_item(d[1]), c_before=_item(c[0]), c_after=_item(c[1]))

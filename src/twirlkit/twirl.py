@@ -33,11 +33,21 @@ _CHUNK = 8192
 _PAIRS = np.triu_indices(4)
 
 
+def _unit_columns(qt: np.ndarray) -> np.ndarray:
+    """Scale each column of ``qt`` (4, n) to unit length in place and return
+    it. The squares are summed row after row, in the order in which
+    ``np.linalg.norm(qt.T, axis=1)`` sums them, so the columns are bit for
+    bit the normalized rows of ``qt.T``."""
+    norm = qt[0] * qt[0]
+    for row in qt[1:]:
+        norm += row * row
+    qt /= np.sqrt(norm, out=norm)
+    return qt
+
+
 def _haar_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
     """``n`` uniform unit quaternions: four standard normals per row, normalized."""
-    q = rng.standard_normal((n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return q
+    return _unit_columns(rng.standard_normal((n, 4)).T.copy()).T
 
 
 def _su2(q: np.ndarray) -> np.ndarray:
@@ -82,14 +92,41 @@ def _quadratic_basis() -> np.ndarray:
 _BASIS = _quadratic_basis()
 
 
-def _chunk_moments(q: np.ndarray) -> np.ndarray:
-    """sum_n Q2_n Q2_n^T over the rows of ``q``, with Q2 = [q_a q_b]_{a<=b}.
+def _chunk_moments(draws: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """sum_n Q2_n Q2_n^T over the unit quaternions q_n of one chunk, with
+    Q2 = [q_a q_b]_{a<=b}.
 
-    A function of its own so that a chunk's draws and products are freed
-    before the next chunk is drawn; that keeps the peak at one chunk.
+    ``draws`` (k, 4) holds the chunk's raw standard normals, one quaternion
+    per row. ``work`` is a flat float buffer of at least 14 k entries that
+    the caller reuses from chunk to chunk: a transposed copy of the draws
+    (4, k) is normalized there, and the ten products are written row by row
+    beside it (10, k).
     """
-    q2 = q[:, _PAIRS[0]] * q[:, _PAIRS[1]]
-    return q2.T @ q2
+    k = len(draws)
+    qt = work[:4 * k].reshape(4, k)
+    q2 = work[4 * k:14 * k].reshape(len(_PAIRS[0]), k)
+    np.copyto(qt, draws.T)
+    _unit_columns(qt)
+    for row, a, b in zip(q2, *_PAIRS):
+        np.multiply(qt[a], qt[b], out=row)
+    return q2 @ q2.T
+
+
+def _moments(n_samples: int, seed: int) -> np.ndarray:
+    """The 10x10 moment matrix of ``n_samples`` Haar quaternions, summed
+    over chunks whose draws come from (seed, chunk index). One draw buffer
+    and one chunk workspace serve every chunk, so the peak stays at one
+    chunk's memory."""
+    draws = np.empty(4 * _CHUNK)
+    work = np.empty(14 * _CHUNK)
+    moments = np.zeros((len(_BASIS), len(_BASIS)))
+    for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
+        k = min(_CHUNK, n_samples - done)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
+        chunk = draws[:4 * k].reshape(k, 4)
+        rng.standard_normal(out=chunk)
+        moments += _chunk_moments(chunk, work)
+    return moments
 
 
 def conjugate_pair_apply(state: TwoQubitState, u) -> TwoQubitState:
@@ -137,10 +174,7 @@ def twirl_monte_carlo(state: TwoQubitState, n_samples: int, seed: int) -> TwirlR
     an integer >= 1 or a seed that is not an integer >= 0.
     """
     _check_sampler_inputs(state, n_samples, "n_samples", seed)
-    moments = np.zeros((len(_BASIS), len(_BASIS)))
-    for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-        moments += _chunk_moments(_haar_quaternions(rng, min(_CHUNK, n_samples - done)))
+    moments = _moments(n_samples, seed)
     rotated = _BASIS @ state.rho
     mean = np.einsum("kl,kac,ldc->ad", moments, rotated, _BASIS.conj()) / n_samples
     drift = abs(np.trace(mean) - 1.0)

@@ -4,8 +4,9 @@ The grid-search discord is itself the definition-based oracle for the
 closed forms; the dephasing map is additionally cross-checked here
 against an independently assembled projector construction. The oracle's
 per-start search from before the starts ran in lockstep on the residual's
-3x3 form is kept here as ``reference_discord_grid_oracle``, and the oracle
-must agree with it bit for bit.
+3x3 form is kept here as ``reference_discord_grid_oracle``, with the same
+stage count and the same closed-form polish, and the oracle must agree
+with it bit for bit.
 """
 
 import dataclasses
@@ -73,11 +74,11 @@ def unit(rng):
 def _reference_pattern_search(rho, theta, phi, wt, wp):
     """One start's shrinking-neighborhood search, scored by the dephasing
     definition: re-center a 5x5 stencil until no strict improvement
-    remains, then halve both half-widths; 40 stages."""
+    remains, then halve both half-widths; ``measures._STAGES`` stages."""
     offsets = np.linspace(-1.0, 1.0, 5)
     best_v = float(measures._cq_residual(rho, measures._sph(np.array([theta]), np.array([phi])))[0])
     best_t, best_p = theta, phi
-    for _ in range(40):
+    for _ in range(measures._STAGES):
         for _ in range(60):
             tt, pp = np.meshgrid(best_t + wt * offsets, best_p + wp * offsets, indexing="ij")
             vv = measures._cq_residual(rho, measures._sph(tt.ravel(), pp.ravel()))
@@ -93,8 +94,16 @@ def _reference_pattern_search(rho, theta, phi, wt, wp):
     return best_v, best_t, best_p
 
 
+def _reference_start(rho, start, wt, wp):
+    """One start searched on its own, then polished alone: its residual and direction."""
+    _, t, p = _reference_pattern_search(rho, *start, wt, wp)
+    g, purity = measures._residual_form(rho[None])
+    n = measures._polish(g, purity, np.array([t]), np.array([p]))
+    return float(measures._cq_residual(rho, n)[0]), n[0]
+
+
 def reference_discord_grid_oracle(state):
-    """The grid oracle searching each start on its own, every point dephased."""
+    """The grid oracle searching and polishing each start on its own, every search point dephased."""
     coarse_steps = 24
     rho = state.rho
     thetas = np.linspace(0.0, np.pi / 2, coarse_steps)
@@ -110,23 +119,47 @@ def reference_discord_grid_oracle(state):
     starts = list(dict.fromkeys(
         ((0.0, 0.0), (float(tg[k_global]), float(pg[k_global])), (float(tg[k_eq]), float(pg[k_eq])))
     ))
-    best_v, best_t, best_p = _reference_pattern_search(rho, *starts[0], wt0, wp0)
+    best_v, best_n = _reference_start(rho, starts[0], wt0, wp0)
     for start in starts[1:]:
-        v, t, p = _reference_pattern_search(rho, *start, wt0, wp0)
+        v, n = _reference_start(rho, start, wt0, wp0)
         if v < best_v - measures._TIE:
-            best_v, best_t, best_p = v, t, p
-    return max(best_v, 0.0), measures._canonical_direction(measures._sph(best_t, best_p))
+            best_v, best_n = v, n
+    return max(best_v, 0.0), measures._canonical_direction(best_n)
+
+
+def _rotated(diagonals, seed, rotations):
+    """The states with x = y = 0 and T = diag(d) for each d of ``diagonals``,
+    each under ``rotations`` local Haar rotations drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    for d in diagonals:
+        rho = pauli_compose(PauliDecomposition(np.zeros(3), np.zeros(3), np.diag(d)))
+        for _ in range(rotations):
+            w = np.kron(_haar_su2(rng), _haar_su2(rng))
+            yield validate_density(w @ rho @ w.conj().T)
 
 
 def _near_degenerate():
     """The oracle probe T = diag(0.5, -0.5(1-eps), 0.3), x = y = 0: each of
     12 eps from 1e-9 to 1e-3 under 10 local Haar rotations."""
-    rng = np.random.default_rng(2024)
-    for eps in np.logspace(-9, -3, 12):
-        near = pauli_compose(PauliDecomposition(np.zeros(3), np.zeros(3), np.diag([0.5, -0.5 * (1 - eps), 0.3])))
-        for _ in range(10):
-            w = np.kron(_haar_su2(rng), _haar_su2(rng))
-            yield validate_density(w @ near @ w.conj().T)
+    return _rotated([[0.5, -0.5 * (1 - eps), 0.3] for eps in np.logspace(-9, -3, 12)], 2024, 10)
+
+
+def _wide_probe():
+    """The near-degenerate probe over a wider range: eps = 0 and 25 eps
+    from 1e-13 to 1e-1, each under 40 local Haar rotations."""
+    eps = [0.0, *np.logspace(-13, -1, 25)]
+    return _rotated([[0.5, -0.5 * (1 - e), 0.3] for e in eps], 77, 40)
+
+
+def _bell_diagonal():
+    """Bell-diagonal T = diag(c1, -c1(1-t), c3) for t in {0, 1e-10, 1e-6}:
+    40 (c1, c3) pairs per t, with c3 in [-0.5, 0.5] and |c1| up to
+    0.9 (1 + c3) / 2 so every eigenvalue stays positive, each under 4 local
+    Haar rotations."""
+    rng = np.random.default_rng(91)
+    c3 = rng.uniform(-0.5, 0.5, 40)
+    c1 = 0.45 * (1 + c3) * rng.uniform(-1.0, 1.0, 40)
+    return _rotated([[a, -a * (1 - t), b] for t in (0.0, 1e-10, 1e-6) for a, b in zip(c1, c3)], 92, 4)
 
 
 def _products():
@@ -168,6 +201,9 @@ ORACLE_FAMILIES = {
     "x_params": _x_states,
     "mirror": _mirror_states,
 }
+# Probes where the search alone stalls in narrow valleys; only the eigen-form
+# agreement runs on them, being too large for the per-start reference.
+POLISH_PROBES = {"wide": _wide_probe, "bell_diagonal": _bell_diagonal}
 
 
 class TestCqState:
@@ -347,6 +383,62 @@ class TestDiscordGridOracle:
         discord_grid_oracle(states[0] if len(states) == 1 else validate_density(np.stack([s.rho for s in states])))
         assert len(calls) == 1
         assert calls[0][0] <= 3 * len(seeds)
+
+
+def _stacked(family):
+    return validate_density(np.stack([s.rho for s in {**ORACLE_FAMILIES, **POLISH_PROBES}[family]()]))
+
+
+class TestPolish:
+    @pytest.mark.parametrize("family", list(ORACLE_FAMILIES) + list(POLISH_PROBES))
+    def test_agrees_with_eigen_form(self, family):
+        states = _stacked(family)
+        gap = np.abs(discord_grid_oracle(states).value - discord_eigen(states).value)
+        assert float(np.max(gap)) <= 1e-9, (family, int(np.argmax(gap)))
+
+    @pytest.mark.parametrize("family", list(ORACLE_FAMILIES) + list(POLISH_PROBES))
+    def test_never_raises_a_start_form_value(self, monkeypatch, family):
+        calls = []
+        polish = measures._polish
+        monkeypatch.setattr(measures, "_polish", lambda *a: calls.append((a, polish(*a))) or calls[-1][1])
+        discord_grid_oracle(_stacked(family))
+        [((g, purity, theta, phi), directions)] = calls
+        before = measures._form_residual(g, purity, measures._sph(theta, phi)[:, None])[:, 0]
+        after = measures._form_residual(g, purity, directions[:, None])[:, 0]
+        assert (after <= before).all()
+        np.testing.assert_allclose(np.linalg.norm(directions, axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_circle_step_is_the_circle_minimum(self):
+        # from random orthonormal (n, w), against a dense scan of the great circle
+        rng = np.random.default_rng(12)
+        rho = _stacked("random").rho[:50]
+        g, purity = measures._residual_form(rho)
+        n = np.array([unit(rng) for _ in rho])
+        w = np.cross(n, [unit(rng) for _ in rho])
+        w /= np.linalg.norm(w, axis=1)[:, None]
+        stepped = measures._circle_step(g, purity, n, w)
+        a = np.linspace(0.0, np.pi, 3601)
+        scan = measures._form_residual(g, purity, np.cos(a)[:, None] * n[:, None] + np.sin(a)[:, None] * w[:, None])
+        value = measures._form_residual(g, purity, stepped[:, None])[:, 0]
+        assert (value <= scan.min(axis=1) + 1e-15).all()
+
+    def test_gate_keeps_degenerate_landscapes_on_z(self, monkeypatch):
+        # every direction minimizes on these; an ungated polish wanders off z
+        states = validate_density(np.stack([werner(f).rho for f in np.linspace(0.0, 1.0, 16)] + [np.eye(4) / 4]))
+        z = np.tile([0.0, 0.0, 1.0], (len(states.rho), 1))
+        np.testing.assert_allclose(discord_grid_oracle(states).argmin_direction, z, rtol=0.0, atol=1e-12)
+        polish = measures._polish
+
+        def ungated(*args):
+            tie, measures._TIE = measures._TIE, -np.inf
+            try:
+                return polish(*args)
+            finally:
+                measures._TIE = tie
+
+        monkeypatch.setattr(measures, "_polish", ungated)
+        off_axis = np.hypot(*discord_grid_oracle(states).argmin_direction[:, :2].T)
+        assert np.max(off_axis) > 0.1
 
 
 class TestDiscordEigen:

@@ -20,7 +20,8 @@ from twirlkit import (
     validate_density,
     werner,
 )
-from twirlkit.twirl import _CHUNK, _haar_su2_batch
+from twirlkit import twirl
+from twirlkit.twirl import _CHUNK, _PAIRS, _haar_su2_batch
 
 
 def _haar_su2(rng):
@@ -37,6 +38,19 @@ def reference_twirl_monte_carlo(state, n_samples, seed):
         u = _haar_su2_batch(rng, min(_CHUNK, n_samples - done))
         acc += conjugate_pair_apply(state, u).rho.sum(axis=0)
     return acc / n_samples
+
+
+def reference_chunk_moments(n_samples, seed):
+    """The moment matrix as each chunk once built it: a fresh (k, 4) draw,
+    normalized by ``np.linalg.norm``, and a column gather of the products."""
+    moments = np.zeros((10, 10))
+    for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
+        q = rng.standard_normal((min(_CHUNK, n_samples - done), 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        q2 = q[:, _PAIRS[0]] * q[:, _PAIRS[1]]
+        moments += q2.T @ q2
+    return moments
 
 
 def _product_state():
@@ -192,6 +206,12 @@ class TestTwirlMonteCarlo:
         state = REFERENCE_STATES[name]()
         report = twirl_monte_carlo(state, n, seed=29)
         np.testing.assert_allclose(report.result.rho, reference_twirl_monte_carlo(state, n, 29), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 20_000])
+    def test_moments_match_reference_chunks(self, n):
+        # the shared workspace reproduces the per-chunk arrays bit for bit
+        for seed in (0, 29):
+            assert twirl._moments(n, seed).tobytes() == reference_chunk_moments(n, seed).tobytes(), seed
 
     def test_memory_stays_per_chunk(self):
         tracemalloc.start()
