@@ -507,7 +507,7 @@ _SWEEP_HEADER = [
 def check_cli_sweep_determinism(config: CheckConfig) -> PropertyResult:
     from .cli import SweepSpec, render_sweep_csv, run_sweep
 
-    spec = SweepSpec(family="pure", grid=list(np.linspace(0.0, math.pi / 2, 9)))
+    spec = SweepSpec(family="pure", grid=np.linspace(0.0, math.pi / 2, 9))
     first = render_sweep_csv(run_sweep(spec), spec)
     second = render_sweep_csv(run_sweep(spec), spec)
     margin = 0.0 if first == second else 1.0

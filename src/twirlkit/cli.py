@@ -49,14 +49,14 @@ class SweepSpec:
     """One parameter sweep: family, grid, optional column subset, output."""
 
     family: str
-    grid: list[float]
+    grid: np.ndarray
     quantities: list[str] | None = None
     p: float | None = None
 
     def __post_init__(self):
         if self.family not in states.FAMILY_PARAMS:
             raise InvalidSpecError(f"unknown family {self.family!r}")
-        if not self.grid:
+        if not len(self.grid):
             raise InvalidSpecError("sweep grid must be nonempty")
         if self.extra_params and self.p is None:
             raise InvalidSpecError(f"{self.family} sweeps need a fixed --p")
@@ -72,10 +72,10 @@ class SweepSpec:
         """Family parameters after the swept one (set by ``p``); each gets a column."""
         return states.FAMILY_PARAMS[self.family][1:]
 
-    def points(self) -> list[tuple[float, ...]]:
-        """Family parameters of every grid point, in ``states.FAMILY_PARAMS`` order."""
-        fixed = [self.p] * len(self.extra_params)
-        return [tuple(map(float, (g, *fixed))) for g in self.grid]
+    def points(self) -> np.ndarray:
+        """Family parameters of every grid point, one row each, in ``states.FAMILY_PARAMS`` order."""
+        grid = np.asarray(self.grid, dtype=float)
+        return np.column_stack([grid, *(np.full_like(grid, self.p) for _ in self.extra_params)])
 
     def columns(self) -> list[str]:
         cols = list(_COLUMNS)
@@ -88,14 +88,15 @@ class SweepSpec:
         return [c for c in cols if c in keep]
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate every sweep column at every grid point.
+def run_sweep(spec: SweepSpec) -> np.recarray:
+    """Evaluate the sweep as a record array: one field per ``spec.columns()``
+    entry, in that order, and one record per grid point.
 
     The grid is built, validated and twirled as one stack, and each column
-    is one array expression over it; the rows are those of a point-by-point
-    loop, bit for bit.
+    is one array expression over it; the values are those of a
+    point-by-point loop, bit for bit.
     """
-    points = np.array(spec.points(), dtype=float)
+    points = spec.points()
     state = states.family_state(spec.family, *points.T)
     twirled = twirl_analytic(state)
     delta_pure = min_error_rate(state).value
@@ -116,22 +117,20 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         "eof_twirled": eof_from_concurrence(c_twirled),
     }
     columns.update(zip(spec.extra_params, points[:, 1:].T))
-    return [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
+    return np.rec.fromarrays([columns[c] for c in spec.columns()], names=spec.columns())
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _cells(table: np.recarray, fmt) -> list[list[str]]:
+    """The cell texts of each field of ``table``: bools as true/false, floats through ``fmt``."""
+    return [
+        list(map(("false", "true").__getitem__ if table.dtype[c] == bool else fmt, table[c].tolist()))
+        for c in table.dtype.names
+    ]
 
 
-def render_sweep_csv(rows: list[dict], spec: SweepSpec) -> str:
+def render_sweep_csv(table: np.recarray, spec: SweepSpec) -> str:
     cols = spec.columns()
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in cols))
+    lines = [",".join(cols), *map(",".join, zip(*_cells(table, "%.17g".__mod__)))]
     return "\n".join(lines) + "\n"
 
 
@@ -149,20 +148,18 @@ def _dump_json(doc) -> str:
     return json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n"
 
 
-def _json_value(value) -> str:
-    """One sweep cell as ``json.dumps`` writes it: floats by ``repr``, the
-    non-finite ones as null, booleans as true/false."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _json_value(value: float) -> str:
+    """One float sweep cell as ``json.dumps`` writes it: by ``repr``, the
+    non-finite ones as null."""
     return repr(value) if math.isfinite(value) else "null"
 
 
-def render_sweep_json(rows: list[dict], spec: SweepSpec) -> str:
+def render_sweep_json(table: np.recarray, spec: SweepSpec) -> str:
     """The sweep document ``_dump_json`` writes, byte for byte, from one row
     template: with ``indent`` set, ``json`` runs its pure-Python encoder."""
     cols = spec.columns()
     row = "    {\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in cols) + "\n    }"
-    body = ",\n".join(row % tuple(_json_value(r[c]) for c in cols) for r in rows)
+    body = ",\n".join(map(row.__mod__, zip(*_cells(table, _json_value))))
     return f'{{\n  "family": {json.dumps(spec.family)},\n  "rows": [\n{body}\n  ]\n}}\n'
 
 
@@ -174,7 +171,7 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidSpecError(f"--grid expects start:stop:steps, got {text!r}")
@@ -185,7 +182,7 @@ def _parse_grid(text: str) -> list[float]:
         raise InvalidSpecError(f"--grid expects numbers, got {text!r}") from exc
     if steps < 1:
         raise InvalidSpecError("--grid needs at least one step")
-    return [float(v) for v in np.linspace(start, stop, steps)]
+    return np.linspace(start, stop, steps)
 
 
 def _parse_direction(text: str) -> MeasurementSetting:
@@ -213,8 +210,8 @@ def cmd_sweep(args) -> int:
         quantities=args.quantities.split(",") if args.quantities is not None else None,
         p=args.p,
     )
-    rows = run_sweep(spec)
-    text = render_sweep_json(rows, spec) if args.format == "json" else render_sweep_csv(rows, spec)
+    table = run_sweep(spec)
+    text = render_sweep_json(table, spec) if args.format == "json" else render_sweep_csv(table, spec)
     _write(text, args.out)
     return 0
 

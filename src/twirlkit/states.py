@@ -228,7 +228,10 @@ def family_state(family: str, *values) -> TwoQubitState:
 def _require_number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{label} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SchemaError(f"{label} is too large for a float") from exc
 
 
 def state_from_dict(doc: dict) -> TwoQubitState:
@@ -270,8 +273,8 @@ def state_from_dict(doc: dict) -> TwoQubitState:
             x = np.asarray(block["x"], dtype=float).reshape(3)
             y = np.asarray(block["y"], dtype=float).reshape(3)
             T = np.asarray(block["T"], dtype=float).reshape(3, 3)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"pauli block has wrong shape: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"pauli block is not 3, 3 and 3x3 floats: {exc}") from exc
         return validate_density(pauli_compose(PauliDecomposition(x, y, T)))
 
     family = doc["family"]
@@ -290,6 +293,6 @@ def load_state_file(path) -> TwoQubitState:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8 and too many digits
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     return state_from_dict(doc)

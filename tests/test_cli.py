@@ -82,6 +82,18 @@ def reference_sweep_json(rows, spec):
     return cli._dump_json({"family": spec.family, "rows": [{c: r[c] for c in cols} for r in rows]})
 
 
+def reference_sweep_csv(rows, spec):
+    """The sweep CSV formatted cell by cell from the rows, kept as reference."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format(value, ".17g")
+
+    cols = spec.columns()
+    lines = [",".join(cols)] + [",".join(cell(r[c]) for c in cols) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def run_sweep_to(path, grid="0:1.5707963267948966:4", extra=()):
     code = main(["sweep", "--family", "pure", "--grid", grid, "--out", str(path), *extra])
     assert code == 0
@@ -216,9 +228,14 @@ class TestSweep:
     ])
     def test_matches_reference_loop(self, family, grid, p, quantities):
         spec = SweepSpec(family=family, grid=cli._parse_grid(grid), quantities=quantities, p=p)
-        rows, reference = cli.run_sweep(spec), reference_sweep_rows(spec)
-        assert render_sweep_csv(rows, spec) == render_sweep_csv(reference, spec)
-        assert render_sweep_json(rows, spec) == render_sweep_json(reference, spec) == reference_sweep_json(rows, spec)
+        table, reference = cli.run_sweep(spec), reference_sweep_rows(spec)
+        assert table.dtype.names == tuple(spec.columns())
+        for c in spec.columns():
+            expected = np.array([r[c] for r in reference], dtype=table.dtype[c])
+            # compared as bytes, so that nan and the sign of zero count
+            assert table[c].tobytes() == expected.tobytes(), c
+        assert render_sweep_csv(table, spec) == reference_sweep_csv(reference, spec)
+        assert render_sweep_json(table, spec) == reference_sweep_json(reference, spec)
 
     @pytest.mark.parametrize("argv, message", [
         (["--family", "pure", "--grid", "1:3:3"], "gamma must lie in [0, pi/2], got 2.0"),
@@ -378,6 +395,20 @@ class TestSimulate:
         bad.write_text(json.dumps({"family": "pure"}))
         assert main(["simulate", "--state", str(bad)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000 + "]" * 200_000,
+        json.dumps({"family": "pure", "gamma": int("1" * 400)}),
+        json.dumps({"matrix": [[{"re": int("1" * 400), "im": 0}] * 4] * 4}),
+        json.dumps({"pauli": {"x": [int("1" * 400), 0, 0], "y": [0, 0, 0], "T": [[0] * 3] * 3}}),
+        '{"family": "pure", "gamma": ' + "1" * 5000 + "}",
+    ], ids=["nested-past-recursion-limit", "huge-family-parameter", "huge-matrix-entry", "huge-pauli-entry",
+            "past-json-digit-limit"])
+    def test_unreadable_state_file_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        assert main(["simulate", "--state", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("b", ["nan,0,0", "inf,0,0"])
     def test_non_finite_direction_exits_one(self, tmp_path, werner_file, capsys, b):

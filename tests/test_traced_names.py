@@ -10,9 +10,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from twirlkit import cli, measures, protocol, twirl
+from twirlkit import cli, measures, protocol, states, twirl
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -39,3 +40,12 @@ def test_sweep_calls_the_traced_kernels():
     assert cli.concurrence is measures.concurrence
     assert cli.min_error_rate is protocol.min_error_rate
     assert cli.twirl_analytic is twirl.twirl_analytic
+
+
+@pytest.mark.parametrize("family", list(states.FAMILY_PARAMS))
+def test_sweep_length_is_its_point_count(family):
+    # the tracer counts cli.run_sweep.points, and so sweep_points_per_s, as
+    # len() of run_sweep's result
+    p = 0.5 if states.FAMILY_PARAMS[family][1:] else None
+    spec = cli.SweepSpec(family=family, grid=np.linspace(0.1, 0.9, 7), p=p)
+    assert len(cli.run_sweep(spec)) == 7
