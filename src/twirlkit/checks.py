@@ -9,9 +9,12 @@ itself as skipped instead of failing when its sample budget is too small
 to be meaningful.
 
 A random pool is one stacked state from one ``states.random_state`` call,
-and each pool or family grid is evaluated as one stacked expression. Only
-the seeded samplers loop over states: the X-parameter sampler, the Monte
-Carlo twirls and the simulator runs.
+and each pool or family grid is evaluated as one stacked expression. The
+seeded samplers loop over states: the X-parameter sampler, the Monte Carlo
+twirls and the simulator runs. So do the fixed-size X-parameter lists of
+``states_constructors_valid``, ``states_cross_constructor`` and
+``measures_bound_saturation_families``, which build one X state or closed
+form per parameter set.
 """
 
 from __future__ import annotations
@@ -210,7 +213,7 @@ def check_states_constructors_valid(config: CheckConfig) -> PropertyResult:
 
 def check_states_pure_fidelity(config: CheckConfig) -> PropertyResult:
     gammas = np.linspace(0.0, math.pi / 2, GRID_POINTS)
-    closed = np.array([math.cos(g / 2) ** 2 for g in gammas])
+    closed = np.cos(gammas / 2) ** 2
     worst = float(np.max(np.abs(states.fidelity_phi_plus(states.pure_state(gammas)) - closed)))
     return _result("states_pure_fidelity_grid", len(gammas), worst - TOLERANCES["entrywise"])
 
@@ -377,7 +380,7 @@ def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResul
             rejected.append(p)
     oracle = measures.discord_grid_oracle(_stack([states.x_state(p) for p in accepted + rejected]))
     n = oracle.argmin_direction
-    on_axis = measures._hypot(n[:, 0], n[:, 1]) <= TOLERANCES["on_axis"]
+    on_axis = np.hypot(n[:, 0], n[:, 1]) <= TOLERANCES["on_axis"]
     closed = np.array([measures.discord_x_closed_form(p).value for p in accepted])
     worst_value = float(np.max(np.abs(closed - oracle.value[:len(accepted)]), initial=0.0))
     # inside the branch the oracle must pick the z axis; outside it must leave it
@@ -465,12 +468,11 @@ def check_measures_twirl_pair_monotonicity(config: CheckConfig) -> PropertyResul
     pure = states.pure_state(grid)
     d_pure = protocol.min_error_rate(pure).value
     d_twirled = protocol.min_error_rate(twirl.twirl_analytic(pure)).value
-    # the closed forms per angle in Python floats, as math and ** give them
-    d_werner = protocol.min_error_rate(states.werner(np.array([math.cos(g / 2) ** 2 for g in grid]))).value
-    s2 = np.array([math.sin(g / 2) ** 2 for g in grid])
-    c = np.array([math.cos(g) for g in grid])
-    closed_before = np.array([0.5 * math.cos(g) ** 2 for g in grid])
-    closed_after = np.array([0.5 * ((2 * math.cos(g) + 1) / 3) ** 2 for g in grid])
+    d_werner = protocol.min_error_rate(states.werner(np.cos(grid / 2) ** 2)).value
+    s2 = np.sin(grid / 2) ** 2
+    c = np.cos(grid)
+    closed_before = 0.5 * c ** 2
+    closed_after = 0.5 * ((2 * c + 1) / 3) ** 2
     worst_ratio = float(np.max(np.abs(d_twirled / d_pure - 2 / 3)))
     worst_rate = float(max(np.max(np.abs(d_pure - s2)), np.max(np.abs(d_werner - (2 / 3) * s2))))
     cmp = measures.twirl_discord_comparison(pure)

@@ -403,9 +403,7 @@ def _align_first_bloch_to_z(state: TwoQubitState) -> TwoQubitState:
     if keep.all():
         return state
     axis = np.where(on_axis[..., None], (1.0, 0.0, 0.0), axis / np.where(on_axis, 1.0, s)[..., None])
-    # math.atan2, not np.arctan2: numpy's SIMD arctan2 differs in the last place
-    turned = np.array([math.atan2(a, b) for a, b in zip(s.ravel().tolist(), c.ravel().tolist())])
-    half = np.where(on_axis, math.pi, turned.reshape(s.shape)) / 2
+    half = np.where(on_axis, math.pi, np.arctan2(s, c)) / 2
     u = np.cos(half)[..., None, None] * ID2 - 1j * np.sin(half)[..., None, None] * pauli_sigma(axis)
     w = np.kron(u, ID2)
     return validate_density(np.where(keep[..., None, None], state.rho, w @ state.rho @ w.conj().mT))
@@ -436,14 +434,8 @@ def discord_error_rate_bound(state: TwoQubitState, method: str = "grid-oracle") 
     else:
         raise OutOfRangeError(f"unknown method {method!r}")
     mer = min_error_rate(aligned)
-    # float_power is the C pow of Python's ``**`` on floats; numpy's ``** 2`` is x * x, which rounds differently
-    rhs = np.float_power(0.5 - mer.delta_x_min, 2) + np.float_power(0.5 - mer.delta_y_min, 2)
+    rhs = np.square(0.5 - mer.delta_x_min) + np.square(0.5 - mer.delta_y_min)
     return lhs, _item(rhs)
-
-
-def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # math.hypot per entry: numpy's hypot is the C library's, which may differ from it in the last place
-    return np.array([math.hypot(u, v) for u, v in zip(a.ravel().tolist(), b.ravel().tolist())]).reshape(a.shape)
 
 
 def delta_min_from_discord(state: TwoQubitState) -> float:
@@ -458,10 +450,10 @@ def delta_min_from_discord(state: TwoQubitState) -> float:
     its first failed condition.
     """
     d = state.decomp
-    in_plane = _hypot(d.x[..., 0], d.x[..., 1])
+    in_plane = np.hypot(d.x[..., 0], d.x[..., 1])
     oracle = discord_grid_oracle(state)
     n = oracle.argmin_direction
-    off_axis = _hypot(n[..., 0], n[..., 1])
+    off_axis = np.hypot(n[..., 0], n[..., 1])
     r1 = _vector_norm(d.T[..., 0, :])
     r2 = _vector_norm(d.T[..., 1, :])
     _raise_first_failure(in_plane.shape, (
@@ -497,17 +489,12 @@ def concurrence(state: TwoQubitState):
     return _item(np.where(c > 0.0, c, 0.0))
 
 
-def _log2(a: np.ndarray) -> np.ndarray:
-    # math.log2 per entry: numpy's SIMD log2 differs from it in the last place
-    return np.array([math.log2(v) for v in a.ravel().tolist()]).reshape(a.shape)
-
-
 def binary_entropy(x):
     """H2(x) = -x log2 x - (1-x) log2(1-x), with 0 log 0 = 0; entrywise for an array."""
     x = _in_range(x, 1.0, "binary entropy argument", "1")
-    h = np.where(x > 0.0, 0.0 - x * _log2(np.where(x > 0.0, x, 1.0)), 0.0)
+    h = np.where(x > 0.0, 0.0 - x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
     q = 1.0 - x
-    return _item(np.where(x < 1.0, h - q * _log2(np.where(x < 1.0, q, 1.0)), h))
+    return _item(np.where(x < 1.0, h - q * np.log2(np.where(x < 1.0, q, 1.0)), h))
 
 
 def eof_from_concurrence(c):

@@ -22,8 +22,6 @@ import numpy as np
 from .errors import InvalidXParamsError, OutOfRangeError, SchemaError
 from .qubit_algebra import ID4, TwoQubitState, _clamp_unit, pauli_compose, PauliDecomposition, validate_density
 
-_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-
 # (diagonal pair, off-diagonal sign); entries are exact halves so the
 # projectors and everything derived from them stay float-exact.
 _BELL_SUPPORT = {
@@ -184,12 +182,10 @@ def depolarized_pure(gamma, p) -> TwoQubitState:
 
 
 def fidelity_phi_plus(state: TwoQubitState):
-    """Overlap <phi+| rho |phi+>, a real number in [0, 1]; an array of them for a stack."""
+    """Overlap <phi+| rho |phi+> = (rho_00 + rho_03 + rho_30 + rho_33) / 2, a
+    real number in [0, 1]; an array of them for a stack."""
     rho = state.rho
-    # One matrix at a time: the stacked products (einsum, or phi+^dag @ stack)
-    # round differently in the last place.
-    value = np.array([(_PHI_PLUS.conj() @ m @ _PHI_PLUS).real for m in rho.reshape(-1, 4, 4)])
-    return _clamp_unit(value.reshape(rho.shape[:-2]))
+    return _clamp_unit(0.5 * (rho[..., 0, 0] + rho[..., 0, 3] + rho[..., 3, 0] + rho[..., 3, 3]).real)
 
 
 def random_state(seed) -> TwoQubitState:

@@ -118,6 +118,14 @@ class TestSweep:
             assert row["ratio_defined"] == "true"
             assert abs(float(row["ratio"]) - 2 / 3) <= 1e-12
 
+    def test_ratio_gate_near_the_maximally_entangled_point(self):
+        # the benchmark's gate: delta_pure cancels to a few ulps, so the
+        # ratio's error grows like eps / delta_pure as gamma goes to 0
+        table = cli.run_sweep(SweepSpec(family="pure", grid=np.linspace(0.003, math.pi / 2, 2000)))
+        assert table["ratio_defined"].all()
+        gate = 1e-12 + 8 * sys.float_info.epsilon / table["delta_pure"]
+        assert np.all(np.abs(table["ratio"] - 2 / 3) <= gate)
+
     def test_values_at_pi_over_three(self, tmp_path):
         text = run_sweep_to(tmp_path / "sweep.csv", grid="1.0471975511965976:1.0471975511965976:1")
         row = dict(zip(EXPECTED_HEADER.split(","), text.splitlines()[1].split(",")))

@@ -7,7 +7,10 @@ states and on adversarial ones (Bell and product points of the families,
 a degenerate error-rate partner, a Bloch vector along -z and the
 near-degenerate correlation spectra of the discord oracle probe). The
 ``reference_*`` functions are the one-state kernels from before the
-kernels took stacks, kept so that both agree with them bit for bit too.
+kernels took stacks, kept so that both agree with them bit for bit too,
+except where a kernel now takes the plain numpy form of its quantity: the
+phi+ fidelity, the entanglement of formation and the Bloch alignment agree
+with their references to a few units in the last place.
 A stack with an invalid member raises the single-state error type and
 names the first bad index.
 """
@@ -231,6 +234,20 @@ def assert_bits(stacked, singles):
     assert stacked.tobytes() == expected.tobytes()
 
 
+def _ordinal(a):
+    """Float64 bit patterns as integers in the order of the floats, so that adjacent floats differ by 1."""
+    i = np.asarray(a, dtype=float).view(np.int64)
+    return np.where(i < 0, np.iinfo(np.int64).min - i, i)
+
+
+def assert_ulps(actual, expected, bound):
+    """Each entry is within ``bound`` units in the last place of its reference."""
+    expected = np.array(expected)
+    actual = np.asarray(actual)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype == np.float64
+    assert np.max(np.abs(_ordinal(actual) - _ordinal(expected))) <= bound
+
+
 def test_validate_density_keeps_every_member(stack, members):
     assert stack.rho.shape == (len(members), 4, 4)
     assert_bits(stack.rho, [s.rho for s in members])
@@ -324,9 +341,12 @@ def test_pauli_decompose(stack, members):
 def test_fidelity_and_twirl(stack, members):
     assert all(type(fidelity_phi_plus(s)) is float for s in members)
     assert_bits(fidelity_phi_plus(stack), [fidelity_phi_plus(s) for s in members])
-    assert_bits(fidelity_phi_plus(stack), [reference_fidelity(s.rho) for s in members])
+    # the closed form (rho_00 + rho_03 + rho_30 + rho_33) / 2 against phi+^dag rho phi+:
+    # 3 ulp, and one eps on the Werner entries, were the worst measured
+    assert_ulps(fidelity_phi_plus(stack), [reference_fidelity(s.rho) for s in members], 3)
     assert_bits(twirl_analytic(stack).rho, [twirl_analytic(s).rho for s in members])
-    assert_bits(twirl_analytic(stack).rho, [reference_werner(reference_fidelity(s.rho)) for s in members])
+    reference = np.array([reference_werner(reference_fidelity(s.rho)) for s in members])
+    assert np.max(np.abs(twirl_analytic(stack).rho - reference)) <= np.finfo(float).eps
 
 
 def test_family_constructors():
@@ -374,16 +394,18 @@ def test_concurrence_and_eof(stack, members):
     assert_bits(c, singles)
     assert_bits(c, [reference_concurrence(s.rho) for s in members])
     assert_bits(eof_from_concurrence(c), [eof_from_concurrence(v) for v in singles])
-    assert_bits(eof_from_concurrence(c), [reference_eof(v) for v in singles])
+    # np.log2 against math.log2: 1 ulp on the grid was the worst measured
+    assert_ulps(eof_from_concurrence(c), [reference_eof(v) for v in singles], 1)
     grid = np.linspace(0.0, 1.0, 20001)
-    assert_bits(eof_from_concurrence(grid), [reference_eof(float(v)) for v in grid])
+    assert_ulps(eof_from_concurrence(grid), [reference_eof(float(v)) for v in grid], 1)
     assert_bits(entanglement_of_formation(stack), [entanglement_of_formation(s) for s in members])
 
 
 def test_align_and_bound(stack, members):
     aligned = _align_first_bloch_to_z(stack)
     assert_bits(aligned.rho, [_align_first_bloch_to_z(s).rho for s in members])
-    assert_bits(aligned.rho, [reference_align(s.rho, s.x) for s in members])
+    # np.arctan2 against math.atan2: 1.8e-16 on the entries was the worst measured
+    assert np.max(np.abs(aligned.rho - np.array([reference_align(s.rho, s.x) for s in members]))) <= 1.8e-16
     lhs, rhs = discord_error_rate_bound(stack, method="eigen")
     singles = [discord_error_rate_bound(s, method="eigen") for s in members]
     assert all(type(a) is float and type(b) is float for a, b in singles)
@@ -391,6 +413,37 @@ def test_align_and_bound(stack, members):
     assert_bits(rhs, [b for _, b in singles])
     norms = [reference_row_norms(T) for T in aligned.T]
     assert_bits(rhs, [(0.5 - 0.5 * (1.0 - px)) ** 2 + (0.5 - 0.5 * (1.0 - py)) ** 2 for px, py in norms])
+
+
+# stack lengths 1 to 17, which vector loops split into a body and a tail, and a strided view
+_TAKES = [slice(0, n) for n in range(1, 18)] + [slice(None, None, 3)]
+
+
+@pytest.fixture(scope="module")
+def concurrences():
+    """51 concurrences: first those where np.log2 and math.log2 round an
+    entropy term differently, the hardest to round, then uniform ones."""
+    grid = np.linspace(0.0, 1.0, 20001)
+    x = 0.5 * (1.0 + np.sqrt(1.0 - grid * grid))
+    hard = [c for c, a, b in zip(grid, x, 1.0 - x)
+            if b > 0.0 and (np.log2(a) != math.log2(a) or np.log2(b) != math.log2(b))]
+    return np.concatenate([hard, np.random.default_rng(17).uniform(0.0, 1.0, 51)])[:51]
+
+
+@pytest.mark.parametrize("take", _TAKES, ids=[f"first{t.stop}" for t in _TAKES[:-1]] + ["every3rd"])
+def test_ufunc_tails_and_strides(members, concurrences, take):
+    """Each member gets its single-call bits from the ufuncs on the plain
+    numpy forms, whatever the stack length and however the input is strided."""
+    chosen = members[:51][take]
+    rhos = np.stack([s.rho for s in members[:51]])
+    stack = validate_density(rhos[take])
+    assert_bits(fidelity_phi_plus(stack), [fidelity_phi_plus(s) for s in chosen])
+    assert_bits(_align_first_bloch_to_z(stack).rho, [_align_first_bloch_to_z(s).rho for s in chosen])
+    # the in-plane magnitudes of delta_min_from_discord, on views of the 51 Bloch vectors
+    x = validate_density(rhos).x
+    assert_bits(np.hypot(x[take, 0], x[take, 1]), [np.hypot(s.x[..., 0], s.x[..., 1]) for s in chosen])
+    c = concurrences[take]
+    assert_bits(eof_from_concurrence(c), [eof_from_concurrence(float(v)) for v in c])
 
 
 def _broken(kind):
