@@ -6,7 +6,8 @@ Subcommands:
   of formation over a parameter grid, before and after twirling, and emit
   CSV (default) or JSON rows.
 * ``simulate``: run the key distribution simulator on a state file and
-  emit a summary JSON (optionally the per-round CSV ledger).
+  emit a summary JSON (optionally the per-round CSV ledger), with the
+  4-sigma binomial half-width around the analytic error rate.
 * ``twirl``: exact twirl of a state file plus a Monte Carlo convergence
   report and the before/after discord and concurrence.
 * ``check``: run the full property suite and emit a machine-readable
@@ -33,7 +34,7 @@ from . import __version__, states
 from .checks import FLAG_FIELDS, CheckConfig, run_all
 from .errors import InvalidSpecError, TwirlkitError
 from .measures import concurrence, discord_eigen, eof_from_concurrence, twirl_discord_comparison
-from .protocol import MeasurementSetting, error_rate, min_error_rate, simulate_protocol
+from .protocol import MeasurementSetting, binomial_gate, error_rate, min_error_rate, simulate_protocol
 from .twirl import twirl_analytic, twirl_monte_carlo
 
 _COLUMNS = [
@@ -216,13 +217,29 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _require_distinct_files(**paths) -> None:
+    """Reject two of the given paths (by flag name; None or empty for none)
+    that resolve to one file, before any work runs: a later write would
+    overwrite an input or an earlier output."""
+    seen = {}
+    for name, path in paths.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise InvalidSpecError(f"{seen[real]} and {_option(name)} name the same file: {real}")
+            seen[real] = _option(name)
+
+
 def cmd_simulate(args) -> int:
+    _require_distinct_files(state=args.state, out=args.out, rounds_csv=args.rounds_csv)
     state = states.load_state_file(args.state)
     optimal = min_error_rate(state) if args.b is None or args.b_prime is None else None
     b = optimal.b if args.b is None else _parse_direction(args.b)
     b_prime = optimal.b_prime if args.b_prime is None else _parse_direction(args.b_prime)
     run = simulate_protocol(state, args.n, args.seed, b, b_prime)
-    summary = run.summary(delta_analytic=error_rate(state, b, b_prime))
+    delta_analytic = error_rate(state, b, b_prime)
+    summary = run.summary(delta_analytic=delta_analytic)
+    summary["binomial_gate"] = binomial_gate(delta_analytic, run.m_sifted)
     # the ledger first: a ledger that cannot be written leaves no summary,
     # and a summary that cannot be written takes the ledger with it
     if args.rounds_csv:
@@ -237,6 +254,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_twirl(args) -> int:
+    _require_distinct_files(state=args.state, out=args.out)
     state = states.load_state_file(args.state)
     analytic = twirl_analytic(state)
     report = twirl_monte_carlo(state, args.n, args.seed)

@@ -305,11 +305,13 @@ class TestSimulate:
         assert code == 0
         doc = json.loads(out.read_text())
         assert list(doc) == [
-            "n_rounds", "m_sifted", "delta_x_hat", "delta_y_hat", "delta_hat", "delta_analytic",
+            "n_rounds", "m_sifted", "delta_x_hat", "delta_y_hat", "delta_hat", "delta_analytic", "binomial_gate",
         ]
         assert doc["delta_analytic"] == pytest.approx(1 / 6, abs=1e-12)
         gate = 4 * math.sqrt((1 / 6) * (5 / 6) / doc["m_sifted"])
         assert abs(doc["delta_hat"] - 1 / 6) <= gate
+        assert doc["binomial_gate"] == protocol.binomial_gate(doc["delta_analytic"], doc["m_sifted"])
+        assert doc["binomial_gate"] == pytest.approx(gate, rel=1e-9)
 
     def test_deterministic(self, tmp_path, werner_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -393,6 +395,37 @@ class TestSimulate:
         assert code == 1
         assert capsys.readouterr().err == f"error: file not found: {out}\n"
         assert not rounds.exists() and not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink"])
+    def test_summary_and_ledger_on_one_file_exit_one(self, tmp_path, werner_file, capsys, monkeypatch, spelling):
+        out = tmp_path / "run.out"
+        out.write_text("kept\n")
+        (tmp_path / "sub").mkdir()
+        rounds = {"same": out, "dotdot": tmp_path / "sub" / ".." / "run.out", "symlink": tmp_path / "link"}[spelling]
+        if spelling == "symlink":
+            rounds.symlink_to(out)
+
+        def no_draws(*args):
+            raise AssertionError("rounds were drawn")
+
+        monkeypatch.setattr(cli, "simulate_protocol", no_draws)
+        code = main([
+            "simulate", "--state", str(werner_file), "--n", "5", "--seed", "2",
+            "--out", str(out), "--rounds-csv", str(rounds),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --out and --rounds-csv name the same file: {os.path.realpath(out)}\n"
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--rounds-csv"])
+    def test_output_on_the_state_file_exits_one(self, tmp_path, capsys, flag):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"family": "werner", "F": 0.8}))
+        before = state.read_bytes()
+        argv = ["simulate", "--state", str(state), "--n", "5", flag, str(tmp_path / "." / "state.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --state and {flag} name the same file: {os.path.realpath(state)}\n"
+        assert state.read_bytes() == before
 
     def test_missing_state_exits_one(self, tmp_path, capsys):
         assert main(["simulate", "--state", str(tmp_path / "none.json")]) == 1
@@ -496,6 +529,14 @@ class TestTwirlCommand:
         assert main(["twirl", "--state", str(state), "--n", "2000", "--seed", "-1", "--out", str(out)]) == 1
         assert "--seed must be at least 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_report_on_the_state_file_exits_one(self, tmp_path, capsys):
+        state = tmp_path / "w.json"
+        state.write_text(json.dumps({"family": "werner", "F": 0.6}))
+        before = state.read_bytes()
+        assert main(["twirl", "--state", str(state), "--n", "2000", "--out", str(state)]) == 1
+        assert capsys.readouterr().err == f"error: --state and --out name the same file: {os.path.realpath(state)}\n"
+        assert state.read_bytes() == before
 
     def test_depolarized_discord_increases(self, tmp_path):
         state = tmp_path / "d.json"

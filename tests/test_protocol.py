@@ -34,7 +34,7 @@ from twirlkit import (
     validate_density,
     werner,
 )
-from twirlkit.protocol import ALICE_LABELS, BOB_LABELS, _CHUNK, ProtocolRun
+from twirlkit.protocol import ALICE_LABELS, BOB_LABELS, _CHUNK, ProtocolRun, _draw_bases
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -613,6 +613,36 @@ class TestRoundCode:
         run = simulate_protocol(werner(0.75), 100, 0, SETTING_X, SETTING_Y)
         with pytest.raises(OutOfRangeError):
             run.mismatch_rate("z", "b")
+
+
+class TestDrawBases:
+    """The basis pass against the draws it replaces: rng.integers(0, 2, n)
+    for Alice, again for Bob, then rng.random(n)."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1])
+    # odd n, where Alice's last and Bob's first half-word share a word; n
+    # whose Alice/Bob split (half-word n) lands on the chunk edge at half-word
+    # 2 _CHUNK, and one half-word either side of it; whole and partial chunks
+    @pytest.mark.parametrize("n", [
+        1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
+        3 * _CHUNK + 1, 4 * _CHUNK, 100_001,
+    ])
+    def test_same_stream_as_integers_then_random(self, n, seed):
+        reference = np.random.default_rng(seed)
+        alice, bob = reference.integers(0, 2, n), reference.integers(0, 2, n)
+        rng = np.random.default_rng(seed)
+        code = _draw_bases(rng, n)
+        assert code.dtype == np.int8 and code.shape == (n,)
+        np.testing.assert_array_equal(code, 8 * alice + 4 * bob)
+        # has_uint32 and uinteger included: the buffered half-word is the same
+        assert rng.bit_generator.state == reference.bit_generator.state
+        np.testing.assert_array_equal(rng.random(n), reference.random(n))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_no_rounds_leaves_the_generator_as_it_was(self):
+        rng = np.random.default_rng(9)
+        assert _draw_bases(rng, 0).shape == (0,)
+        assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
 
 class TestMeasurementSetting:
