@@ -181,6 +181,8 @@ def _parse_grid(text: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError as exc:
         raise InvalidSpecError(f"--grid expects numbers, got {text!r}") from exc
+    if not math.isfinite(stop - start):  # also a non-finite start or stop
+        raise InvalidSpecError(f"--grid needs a finite start, stop and stop - start, got {text!r}")
     if steps < 1:
         raise InvalidSpecError("--grid needs at least one step")
     return np.linspace(start, stop, steps)

@@ -2,9 +2,10 @@
 
 Geometric discord is the squared Hilbert-Schmidt distance from a state to
 the nearest classical-quantum state, where the measurement acts on the
-first qubit only. Three routes are provided: a definition-faithful grid
-search over projector directions (the oracle), a closed form for X-type
-states on its branch of validity, and a fast eigenvalue form. The module
+first qubit only. Three routes are provided: the oracle, a grid scan over
+projector directions finished by closed-form plane rotations, with the
+value taken from the definition; a closed form for X-type states on its
+branch of validity; and a fast eigenvalue form. The module
 also implements Wootters concurrence, entanglement of formation, the
 bound tying discord to the two optimal error rates, and the before/after
 comparison under twirling.
@@ -45,18 +46,17 @@ from .qubit_algebra import (
 from .states import XStateParams, _check_x_params, _in_range
 from .twirl import twirl_analytic
 
-# Improvements below this size are treated as ties during the grid search,
-# so exactly degenerate landscapes keep the first (lexicographic) direction.
+# Improvements below this size are treated as ties by the oracle's scan and
+# polish, so exactly degenerate landscapes keep the first grid direction, z.
 _TIE = 1e-13
 # States per block of the oracle's 24x24 scan, which holds a (block, 576, 3)
 # float64 product (about 14 KiB per state) rather than one for the stack.
 _SCAN_BLOCK = 256
-# Halving stages of the oracle's pattern search. The closed-form polish
-# (``_polish``) finishes each start, so the search only has to bring it
-# close: 10 is the fewest stages at which the oracle stays within 1e-12 of
-# the eigen form on every probe family in the tests (at 9 a rotated
-# near-degenerate probe reached 1.4e-12).
-_STAGES = 10
+# Closed-form polish rounds after the oracle's scan. From the best grid
+# point, 1 round leaves the oracle up to 2.6e-6 off the eigen form on the
+# tests' wide near-degenerate probe; 2 rounds reach the ~1e-13 floor that
+# the _TIE gate sets, and a third round moves no start.
+_POLISH_ROUNDS = 2
 
 _SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
 
@@ -147,46 +147,6 @@ def _form_residual(g: np.ndarray, purity: np.ndarray, dirs: np.ndarray) -> np.nd
     return 0.5 * (purity[:, None] - q.sum(axis=-1))
 
 
-# The 5x5 stencil's (theta, phi) offsets in units of the half-widths,
-# flattened theta-major; a stencil point's index decides argmin ties.
-_T_OFFSETS, _P_OFFSETS = (o.ravel() for o in np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * 2, indexing="ij"))
-
-
-def _lockstep_search(starts: list[tuple[float, float]], g: np.ndarray, purity: np.ndarray, wt: float, wp: float):
-    """Shrinking-neighborhood search from every start at once.
-
-    Each start re-centres its 5x5 stencil of (theta, phi) points while the
-    stencil's first lowest point improves on it by more than _TIE, for at
-    most 60 moves; then all half-widths halve together; ``_STAGES`` stages. The
-    active starts' stencils are scored as one batch, and every start takes
-    exactly the moves a search from it alone would. Start k scores with
-    the form ``g[k]``, ``purity[k]`` of its own state (see
-    ``_residual_form``), so the starts may come from many states. Returns
-    the final (theta, phi) arrays, one entry per start.
-    """
-    best_t = np.array([t for t, _ in starts])
-    best_p = np.array([p for _, p in starts])
-    best_v = _form_residual(g, purity, _sph(best_t, best_p)[:, None])[:, 0]
-    for _ in range(_STAGES):
-        active = np.arange(len(starts))
-        for _ in range(60):
-            tt = best_t[active, None] + wt * _T_OFFSETS
-            pp = best_p[active, None] + wp * _P_OFFSETS
-            vv = _form_residual(g[active], purity[active], _sph(tt, pp))
-            rows = np.arange(len(active))
-            j = vv.argmin(axis=1)
-            moved = vv[rows, j] < best_v[active] - _TIE
-            active, rows, j = active[moved], rows[moved], j[moved]
-            if not active.size:
-                break
-            best_v[active] = vv[rows, j]
-            best_t[active] = tt[rows, j]
-            best_p[active] = pp[rows, j]
-        wt *= 0.5
-        wp *= 0.5
-    return best_t, best_p
-
-
 def _half_angle(c2: np.ndarray, s2: np.ndarray):
     """cos and sin of the angle b in [-pi/2, pi/2] with (cos 2b, sin 2b)
     along (c2, s2), that is of atan2(s2, c2) / 2 up to a half turn; b = 0
@@ -217,18 +177,19 @@ def _circle_step(g: np.ndarray, purity: np.ndarray, n: np.ndarray, w: np.ndarray
     return cos_a[:, None] * n + sin_a[:, None] * w
 
 
-def _polish(g: np.ndarray, purity: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Finish each start's search in closed form; returns (m, 3) directions.
+def _polish(g: np.ndarray, purity: np.ndarray, theta: np.ndarray, phi: np.ndarray):
+    """One closed-form polish round from each start; returns the new
+    (theta, phi) arrays.
 
     The tangent plane at n = _sph(theta, phi) has the basis e_theta, e_phi;
     the 2x2 block M of the start's own G in it comes from the form at
     e_theta, e_phi and their bisector, and its principal directions are at
     the angle atan2(2 M01, M00 - M11) / 2. One exact line step along the
     great circle toward each principal direction in turn (the second stays
-    orthogonal to the first step's plane) removes what a narrow valley
-    leaves to the axis-aligned stencil. A start keeps the polished
-    direction only where its form value beats the search's by more than
-    _TIE, so exactly degenerate landscapes keep the search's direction.
+    orthogonal to the first step's plane) is a Jacobi-style pair of plane
+    rotations (Golub & Van Loan, Matrix Computations, section 8.5). A start
+    moves only where the stepped direction beats its form value by more
+    than _TIE, so exactly degenerate landscapes keep the start.
     """
     n = _sph(theta, phi)
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
@@ -240,8 +201,9 @@ def _polish(g: np.ndarray, purity: np.ndarray, theta: np.ndarray, phi: np.ndarra
     w1 = cos_b[:, None] * u + sin_b[:, None] * v
     w2 = cos_b[:, None] * v - sin_b[:, None] * u
     stepped = _circle_step(g, purity, _circle_step(g, purity, n, w1), w2)
-    after = _form_residual(g, purity, stepped[:, None])[:, 0]
-    return np.where((after < before - _TIE)[:, None], stepped, n)
+    moved = _form_residual(g, purity, stepped[:, None])[:, 0] < before - _TIE
+    x, y, z = stepped.T
+    return np.where(moved, np.arctan2(np.hypot(x, y), z), theta), np.where(moved, np.arctan2(y, x), phi)
 
 
 def _first_at_min(vals: np.ndarray) -> np.ndarray:
@@ -252,26 +214,21 @@ def _first_at_min(vals: np.ndarray) -> np.ndarray:
 def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     """Geometric discord by direct minimization over projector directions.
 
-    Scans a (theta, phi) grid of 24**2 points on the upper
-    hemisphere (antipodal directions define the same projector pair), then
-    refines with a shrinking-neighborhood pattern search of ``_STAGES``
-    stages, which ``_polish`` finishes in closed form. The refinement
-    runs from three starts: the z pole, the best grid point, and the best
-    equator point (a start equal to an earlier one is searched once). The
-    pole start keeps exactly degenerate landscapes on the z direction; the
-    equator start covers states whose correlation block is exactly
-    axis-aligned, where the (theta, phi) chart degenerates at the pole and
-    a single pole-adjacent search could stall.
+    Scans a (theta, phi) grid of 24**2 points on the upper hemisphere
+    (antipodal directions define the same projector pair), then runs
+    ``_POLISH_ROUNDS`` closed-form ``_polish`` rounds from the best grid
+    point, the first within _TIE of the scan's minimum (so an exactly
+    degenerate landscape starts, and stays, on the z pole). Both score
+    directions with the residual's 3x3 quadratic form
+    (tr rho^2 - n^T G n) / 2 (see ``_residual_form``). On the sphere that
+    form's only local minimum is the global one, up to sign, so one start
+    is enough.
 
-    The scan, the search and the polish score directions with the
-    residual's 3x3 quadratic form (see ``_residual_form``). The scan takes
-    the members of a stack ``_SCAN_BLOCK`` at a time, and the starts of
-    every member are searched and polished in lockstep, each taking the
-    steps it would take alone, so each member gets bit for bit its
-    single-state result. The value reported comes from the definition:
-    each start's polished direction is dephased and its distance to the
-    state taken once, and near-ties resolve toward the earlier start and
-    the lexicographically first (theta, phi).
+    The scan takes the members of a stack ``_SCAN_BLOCK`` at a time and the
+    polish takes them all at once, each member's arithmetic on its own row,
+    so each member gets bit for bit its single-state result. The value
+    reported comes from the definition: the state is dephased along its
+    polished direction and its distance to the state taken once.
 
     Args:
         state: the input state, or a stacked state.
@@ -287,40 +244,20 @@ def discord_grid_oracle(state: TwoQubitState) -> DiscordResult:
     g, purity = _residual_form(rho)
     thetas = np.linspace(0.0, np.pi / 2, coarse_steps)
     phis = np.linspace(0.0, 2 * np.pi, coarse_steps, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    tg, pg = tg.ravel(), pg.ravel()
+    tg, pg = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
     dirs = _sph(tg, pg)
-    k_global, k_eq = np.empty((2, len(rho)), dtype=np.intp)
+    best = np.empty(len(rho), dtype=np.intp)
     for lo in range(0, len(rho), _SCAN_BLOCK):
         block = slice(lo, lo + _SCAN_BLOCK)
-        vals = _form_residual(g[block], purity[block], dirs)
-        k_global[block] = _first_at_min(vals)
-        k_eq[block] = len(tg) - coarse_steps + _first_at_min(vals[:, -coarse_steps:])
-
-    wt0 = (np.pi / 2) / (coarse_steps - 1)
-    wp0 = 2 * np.pi / coarse_steps
-    tg, pg = tg.tolist(), pg.tolist()
-    starts, owner = [], []
-    for i, (kg, ke) in enumerate(zip(k_global.tolist(), k_eq.tolist())):
-        # a repeated start reruns the same deterministic search and cannot win
-        for start in dict.fromkeys(((0.0, 0.0), (tg[kg], pg[kg]), (tg[ke], pg[ke]))):
-            starts.append(start)
-            owner.append(i)
-    owner = np.array(owner, dtype=np.intp)
-    g, purity = g[owner], purity[owner]
-    directions = _polish(g, purity, *_lockstep_search(starts, g, purity, wt0, wp0))
-    values = _cq_residual(rho[owner], directions)
-    # per state, a later start wins only by more than _TIE
-    best = {}
-    vlist = values.tolist()
-    for k, i in enumerate(owner.tolist()):
-        if i not in best or vlist[k] < vlist[best[i]] - _TIE:
-            best[i] = k
-    pick = np.array(list(best.values()), dtype=np.intp)
-    value = values[pick].reshape(shape)
+        best[block] = _first_at_min(_form_residual(g[block], purity[block], dirs))
+    theta, phi = tg[best], pg[best]
+    for _ in range(_POLISH_ROUNDS):
+        theta, phi = _polish(g, purity, theta, phi)
+    directions = _sph(theta, phi)
+    value = _cq_residual(rho, directions).reshape(shape)
     return DiscordResult(
         value=_item(np.where(0.0 > value, 0.0, value)),
-        argmin_direction=_canonical_direction(directions[pick]).reshape(shape + (3,)),
+        argmin_direction=_canonical_direction(directions).reshape(shape + (3,)),
         method="grid-oracle",
     )
 
@@ -426,13 +363,11 @@ def discord_error_rate_bound(state: TwoQubitState, method: str = "grid-oracle") 
     Returns:
         (lhs, rhs) with lhs <= rhs + 1e-9; arrays for a stacked state.
     """
-    aligned = _align_first_bloch_to_z(state)
-    if method == "eigen":
-        lhs = discord_eigen(aligned).value
-    elif method == "grid-oracle":
-        lhs = discord_grid_oracle(aligned).value
-    else:
+    routes = {"eigen": discord_eigen, "grid-oracle": discord_grid_oracle}
+    if method not in routes:
         raise OutOfRangeError(f"unknown method {method!r}")
+    aligned = _align_first_bloch_to_z(state)
+    lhs = routes[method](aligned).value
     mer = min_error_rate(aligned)
     rhs = np.square(0.5 - mer.delta_x_min) + np.square(0.5 - mer.delta_y_min)
     return lhs, _item(rhs)

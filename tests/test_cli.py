@@ -257,6 +257,15 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("grid", ["inf:1:3", "0:inf:1", "1e400:1:3", "nan:1:3", "1e308:-1e308:3"])
+    def test_non_finite_grid_names_the_option(self, capsys, recwarn, grid):
+        assert main(["sweep", "--family", "pure", "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --grid") and captured.err.count("\n") == 1
+        # numpy's RuntimeWarning lines would land on stderr too
+        assert not recwarn.list
+
     def test_invalid_grid_exits_one(self, capsys):
         assert main(["sweep", "--family", "pure", "--grid", "0..1"]) == 1
         capsys.readouterr()
