@@ -10,19 +10,14 @@ rate is the probability that the two parties' sifted symbols disagree.
 
 A simulated run (``ProtocolRun``) keeps one int8 code per round, packing
 both basis choices and both outcomes. Its summary counts and the
-per-round ledger are both read from that one array. The
-simulator fills the codes and the summary counts them in chunks of
-``_CHUNK``; the chunked draws give the same stream as one draw per whole
-array: ``integers(0, 2, n)`` for Alice, then for Bob, then ``random(n)``.
-The basis choices take one pass per chunk of the generator's raw 64-bit
-words. Each of those integers draws returns the top bit of a 32-bit
-half-word, low half of a word first, so both parties' n choices are the
-top bits of the next n words' 2n half-words; they are written straight
-into the int8 codes. The outcome pass indexes the thresholds with an
-intp copy of the pairing. The ledger writer builds the rows' bytes in
-blocks of 10^4 rounds that start at multiples of 10^4, so that past the
-first block every round number in a block has the same width. The
-memory beyond the one byte per round does not grow with the round count.
+per-round ledger are both read from that one array. Round k of a run
+reads one raw 64-bit word, word k of the seed's PCG64 stream (the layout
+is in ``simulate_protocol``). The simulator reads the words and fills the
+codes, and the summary counts them, in chunks of ``_CHUNK``. The ledger
+writer builds the rows' bytes in blocks of 10^4 rounds that start at
+multiples of 10^4, so that past the first block every round number in a
+block has the same width. The memory beyond the one byte per round does
+not grow with the round count.
 """
 
 from __future__ import annotations
@@ -332,54 +327,20 @@ class ProtocolRun:
                 fh.write(rows[rows != 0])
 
 
-def _draw_bases(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Both parties' basis choices as n int8 codes ``8 i + 4 j`` (see
-    ProtocolRun), with i the bits of ``rng.integers(0, 2, n)`` and j those of
-    a second such draw, bit for bit.
-
-    ``rng`` must be a PCG64 Generator with no half-word buffered, as a
-    fresh ``np.random.default_rng(seed)`` is. For a range of 2, numpy's
-    bounded draw never rejects and returns bit 31 of a 32-bit half-word,
-    and PCG64 hands out a word's low half first and buffers its high half.
-    So the two draws are the top bits of the 2n half-words of the next n
-    raw words: bytes 3, 7, 11, ... of the words in little-endian order.
-    The words are read in chunks of _CHUNK. Afterwards the generator's
-    state equals the two draws', the buffered high half included, so
-    ``rng.random`` goes on with the same words.
-    """
-    code = np.empty(n, dtype=np.int8)
-    bits = code.view(np.uint8)
-    bitgen = rng.bit_generator
-    for s in _chunks(n):
-        words = bitgen.random_raw(s.stop - s.start).astype("<u8", copy=False)
-        top = words.view(np.uint8)[3::4]
-        # The chunk's half-words lo..hi: Alice's below n, Bob's from n on. Bob's
-        # round k reads word (n + k) // 2 >= k // 2, so by the time his bit is
-        # OR-ed in, Alice's has been written to round k in this or an earlier chunk.
-        lo, hi = 2 * s.start, 2 * s.stop
-        if lo < n:
-            alice = bits[lo:min(hi, n)]
-            np.right_shift(top[:alice.size], 4, out=alice)
-            alice &= 8
-        if hi > n:
-            bob = top[max(lo, n) - lo:] >> 5
-            bob &= 4
-            bits[max(lo, n) - n:hi - n] |= bob
-    if n:
-        # integers() leaves the last word's high half in the buffer, marked used
-        state = bitgen.state
-        state["uinteger"] = int(words[-1] >> 32)
-        bitgen.state = state
-    return code
-
-
 def simulate_protocol(state: TwoQubitState, n_rounds: int, seed: int, b, b_prime) -> ProtocolRun:
     """Simulate the key distribution rounds for a shared two-qubit state.
 
     Each round Alice picks x or y and Bob picks b or b' uniformly at
     random; the joint outcome is drawn from the exact four-outcome
     distribution by inverse CDF on a single uniform draw. Sifting keeps
-    the (x, b) and (y, b') pairings. Deterministic given ``seed``.
+    the (x, b) and (y, b') pairings.
+
+    Round k reads w, raw word k of ``np.random.PCG64(seed)`` (the bit
+    generator of ``default_rng(seed)``): bit 1 of w is Alice's basis i,
+    bit 0 Bob's basis j, and the round's uniform is ``(w >> 11) * 2**-53``,
+    the form of ``Generator.random``. Numpy keeps raw bit-generator streams
+    stable across versions (NEP 19), so a seed's rounds do not depend on
+    the numpy version.
 
     Raises OutOfRangeError for a stacked state, a round count that is not
     an integer >= 1 or a seed that is not an integer >= 0, and
@@ -392,21 +353,20 @@ def simulate_protocol(state: TwoQubitState, n_rounds: int, seed: int, b, b_prime
     probs = [[outcome_probs(state, a, bs).as_array() for bs in bob_settings] for a in (SETTING_X, SETTING_Y)]
     thresholds = np.cumsum(probs, axis=-1).reshape(4, 4)[:, :3].T
 
-    rng = np.random.default_rng(seed)
-    # Alice's choices, then Bob's, then the uniforms: the stream of one
-    # integers(0, 2, n_rounds) draw per party and one random(n_rounds) draw.
-    # _draw_bases reads the choices from n_rounds raw words, one pass per
-    # chunk, and leaves the generator where the two integers draws would.
-    code = _draw_bases(rng, n_rounds)
-    # The outcome index 0 (+,+), 1 (+,-), 2 (-,+), 3 (-,-) becomes the code's
-    # low two bits: the count of the pairing's first three cumulative
-    # probabilities at or below u, which is searchsorted(side="right") over
-    # all four capped at 3. The pairing is cast to intp once per chunk, so
-    # the three gathers index without a cast.
+    bitgen = np.random.PCG64(seed)
+    code = np.empty(n_rounds, dtype=np.int8)
+    # One raw word per round: its low two bits are the pairing 2 i + j, its
+    # top 53 the uniform u. The outcome index 0 (+,+), 1 (+,-), 2 (-,+),
+    # 3 (-,-) becomes the code's low two bits: the count of the pairing's
+    # first three cumulative probabilities at or below u, which is
+    # searchsorted(side="right") over all four capped at 3. The pairing is
+    # an intp array, so the three gathers index without a cast.
     for s in _chunks(n_rounds):
+        words = bitgen.random_raw(s.stop - s.start)
+        pairing = (words & 3).astype(np.intp)
+        u = (words >> 11) * 2.0**-53
         chunk = code[s]
-        u = rng.random(chunk.size)
-        pairing = (chunk >> 2).astype(np.intp)
+        np.left_shift(pairing, 2, out=chunk, casting="unsafe")
         for row in thresholds:
             chunk += row.take(pairing) <= u
 

@@ -34,7 +34,7 @@ from twirlkit import (
     validate_density,
     werner,
 )
-from twirlkit.protocol import ALICE_LABELS, BOB_LABELS, _CHUNK, ProtocolRun, _draw_bases
+from twirlkit.protocol import ALICE_LABELS, BOB_LABELS, _CHUNK, ProtocolRun
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -72,6 +72,12 @@ def decode(run):
         alice_bases=np.array(ALICE_LABELS)[i],
         bob_bases=np.array(BOB_LABELS)[j],
     )
+
+
+def raw_pairings(seed, n):
+    """The pairings 2 i + j of a run's first n rounds by the documented
+    stream: bits 1 and 0 of raw word k of PCG64(seed)."""
+    return np.random.PCG64(seed).random_raw(n) & 3
 
 
 class TestOutcomeProbs:
@@ -279,9 +285,10 @@ class TestSimulateProtocol:
         assert run.empirical_delta == pytest.approx(weighted, abs=1e-15)
 
     def test_empty_sift_raises(self):
-        # Seed 1 makes the single round a cross pairing.
+        # Seed 2 makes the single round a cross pairing.
+        assert raw_pairings(2, 1).tolist() == [1]
         with pytest.raises(EmptySiftedSetError):
-            simulate_protocol(werner(0.9), 1, 1, (1.0, 0.0, 0.0), (0.0, -1.0, 0.0))
+            simulate_protocol(werner(0.9), 1, 2, (1.0, 0.0, 0.0), (0.0, -1.0, 0.0))
 
     def test_rejects_zero_rounds(self):
         with pytest.raises(OutOfRangeError):
@@ -423,8 +430,11 @@ class TestLedger:
 
 
 def reference_simulate_protocol(state, n_rounds, seed, b, b_prime):
-    """The simulator body from before a run kept one code per round: five
-    per-round arrays and the summary numbers from boolean masks."""
+    """The simulator as one whole-array pass over the documented stream:
+    round k reads raw word k of PCG64(seed), Alice's basis is its bit 1,
+    Bob's its bit 0, and its top 53 bits over 2^53 are the uniform. One
+    mask and one searchsorted per pairing give five per-round arrays, and
+    boolean masks the summary numbers."""
     alice_settings = (SETTING_X, SETTING_Y)
     bob_settings = (MeasurementSetting.of(b), MeasurementSetting.of(b_prime))
     cums = np.empty((2, 2, 4))
@@ -433,10 +443,10 @@ def reference_simulate_protocol(state, n_rounds, seed, b, b_prime):
             cums[i, j] = np.cumsum(outcome_probs(state, alice_settings[i], bob_settings[j]).as_array())
             cums[i, j, 3] = max(cums[i, j, 3], 1.0)
 
-    rng = np.random.default_rng(seed)
-    alice_choice = rng.integers(0, 2, n_rounds).astype(np.int8)
-    bob_choice = rng.integers(0, 2, n_rounds).astype(np.int8)
-    u = rng.random(n_rounds)
+    words = np.random.PCG64(seed).random_raw(n_rounds)
+    alice_choice = ((words >> 1) & 1).astype(np.int8)
+    bob_choice = (words & 1).astype(np.int8)
+    u = (words >> 11).astype(np.float64) / 2.0**53
     outcome = np.empty(n_rounds, dtype=np.int64)
     for i in range(2):
         for j in range(2):
@@ -523,6 +533,11 @@ def assert_matches_reference_simulator(tmp_path, state, n, seed, b, b_prime):
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+# non-optimal, asymmetric settings: no two pairings share a row of
+# cumulative thresholds, so a gather from a wrong row shows
+ASYMMETRIC = (random_state(3), (0.6, 0.0, 0.8), (0.0, -0.28, 0.96))
+
+
 class TestRoundCode:
     @pytest.mark.parametrize("seed", [0, 1, 42])
     # several whole chunks, and an odd leftover after several chunks
@@ -535,12 +550,11 @@ class TestRoundCode:
         mer = min_error_rate(state)
         assert_matches_reference_simulator(tmp_path, state, n, seed, mer.b, mer.b_prime)
 
-    @pytest.mark.parametrize("seed", [3, 4])  # at n = 1 seed 3 sifts no round, seed 4 one
+    @pytest.mark.parametrize("seed", [3, 4])  # at n = 1 seed 3 sifts one round, seed 4 none
     @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
     def test_each_pairing_gathers_its_own_thresholds(self, tmp_path, n, seed):
-        # non-optimal, asymmetric settings: no two pairings share a row of
-        # cumulative thresholds, so a gather from a wrong row shows
-        state, b, b_prime = random_state(3), (0.6, 0.0, 0.8), (0.0, -0.28, 0.96)
+        assert raw_pairings(seed, 1).tolist() == {3: [0], 4: [2]}[seed]
+        state, b, b_prime = ASYMMETRIC
         rows = [
             tuple(np.cumsum(outcome_probs(state, a, bs).as_array())[:3])
             for a in (SETTING_X, SETTING_Y) for bs in (b, b_prime)
@@ -615,34 +629,47 @@ class TestRoundCode:
             run.mismatch_rate("z", "b")
 
 
-class TestDrawBases:
-    """The basis pass against the draws it replaces: rng.integers(0, 2, n)
-    for Alice, again for Bob, then rng.random(n)."""
+class TestWordLayout:
+    """Round k reads raw word k of PCG64(seed): its bits 1 and 0 are the
+    pairing 2 i + j, and (w >> 11) 2^-53 is its uniform, the value of
+    Generator.random."""
 
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1])
-    # odd n, where Alice's last and Bob's first half-word share a word; n
-    # whose Alice/Bob split (half-word n) lands on the chunk edge at half-word
-    # 2 _CHUNK, and one half-word either side of it; whole and partial chunks
+    # small n, and whole and partial chunks on either side of the chunk edges
     @pytest.mark.parametrize("n", [
         1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
         3 * _CHUNK + 1, 4 * _CHUNK, 100_001,
     ])
-    def test_same_stream_as_integers_then_random(self, n, seed):
-        reference = np.random.default_rng(seed)
-        alice, bob = reference.integers(0, 2, n), reference.integers(0, 2, n)
-        rng = np.random.default_rng(seed)
-        code = _draw_bases(rng, n)
-        assert code.dtype == np.int8 and code.shape == (n,)
-        np.testing.assert_array_equal(code, 8 * alice + 4 * bob)
-        # has_uint32 and uinteger included: the buffered half-word is the same
-        assert rng.bit_generator.state == reference.bit_generator.state
-        np.testing.assert_array_equal(rng.random(n), reference.random(n))
-        assert rng.bit_generator.state == reference.bit_generator.state
+    def test_one_raw_word_per_round(self, n, seed):
+        words = np.random.PCG64(seed).random_raw(n)
+        run = simulate_protocol(werner(0.75), n, seed, SETTING_X, SETTING_Y)
+        np.testing.assert_array_equal(run.code >> 2, words & 3)
+        u = (words >> 11) * 2.0**-53
+        assert u.tobytes() == np.random.Generator(np.random.PCG64(seed)).random(n).tobytes()
 
-    def test_no_rounds_leaves_the_generator_as_it_was(self):
-        rng = np.random.default_rng(9)
-        assert _draw_bases(rng, 0).shape == (0,)
-        assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
+    def test_bases_and_outcomes_follow_their_distributions(self):
+        # asymmetric settings give the four pairings four different outcome
+        # distributions, so a swapped or correlated split of the word shows
+        state, b, b_prime = ASYMMETRIC
+        n = 100_000
+        counts = np.bincount(simulate_protocol(state, n, 11, b, b_prime).code, minlength=16).reshape(4, 4)
+        for pairing, (a, bs) in enumerate((a, bs) for a in (SETTING_X, SETTING_Y) for bs in (b, b_prime)):
+            m = int(counts[pairing].sum())
+            assert abs(m / n - 0.25) <= 4 * math.sqrt(0.25 * 0.75 / n), pairing
+            for k, p in enumerate(outcome_probs(state, a, bs).as_array()):
+                assert abs(counts[pairing, k] / m - p) <= 4 * math.sqrt(p * (1 - p) / m), (pairing, k)
+
+    def test_codes_are_pinned_across_numpy_versions(self):
+        # I/4 has the exact thresholds 1/4, 1/2, 3/4 in every pairing, so each
+        # code is fixed by the raw words alone
+        run = simulate_protocol(validate_density(np.eye(4) / 4), 10_000, 42, SETTING_X, SETTING_Y)
+        assert run.code[:64].tolist() == [
+            3, 5, 3, 6, 12, 3, 7, 3, 12, 9, 5, 15, 10, 11, 13, 8, 10, 12, 11, 2, 7, 13, 7, 3, 3, 0, 13, 4, 0, 14, 2, 15,
+            9, 9, 13, 0, 8, 5, 4, 14, 9, 7, 14, 13, 7, 11, 9, 9, 6, 4, 4, 12, 7, 14, 14, 7, 5, 6, 12, 8, 10, 13, 2, 15,
+        ]
+        assert np.bincount(run.code, minlength=16).tolist() == [
+            617, 617, 638, 563, 669, 628, 641, 658, 645, 612, 605, 595, 614, 613, 659, 626,
+        ]
 
 
 class TestMeasurementSetting:
