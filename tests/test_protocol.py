@@ -629,10 +629,12 @@ class TestRoundCode:
             run.mismatch_rate("z", "b")
 
 
-class TestWordLayout:
+class TestDrawBases:
     """Round k reads raw word k of PCG64(seed): its bits 1 and 0 are the
     pairing 2 i + j, and (w >> 11) 2^-53 is its uniform, the value of
-    Generator.random."""
+    Generator.random. In a fresh Generator's terms the words are those of
+    integers(0, 2**64, dtype=uint64), which hands out raw words one to one,
+    and the uniforms those of random."""
 
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1])
     # small n, and whole and partial chunks on either side of the chunk edges
@@ -640,9 +642,12 @@ class TestWordLayout:
         1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
         3 * _CHUNK + 1, 4 * _CHUNK, 100_001,
     ])
-    def test_one_raw_word_per_round(self, n, seed):
+    def test_same_stream_as_integers_then_random(self, n, seed):
         words = np.random.PCG64(seed).random_raw(n)
+        integers = np.random.Generator(np.random.PCG64(seed)).integers(0, 2**64, n, dtype=np.uint64)
+        np.testing.assert_array_equal(integers, words)
         run = simulate_protocol(werner(0.75), n, seed, SETTING_X, SETTING_Y)
+        assert run.code.dtype == np.int8 and run.code.shape == (n,)
         np.testing.assert_array_equal(run.code >> 2, words & 3)
         u = (words >> 11) * 2.0**-53
         assert u.tobytes() == np.random.Generator(np.random.PCG64(seed)).random(n).tobytes()
