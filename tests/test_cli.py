@@ -556,6 +556,28 @@ class TestTwirlCommand:
         doc = json.loads(out.read_text())
         assert doc["discord_after"] >= doc["discord_before"]
 
+    @pytest.mark.parametrize("doc", [
+        {"family": "pure", "gamma": 1.0},
+        {"family": "pure", "gamma": 0.3},
+        {"family": "werner", "F": 0.6},
+        {"family": "werner", "F": 0.9},
+        {"family": "depolarized", "gamma": 0.7, "p": 0.4},
+        {"family": "depolarized", "gamma": 1.2, "p": 0.8},
+    ], ids=lambda doc: "-".join(map(str, doc.values())))
+    def test_discord_matches_sweep(self, tmp_path, doc):
+        # one discord route: the report prints the one-point sweep's bits
+        state, report, sweep = tmp_path / "state.json", tmp_path / "report.json", tmp_path / "sweep.json"
+        state.write_text(json.dumps(doc))
+        assert main(["twirl", "--state", str(state), "--n", "1000", "--seed", "0", "--out", str(report)]) == 0
+        swept, *extra = states.FAMILY_PARAMS[doc["family"]]
+        value = doc[swept]
+        argv = ["sweep", "--family", doc["family"], "--grid", f"{value!r}:{value!r}:1", "--format", "json"]
+        argv += [a for name in extra for a in (f"--{name}", repr(doc[name]))]
+        assert main([*argv, "--out", str(sweep)]) == 0
+        twirled = json.loads(report.read_text())
+        (row,) = json.loads(sweep.read_text())["rows"]
+        assert (twirled["discord_before"], twirled["discord_after"]) == (row["dg_pure"], row["dg_twirled"])
+
 
 class TestCheck:
     def test_reduced_run_all_pass(self, tmp_path):
@@ -651,8 +673,8 @@ class TestCheck:
         assert checks.CheckConfig(**{f.name: getattr(args, f.name) for f in checks.FLAG_FIELDS}) == checks.CheckConfig()
 
     def test_oracle_calls_do_not_grow_with_counts(self, tmp_path, monkeypatch):
-        # each oracle property calls the oracle once per pool, whatever its size;
-        # the twirl comparison takes the state and its twirl in one call
+        # each of the four oracle properties calls the oracle once per pool,
+        # whatever its size; no other property reaches it
         calls = []
         oracle = measures.discord_grid_oracle
         monkeypatch.setattr(measures, "discord_grid_oracle", lambda state: calls.append(state) or oracle(state))
@@ -661,7 +683,7 @@ class TestCheck:
             calls.clear()
             assert main(["check", "--seed", "7", *flags, "--out", str(tmp_path / "report.json")]) == 0
             counts.append(len(calls))
-        assert counts[0] == counts[1] == 6
+        assert counts[0] == counts[1] == 4
 
     def test_random_state_calls_do_not_grow_with_counts(self, tmp_path, monkeypatch):
         # each of the 15 random pools is one stacked state, drawn in one call whatever its size

@@ -231,9 +231,10 @@ STACKS = {
     # as many members as the coarse scan has points
     "576": lambda: pure_state(np.linspace(0.1, 1.4, 576)),
 }
-ORACLE_CALLS = {
+# the oracle and the three functions that report discord through discord_eigen
+DISCORD_CALLS = {
     "discord_grid_oracle": discord_grid_oracle,
-    "discord_error_rate_bound": lambda s: discord_error_rate_bound(s, method="grid-oracle"),
+    "discord_error_rate_bound": discord_error_rate_bound,
     "delta_min_from_discord": delta_min_from_discord,
     "twirl_discord_comparison": twirl_discord_comparison,
 }
@@ -249,12 +250,12 @@ def _fields(result):
 
 
 @pytest.mark.parametrize("stack", list(STACKS))
-@pytest.mark.parametrize("call", list(ORACLE_CALLS))
+@pytest.mark.parametrize("call", list(DISCORD_CALLS))
 def test_stacked_call_matches_members(call, stack):
     stacked = STACKS[stack]()
-    fields = _fields(ORACLE_CALLS[call](stacked))
+    fields = _fields(DISCORD_CALLS[call](stacked))
     for i, rho in enumerate(stacked.rho):
-        single = _fields(ORACLE_CALLS[call](validate_density(rho)))
+        single = _fields(DISCORD_CALLS[call](validate_density(rho)))
         # one state keeps its Python floats
         assert all(type(v) is float for v in single if not isinstance(v, (str, np.ndarray)))
         assert [v if isinstance(v, str) else v[i].tobytes() for v in fields] == [
@@ -516,7 +517,7 @@ class TestDiscordErrorRateBound:
 
     def test_holds_on_random_states(self):
         for seed in range(500):
-            lhs, rhs = discord_error_rate_bound(random_state(seed), method="eigen")
+            lhs, rhs = discord_error_rate_bound(random_state(seed))
             assert lhs <= rhs + 1e-9
 
     def test_requires_aligned_frame(self):
@@ -535,23 +536,12 @@ class TestDiscordErrorRateBound:
         assert lhs <= rhs + 1e-9
 
     def test_methods_agree(self):
+        # the grid oracle on the unaligned state witnesses the bound's eigen lhs:
+        # the alignment is a local rotation, which keeps the discord
         s = random_state(77)
-        lhs_grid, rhs_grid = discord_error_rate_bound(s, method="grid-oracle")
-        lhs_eig, rhs_eig = discord_error_rate_bound(s, method="eigen")
-        assert abs(lhs_grid - lhs_eig) <= 1e-9
-        assert rhs_grid == rhs_eig
-
-    def test_unknown_method(self, monkeypatch):
-        # rejected before the stack is rotated into its adapted frame and validated
-        states = random_state(np.arange(3))
-        calls = []
-        validate = measures.validate_density
-        monkeypatch.setattr(measures, "validate_density", lambda *a: calls.append(a) or validate(*a))
-        with pytest.raises(OutOfRangeError, match="unknown method"):
-            discord_error_rate_bound(states, method="fancy")
-        assert calls == []
-        discord_error_rate_bound(states, method="eigen")
-        assert len(calls) == 1
+        lhs, _ = discord_error_rate_bound(s)
+        assert math.hypot(*s.decomp.x[:2]) > 0.1
+        assert abs(discord_grid_oracle(s).value - lhs) <= 1e-9
 
 
 class TestDeltaMinFromDiscord:
@@ -562,9 +552,12 @@ class TestDeltaMinFromDiscord:
         assert delta_min_from_discord(werner(0.75)) == pytest.approx(1 / 6, abs=1e-8)
 
     def test_equals_min_error_rate_on_families(self):
+        # condition I holds where z attains the minimum, also on a degenerate
+        # spectrum (Werner states, I/4), where the eigen form's top
+        # eigenvector is any direction of a tied eigenspace
         targets = [pure_state(g) for g in np.linspace(0.0, math.pi / 2, 20)]
-        targets += [werner(f) for f in np.linspace(0.0, 1.0, 10)]
-        targets.append(validate_density(np.eye(4) / 4))
+        targets += [werner(f) for f in [*np.linspace(0.0, 1.0, 10), 0.25, 0.5]]
+        targets += [validate_density(np.eye(4) / 4), pure_state(np.linspace(0.0, math.pi / 2, 200))]
         for s in targets:
             assert delta_min_from_discord(s) == pytest.approx(
                 min_error_rate(s).value, abs=1e-8
@@ -579,13 +572,13 @@ class TestDeltaMinFromDiscord:
 
     def test_condition_one_rejects_off_axis_minimizer(self):
         p = XStateParams(0.25, 0.25, 0.25, 0.25, 0.25, 0.25)
-        with pytest.raises(ConditionsNotMetError) as err:
+        with pytest.raises(ConditionsNotMetError, match="is off the z axis") as err:
             delta_min_from_discord(x_state(p))
         assert err.value.condition == "I"
 
     def test_condition_one_rejects_tilted_frame(self):
         rho = 0.25 * (np.eye(4) + 0.5 * np.kron(_SX, np.eye(2)) + 0.5 * np.kron(_SZ, _SZ))
-        with pytest.raises(ConditionsNotMetError) as err:
+        with pytest.raises(ConditionsNotMetError, match="in-plane magnitude") as err:
             delta_min_from_discord(validate_density(rho))
         assert err.value.condition == "I"
 

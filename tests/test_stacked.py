@@ -406,8 +406,8 @@ def test_align_and_bound(stack, members):
     assert_bits(aligned.rho, [_align_first_bloch_to_z(s).rho for s in members])
     # np.arctan2 against math.atan2: 1.8e-16 on the entries was the worst measured
     assert np.max(np.abs(aligned.rho - np.array([reference_align(s.rho, s.x) for s in members]))) <= 1.8e-16
-    lhs, rhs = discord_error_rate_bound(stack, method="eigen")
-    singles = [discord_error_rate_bound(s, method="eigen") for s in members]
+    lhs, rhs = discord_error_rate_bound(stack)
+    singles = [discord_error_rate_bound(s) for s in members]
     assert all(type(a) is float and type(b) is float for a, b in singles)
     assert_bits(lhs, [a for a, _ in singles])
     assert_bits(rhs, [b for _, b in singles])
