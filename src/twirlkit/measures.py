@@ -57,9 +57,14 @@ _SCAN_BLOCK = 256
 # tests' wide near-degenerate probe; 2 rounds reach the ~1e-13 floor that
 # the _TIE gate sets, and a third round moves no start.
 _POLISH_ROUNDS = 2
-# How far the residual at z may exceed the discord in delta_min_from_discord's
-# condition I; on 200-point pure and Werner grids and on I/4 it is 1.2e-16.
-_Z_MINIMUM_SLACK = 1e-12
+# How far the error rate (1 - sqrt(2 D_z)) / 2 from the residual D_z at z
+# may lie below the one from the discord D in delta_min_from_discord's
+# condition I; on 200-point pure and Werner grids and on I/4 it is at most
+# 3.6e-15. The gate is in error-rate units because the square root turns an
+# excess of D_z near zero discord into a far larger error. Since
+# D <= D_z <= 1/2 wherever the gap is positive, D_z - D is at most twice the
+# gap, so this gate refuses every state that the earlier D_z - D <= 1e-12 did.
+_Z_MINIMUM_SLACK = 5e-13
 
 _SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
 
@@ -376,10 +381,11 @@ def delta_min_from_discord(state: TwoQubitState) -> float:
     """Minimal error rate from the discord: (1 - sqrt(2 D_g)) / 2.
 
     Valid when (I) z attains the minimum, for a state already in the frame
-    with no in-plane first-qubit Bloch components: the residual at z,
-    (|x|^2 + ||T||^2 - x_z^2 - ||T_z||^2) / 4, exceeds the discord by at
-    most _Z_MINIMUM_SLACK; and (II) the two optimal correlation values
-    agree. Raises ConditionsNotMetError naming the failed condition; when
+    with no in-plane first-qubit Bloch components: with D_z the residual at
+    z, (|x|^2 + ||T||^2 - x_z^2 - ||T_z||^2) / 4, the error rate
+    (1 - sqrt(2 D_z)) / 2 lies below the result by at most
+    _Z_MINIMUM_SLACK; and (II) the two optimal correlation values agree.
+    Raises ConditionsNotMetError naming the failed condition; when
     both hold the result equals min_error_rate(state).value to 1e-8. A
     stacked state gives an array; the error names the first failing member
     and its first failed condition.
@@ -387,15 +393,17 @@ def delta_min_from_discord(state: TwoQubitState) -> float:
     d = state.decomp
     in_plane = np.hypot(d.x[..., 0], d.x[..., 1])
     eigen = discord_eigen(state)
-    # the residual at z, less the discord
-    above = 0.25 * (np.vecdot(d.x, d.x) + np.sum(d.T * d.T, axis=(-2, -1)) - np.square(d.x[..., 2])
-                    - np.vecdot(d.T[..., 2, :], d.T[..., 2, :])) - eigen.value
+    d_z = 0.25 * (np.vecdot(d.x, d.x) + np.sum(d.T * d.T, axis=(-2, -1)) - np.square(d.x[..., 2])
+                  - np.vecdot(d.T[..., 2, :], d.T[..., 2, :]))
+    # how far the error rate from D_z lies below the one from the discord
+    above = 0.5 * (np.sqrt(2.0 * np.maximum(d_z, 0.0)) - np.sqrt(2.0 * eigen.value))
     r1, r2 = _vector_norm(d.T[..., 0, :]), _vector_norm(d.T[..., 1, :])
     _raise_first_failure(in_plane.shape, (
         (in_plane > 1e-9, partial(ConditionsNotMetError, "I"),
          lambda i: f"first-qubit Bloch vector has in-plane magnitude {in_plane[i]:.3e}"),
         (above > _Z_MINIMUM_SLACK, partial(ConditionsNotMetError, "I"),
-         lambda i: f"minimizing direction {eigen.argmin_direction[i]} is off the z axis by {above[i]:.3e} in discord"),
+         lambda i: f"minimizing direction {eigen.argmin_direction[i]} is off the z axis by {above[i]:.3e} "
+                   "in error rate"),
         (np.abs(r1 - r2) > 1e-9, partial(ConditionsNotMetError, "II"),
          lambda i: f"optimal correlation values differ: {r1[i]:.12g} vs {r2[i]:.12g}"),
     ))

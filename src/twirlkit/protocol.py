@@ -13,7 +13,11 @@ both basis choices and both outcomes. Its summary counts and the
 per-round ledger are both read from that one array. Round k of a run
 reads one raw 64-bit word, word k of the seed's PCG64 stream (the layout
 is in ``simulate_protocol``). The simulator reads the words and fills the
-codes, and the summary counts them, in chunks of ``_CHUNK``. The ledger
+codes, and the summary counts them, in chunks of ``_CHUNK``. A round's
+code is one gather from a guide table keyed by its pairing and the top
+bits of its word; the few rounds whose bucket holds an outcome threshold
+are counted exactly against integer limits after the last chunk
+(``_decode``). The ledger
 writer builds the rows' bytes in blocks of 10^4 rounds that start at
 multiples of 10^4, so that past the first block every round number in a
 block has the same width. The memory beyond the one byte per round does
@@ -327,6 +331,81 @@ class ProtocolRun:
                 fh.write(rows[rows != 0])
 
 
+def _limits(thresholds: np.ndarray) -> np.ndarray:
+    """The least m with t <= m 2^-53, as uint64, for each threshold t >= 0.
+
+    t 2^53 is exact, and so is its ceiling, so ``m >= limit`` decides
+    ``t <= (w >> 11) * 2**-53`` as the float comparison does. A threshold
+    of 1 or more, which no uniform reaches, gets 2^53, which no m reaches.
+    """
+    return np.ceil(np.fmin(thresholds, 1.0) * 2.0**53).astype(np.uint64)
+
+
+# A round's guide bucket is the top _GUIDE_BITS bits of its m = w >> 11,
+# which are the top bits of its word; a bucket spans 2^_BUCKET_SHIFT m.
+_GUIDE_BITS = 12
+_BUCKET_SHIFT = 53 - _GUIDE_BITS
+
+
+def _guide(limits: np.ndarray) -> np.ndarray:
+    """The guide table of a (4, 3) array of pairings' limits: int8 entry
+    ``(p << _GUIDE_BITS) | bucket`` is the code 4 p + (count of the
+    pairing's limits at or below every m of the bucket), or -1 where a limit
+    falls inside the bucket, so that the count depends on m there.
+
+    Each pairing's row is the run of codes 4 p, 4 p + 1, ... that steps up
+    at the bucket holding each limit, limit >> _BUCKET_SHIFT; where that
+    bucket is marked -1, the step takes effect from the next one.
+    """
+    edges = np.column_stack([
+        np.zeros(4, np.intp), (limits >> _BUCKET_SHIFT).astype(np.intp), np.full(4, 1 << _GUIDE_BITS),
+    ])
+    guide = np.repeat(np.arange(16, dtype=np.int8), np.diff(edges).ravel())
+    p, k = np.nonzero(limits & ((1 << _BUCKET_SHIFT) - 1))
+    guide[(p << _GUIDE_BITS) + (limits[p, k] >> _BUCKET_SHIFT).astype(np.intp)] = -1
+    return guide
+
+
+def _decode(word_chunks, n_rounds: int, thresholds: np.ndarray) -> np.ndarray:
+    """The int8 codes of n_rounds rounds, from their raw words.
+
+    ``word_chunks`` yields the rounds' uint64 words in order, as arrays of
+    at most _CHUNK words; ``thresholds`` is the (4, 3) array of each
+    pairing's first three cumulative outcome probabilities. A round with
+    word w has pairing p = w & 3 and m = w >> 11, and its code is
+    4 p + (count of the pairing's thresholds t with t <= m 2^-53). The
+    guide table gives that code by the pairing and the top bits of w; the
+    rounds whose bucket holds a limit (``_guide`` marks them -1) are
+    collected with their words and counted exactly against the limits
+    after the last chunk.
+    """
+    limits = _limits(thresholds)
+    guide = _guide(limits)
+    code = np.empty(n_rounds, dtype=np.int8)
+    key, top = np.empty(_CHUNK, np.uint64), np.empty(_CHUNK, np.uint64)
+    exact_at, exact_words = [], []
+    lo = 0
+    for words in word_chunks:
+        k, t, chunk = key[:words.size], top[:words.size], code[lo:lo + words.size]
+        np.left_shift(np.bitwise_and(words, 3, out=k), _GUIDE_BITS, out=k)
+        np.bitwise_or(k, np.right_shift(words, 64 - _GUIDE_BITS, out=t), out=k)
+        # the keys are below 2^14, so their uint64 bits read as intp, the
+        # index type take uses without a cast
+        guide.take(k.view(np.intp), out=chunk)
+        at = np.flatnonzero(chunk < 0)
+        if at.size:
+            exact_at.append(at + lo)
+            exact_words.append(words[at])
+        lo += words.size
+    if exact_at:
+        words = np.concatenate(exact_words)
+        pairing = (words & 3).astype(np.intp)
+        code[np.concatenate(exact_at)] = 4 * pairing + np.count_nonzero(
+            limits[pairing] <= (words >> 11)[:, None], axis=1
+        )
+    return code
+
+
 def simulate_protocol(state: TwoQubitState, n_rounds: int, seed: int, b, b_prime) -> ProtocolRun:
     """Simulate the key distribution rounds for a shared two-qubit state.
 
@@ -340,7 +419,9 @@ def simulate_protocol(state: TwoQubitState, n_rounds: int, seed: int, b, b_prime
     bit 0 Bob's basis j, and the round's uniform is ``(w >> 11) * 2**-53``,
     the form of ``Generator.random``. Numpy keeps raw bit-generator streams
     stable across versions (NEP 19), so a seed's rounds do not depend on
-    the numpy version.
+    the numpy version. The outcome index 0 (+,+), 1 (+,-), 2 (-,+), 3 (-,-)
+    is the count of the pairing's first three cumulative probabilities at
+    or below the uniform (``_decode``).
 
     Raises OutOfRangeError for a stacked state, a round count that is not
     an integer >= 1 or a seed that is not an integer >= 0, and
@@ -348,28 +429,14 @@ def simulate_protocol(state: TwoQubitState, n_rounds: int, seed: int, b, b_prime
     happen for very small ``n_rounds``.
     """
     _check_sampler_inputs(state, n_rounds, "n_rounds", seed)
-    bob_settings = (MeasurementSetting.of(b), MeasurementSetting.of(b_prime))
-    # Cumulative outcome distributions, one row per pairing 2 i + j.
-    probs = [[outcome_probs(state, a, bs).as_array() for bs in bob_settings] for a in (SETTING_X, SETTING_Y)]
-    thresholds = np.cumsum(probs, axis=-1).reshape(4, 4)[:, :3].T
+    b, b_prime = MeasurementSetting.of(b).n, MeasurementSetting.of(b_prime).n
+    # One stacked call over the pairings 2 i + j: Alice's settings by row,
+    # Bob's by column.
+    probs = outcome_probs(state, np.array([[SETTING_X.n] * 2, [SETTING_Y.n] * 2]), np.array([[b, b_prime]] * 2))
+    thresholds = np.cumsum(probs.as_array(), axis=-1).reshape(4, 4)[:, :3]
 
     bitgen = np.random.PCG64(seed)
-    code = np.empty(n_rounds, dtype=np.int8)
-    # One raw word per round: its low two bits are the pairing 2 i + j, its
-    # top 53 the uniform u. The outcome index 0 (+,+), 1 (+,-), 2 (-,+),
-    # 3 (-,-) becomes the code's low two bits: the count of the pairing's
-    # first three cumulative probabilities at or below u, which is
-    # searchsorted(side="right") over all four capped at 3. The pairing is
-    # an intp array, so the three gathers index without a cast.
-    for s in _chunks(n_rounds):
-        words = bitgen.random_raw(s.stop - s.start)
-        pairing = (words & 3).astype(np.intp)
-        u = (words >> 11) * 2.0**-53
-        chunk = code[s]
-        np.left_shift(pairing, 2, out=chunk, casting="unsafe")
-        for row in thresholds:
-            chunk += row.take(pairing) <= u
-
+    code = _decode((bitgen.random_raw(s.stop - s.start) for s in _chunks(n_rounds)), n_rounds, thresholds)
     # read-only, so the run keeps this array without a copy
     run = ProtocolRun(n_rounds=n_rounds, code=_read_only(code))
     if run.m_sifted == 0:

@@ -576,6 +576,20 @@ class TestDeltaMinFromDiscord:
             delta_min_from_discord(x_state(p))
         assert err.value.condition == "I"
 
+    @pytest.mark.parametrize("t", [
+        [[1e-5, 0, 0], [0, 1e-5, 0], [0.09, 0, 0.5]],
+        [[5e-5, 0, 0], [0, 5e-5, 0], [0.025, 0, 0.5]],
+    ])
+    def test_condition_one_gates_in_error_rate_units(self, t):
+        # z misses the minimum by under 1e-12 in discord, but near zero
+        # discord the square root makes the result 3.9e-8 and 1.6e-8 above
+        # min_error_rate, past the promised 1e-8
+        state = validate_density(pauli_compose(PauliDecomposition(np.zeros(3), np.zeros(3), np.array(t))))
+        assert 0.5 * (1 - math.sqrt(2 * discord_eigen(state).value)) - min_error_rate(state).value > 1e-8
+        with pytest.raises(ConditionsNotMetError, match="is off the z axis by .* in error rate") as err:
+            delta_min_from_discord(state)
+        assert err.value.condition == "I"
+
     def test_condition_one_rejects_tilted_frame(self):
         rho = 0.25 * (np.eye(4) + 0.5 * np.kron(_SX, np.eye(2)) + 0.5 * np.kron(_SZ, _SZ))
         with pytest.raises(ConditionsNotMetError, match="in-plane magnitude") as err:

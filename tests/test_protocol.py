@@ -34,7 +34,7 @@ from twirlkit import (
     validate_density,
     werner,
 )
-from twirlkit.protocol import ALICE_LABELS, BOB_LABELS, _CHUNK, ProtocolRun
+from twirlkit.protocol import ALICE_LABELS, BOB_LABELS, _CHUNK, _GUIDE_BITS, ProtocolRun, _decode, _guide, _limits
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -78,6 +78,30 @@ def raw_pairings(seed, n):
     """The pairings 2 i + j of a run's first n rounds by the documented
     stream: bits 1 and 0 of raw word k of PCG64(seed)."""
     return np.random.PCG64(seed).random_raw(n) & 3
+
+
+def pairing_thresholds(state, b, b_prime):
+    """The (4, 3) first three cumulative outcome probabilities of each
+    pairing 2 i + j, one outcome_probs call per pairing."""
+    return np.array([
+        np.cumsum(outcome_probs(state, a, bs).as_array())[:3]
+        for a in (SETTING_X, SETTING_Y) for bs in (b, b_prime)
+    ])
+
+
+def reference_codes(words, thresholds):
+    """Round codes by the float definition: 4 p + the count of the
+    pairing's thresholds t with t <= (w >> 11) 2^-53."""
+    pairing = (words & 3).astype(np.intp)
+    u = (words >> 11).astype(np.float64) / 2.0**53
+    return (4 * pairing + np.count_nonzero(thresholds[pairing] <= u[:, None], axis=1)).astype(np.int8)
+
+
+def guide_fallbacks(words, thresholds):
+    """Which rounds the guide table leaves to the exact count: the -1
+    entries at their keys (pairing, top _GUIDE_BITS bits)."""
+    key = ((words & 3) << _GUIDE_BITS) | (words >> (64 - _GUIDE_BITS))
+    return _guide(_limits(thresholds))[key.astype(np.intp)] < 0
 
 
 class TestOutcomeProbs:
@@ -555,11 +579,7 @@ class TestRoundCode:
     def test_each_pairing_gathers_its_own_thresholds(self, tmp_path, n, seed):
         assert raw_pairings(seed, 1).tolist() == {3: [0], 4: [2]}[seed]
         state, b, b_prime = ASYMMETRIC
-        rows = [
-            tuple(np.cumsum(outcome_probs(state, a, bs).as_array())[:3])
-            for a in (SETTING_X, SETTING_Y) for bs in (b, b_prime)
-        ]
-        assert len(set(rows)) == 4
+        assert len(set(map(tuple, pairing_thresholds(state, b, b_prime)))) == 4
         assert_matches_reference_simulator(tmp_path, state, n, seed, b, b_prime)
 
     def test_run_retains_one_byte_per_round(self):
@@ -629,6 +649,87 @@ class TestRoundCode:
             run.mismatch_rate("z", "b")
 
 
+def brute_force_guide(thresholds):
+    """The guide table by its definition, bucket by bucket: the code at
+    the bucket's first and last m by the float comparison t <= m 2^-53,
+    and -1 where the two differ."""
+    width = 2 ** (53 - _GUIDE_BITS)
+    bucket = np.arange(2**_GUIDE_BITS, dtype=np.uint64)
+    guide = np.empty((4, bucket.size), np.int8)
+    for p, row in enumerate(thresholds):
+        ends = [(bucket * width + offset).astype(np.float64) / 2.0**53 for offset in (0, width - 1)]
+        first, last = (np.count_nonzero(row[:, None] <= u, axis=0) for u in ends)
+        guide[p] = np.where(first == last, 4 * p + first, -1)
+    return guide.ravel()
+
+
+EDGE = 5 * 2.0**-_GUIDE_BITS  # the first uniform of bucket 5
+THRESHOLD_SETS = {
+    **{f"random{seed}": lambda seed=seed: np.sort(np.random.default_rng(seed).random((4, 3)), axis=1)
+       for seed in range(3)},
+    "asymmetric": lambda: pairing_thresholds(*ASYMMETRIC),
+    # ties: the sifted pairings' thresholds are (1/2, 1/2, 1/2)
+    "psi_minus": lambda: pairing_thresholds(
+        bell("psi-"), min_error_rate(bell("psi-")).b, min_error_rate(bell("psi-")).b_prime
+    ),
+    # zeros, a subnormal, a bucket edge and one ulp either side of it, the
+    # last bucket's edge, 1 less one ulp, exactly 1 and 1 plus one ulp
+    "adversarial": lambda: np.array([
+        [0.0, 0.0, 5e-324],
+        [np.nextafter(EDGE, 0.0), EDGE, np.nextafter(EDGE, 1.0)],
+        [0.25, 1.0 - 2.0**-_GUIDE_BITS, 1.0],
+        [0.5, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)],
+    ]),
+}
+
+
+class TestGuideTable:
+    """The simulator decodes a round by one guide-table gather; buckets that
+    hold a threshold fall back to an exact count against integer limits."""
+
+    @pytest.mark.parametrize("name", list(THRESHOLD_SETS))
+    def test_builder_matches_brute_force(self, name):
+        thresholds = THRESHOLD_SETS[name]()
+        guide = _guide(_limits(thresholds))
+        assert guide.dtype == np.int8 and guide.shape == (4 << _GUIDE_BITS,)
+        np.testing.assert_array_equal(guide, brute_force_guide(thresholds))
+
+    @pytest.mark.parametrize("name", list(THRESHOLD_SETS))
+    def test_decode_on_crafted_words(self, name):
+        # per pairing: m at every limit and one either side of it, at both
+        # ends of the limit's bucket, and the least and greatest m
+        thresholds = THRESHOLD_SETS[name]()
+        limits, shift = _limits(thresholds), 53 - _GUIDE_BITS
+        pairings, ms = [], []
+        for p in range(4):
+            for limit in map(int, limits[p]):
+                bucket = limit >> shift
+                for m in (limit - 1, limit, limit + 1, bucket << shift, ((bucket + 1) << shift) - 1, 0, 2**53 - 1):
+                    if 0 <= m < 2**53:
+                        pairings.append(p)
+                        ms.append(m)
+        low = np.random.default_rng(0).integers(0, 2**9, len(ms), dtype=np.uint64) << np.uint64(2)
+        words = (np.array(ms, np.uint64) << np.uint64(11)) | low | np.array(pairings, np.uint64)
+        fallback = guide_fallbacks(words, thresholds)
+        # both the gather and the exact count run, except for psi-, whose
+        # thresholds all sit on bucket edges
+        assert fallback.any() == (name != "psi_minus") and not fallback.all()
+        # in uneven chunks, so the fallback rounds' positions carry across chunks
+        edges = [0, 1, 8, words.size // 2, words.size]
+        code = _decode([words[lo:hi] for lo, hi in zip(edges, edges[1:])], words.size, thresholds)
+        np.testing.assert_array_equal(code, reference_codes(words, thresholds))
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_fallback_rounds_in_several_chunks_match_reference(self, tmp_path, seed):
+        state, b, b_prime = ASYMMETRIC
+        n = 3 * _CHUNK + 5
+        fallback = guide_fallbacks(np.random.PCG64(seed).random_raw(n), pairing_thresholds(state, b, b_prime))
+        # every whole chunk has rounds that the guide gives -1, so their
+        # reference codes can only come from the exact count
+        assert all(fallback[lo:lo + _CHUNK].any() for lo in range(0, n - _CHUNK, _CHUNK))
+        assert_matches_reference_simulator(tmp_path, state, n, seed, b, b_prime)
+
+
 class TestDrawBases:
     """Round k reads raw word k of PCG64(seed): its bits 1 and 0 are the
     pairing 2 i + j, and (w >> 11) 2^-53 is its uniform, the value of
@@ -674,6 +775,24 @@ class TestDrawBases:
         ]
         assert np.bincount(run.code, minlength=16).tolist() == [
             617, 617, 638, 563, 669, 628, 641, 658, 645, 612, 605, 595, 614, 613, 659, 626,
+        ]
+
+    def test_fallback_codes_are_pinned_across_numpy_versions(self):
+        # Werner F = 3/4 with settings x and y has the thresholds 5/12, 1/2,
+        # 7/12 and 1/12, 1/2, 11/12 in its sifted pairings, off every bucket
+        # edge, so some rounds take the exact count; rounds 1144, 3202, 6433
+        # and 8261 have uniforms within 2e-4 of 5/12, 11/12 and 1/12
+        state, n = werner(0.75), 10_000
+        words = np.random.PCG64(42).random_raw(n)
+        assert guide_fallbacks(words, pairing_thresholds(state, SETTING_X, SETTING_Y)).any()
+        run = simulate_protocol(state, n, 42, SETTING_X, SETTING_Y)
+        assert run.code[:64].tolist() == [
+            3, 5, 3, 6, 13, 3, 7, 3, 13, 9, 5, 15, 10, 11, 13, 8, 10, 12, 11, 3, 7, 13, 7, 3, 3, 0, 13, 4, 0, 14, 3, 15,
+            9, 9, 13, 0, 8, 5, 4, 14, 9, 7, 14, 13, 7, 11, 9, 9, 6, 4, 4, 12, 7, 14, 14, 7, 5, 6, 13, 8, 10, 13, 2, 14,
+        ]
+        assert run.code[[1144, 3202, 6433, 8261]].tolist() == [0, 15, 14, 13]
+        assert np.bincount(run.code, minlength=16).tolist() == [
+            1046, 188, 209, 992, 669, 628, 641, 658, 645, 612, 605, 595, 209, 1018, 1065, 220,
         ]
 
 
