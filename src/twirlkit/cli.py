@@ -121,17 +121,21 @@ def run_sweep(spec: SweepSpec) -> np.recarray:
     return np.rec.fromarrays([columns[c] for c in spec.columns()], names=spec.columns())
 
 
-def _cells(table: np.recarray, fmt) -> list[list[str]]:
-    """The cell texts of each field of ``table``: bools as true/false, floats through ``fmt``."""
+def _cells(table: np.recarray, fmt=None) -> list[list]:
+    """The cells of each field of ``table``: bools as true/false, floats
+    through ``fmt``, or as floats without one."""
     return [
-        list(map(("false", "true").__getitem__ if table.dtype[c] == bool else fmt, table[c].tolist()))
+        list(map(("false", "true").__getitem__, table[c].tolist())) if table.dtype[c] == bool
+        else table[c].tolist() if fmt is None else list(map(fmt, table[c].tolist()))
         for c in table.dtype.names
     ]
 
 
 def render_sweep_csv(table: np.recarray, spec: SweepSpec) -> str:
-    cols = spec.columns()
-    lines = [",".join(cols), *map(",".join, zip(*_cells(table, "%.17g".__mod__)))]
+    """The sweep CSV, each row from one ``%`` template: ``%.17g`` per float
+    field, the bools already written as true/false."""
+    row = ",".join("%s" if table.dtype[c] == bool else "%.17g" for c in table.dtype.names)
+    lines = [",".join(spec.columns()), *map(row.__mod__, zip(*_cells(table)))]
     return "\n".join(lines) + "\n"
 
 

@@ -32,7 +32,6 @@ from .protocol import min_error_rate
 from .qubit_algebra import (
     _A_OPS,
     ID2,
-    SIGMA_Y,
     TwoQubitState,
     _check_broadcast,
     _item,
@@ -40,7 +39,6 @@ from .qubit_algebra import (
     _vector_norm,
     as_unit_vector,
     pauli_sigma,
-    tensor,
     validate_density,
 )
 from .states import XStateParams, _check_x_params, _in_range
@@ -66,7 +64,8 @@ _POLISH_ROUNDS = 2
 # gap, so this gate refuses every state that the earlier D_z - D <= 1e-12 did.
 _Z_MINIMUM_SLACK = 5e-13
 
-_SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
+# sy x sy is the antidiagonal with these entries, from the first row down
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 
 def _dephase(rho: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -410,10 +409,25 @@ def delta_min_from_discord(state: TwoQubitState) -> float:
     return _item(0.5 * (1.0 - np.sqrt(2.0 * eigen.value)))
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ v.conj().mT
+def _flipped_spectrum(rho: np.ndarray) -> np.ndarray:
+    """The descending l_i of each member of a (..., 4, 4) stack, from one
+    ``eigh``: with rho = V diag(w) V^dag, s = sqrt(max(w, 0)), B = V diag(s)
+    and S = sy x sy, they are the singular values of B^T S B, the complex
+    conjugate of diag(s) (V^dag S V*) diag(s).
+
+    A float64 ``rho`` has a real orthogonal V and a real symmetric B^T S B,
+    whose singular values are the moduli of its eigenvalues; a complex
+    ``rho`` takes the SVD.
+    """
+    w, v = np.linalg.eigh(rho)
+    b = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    # S B is B with its rows reversed and signed
+    m = b.mT @ (_FLIP_SIGNS * b[..., ::-1, :])
+    if np.iscomplexobj(m):
+        return np.linalg.svd(m, compute_uv=False)
+    lam = np.abs(np.linalg.eigvalsh(m))
+    lam.sort(axis=-1)
+    return lam[..., ::-1]
 
 
 def concurrence(state: TwoQubitState):
@@ -421,13 +435,31 @@ def concurrence(state: TwoQubitState):
 
     C = max(0, l1 - l2 - l3 - l4) where the l_i are the descending square
     roots of the eigenvalues of rho (sy x sy) rho* (sy x sy), with the
-    conjugation taken entrywise in the computational basis. The l_i are
-    evaluated as the singular values of sqrt(rho) (sy x sy) sqrt(rho)*,
-    which avoids the square-root blowup of near-zero eigenvalues. A float
-    for one state, an array for a stack.
+    conjugation taken entrywise in the computational basis. With
+    rho = V diag(w) V^dag the l_i are the singular values of
+    diag(s) (V^dag (sy x sy) V*) diag(s), s = sqrt(max(w, 0)): the same
+    eigenvectors bring sqrt(rho) (sy x sy) sqrt(rho)* to that form, and
+    working with s rather than with rho rho~ avoids the square-root blowup
+    of near-zero eigenvalues.
+
+    A member whose imaginary part is exactly zero takes the real route: a
+    real symmetric eigensolve, whose eigenvalue moduli are the l_i. Any
+    other member takes the complex SVD. The route is chosen per member, so
+    each member of a stack gets bit for bit its single-state value; a stack
+    whose members all take one route goes through it at once. A float for
+    one state, an array for a stack.
     """
-    root = _psd_sqrt(state.rho)
-    lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
+    rho = state.rho
+    if not np.count_nonzero(rho.imag):
+        lam = _flipped_spectrum(rho.real)
+    else:
+        real = ~rho.imag.any(axis=(-2, -1))
+        if real.any():
+            lam = np.empty(rho.shape[:-1])
+            lam[real] = _flipped_spectrum(rho[real].real)
+            lam[~real] = _flipped_spectrum(rho[~real])
+        else:
+            lam = _flipped_spectrum(rho)
     c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     return _item(np.where(c > 0.0, c, 0.0))
 

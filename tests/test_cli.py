@@ -565,7 +565,8 @@ class TestTwirlCommand:
         {"family": "depolarized", "gamma": 1.2, "p": 0.8},
     ], ids=lambda doc: "-".join(map(str, doc.values())))
     def test_discord_matches_sweep(self, tmp_path, doc):
-        # one discord route: the report prints the one-point sweep's bits
+        # one discord route and one concurrence route per member: the report
+        # prints the one-point sweep's bits
         state, report, sweep = tmp_path / "state.json", tmp_path / "report.json", tmp_path / "sweep.json"
         state.write_text(json.dumps(doc))
         assert main(["twirl", "--state", str(state), "--n", "1000", "--seed", "0", "--out", str(report)]) == 0
@@ -577,6 +578,23 @@ class TestTwirlCommand:
         twirled = json.loads(report.read_text())
         (row,) = json.loads(sweep.read_text())["rows"]
         assert (twirled["discord_before"], twirled["discord_after"]) == (row["dg_pure"], row["dg_twirled"])
+        assert ((twirled["concurrence_before"], twirled["concurrence_after"])
+                == (row["concurrence_pure"], row["concurrence_twirled"]))
+
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_complex_matrix_state_concurrence(self, tmp_path, seed):
+        # a complex state takes the SVD route and its real twirl the
+        # symmetric one, in one stack; each prints its library value
+        rho = states.random_state(seed).rho
+        rows = [[{"re": v.real, "im": v.imag} for v in row] for row in rho.tolist()]
+        state, report = tmp_path / "state.json", tmp_path / "report.json"
+        state.write_text(json.dumps({"matrix": rows}))
+        assert main(["twirl", "--state", str(state), "--n", "1000", "--seed", "0", "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        loaded = states.load_state_file(str(state))
+        assert np.any(loaded.rho.imag)
+        assert doc["concurrence_before"] == measures.concurrence(loaded)
+        assert doc["concurrence_after"] == measures.concurrence(twirl_analytic(loaded))
 
 
 class TestCheck:

@@ -10,7 +10,10 @@ near-degenerate correlation spectra of the discord oracle probe). The
 kernels took stacks, kept so that both agree with them bit for bit too,
 except where a kernel now takes the plain numpy form of its quantity: the
 phi+ fidelity, the entanglement of formation and the Bloch alignment agree
-with their references to a few units in the last place.
+with their references to a few units in the last place. The concurrence
+reference follows the kernel's one-``eigh`` form, with the spin flip as a
+matrix, and the route it replaced (``wootters_concurrence``) is held to
+the gap measured between them.
 A stack with an invalid member raises the single-state error type and
 names the first bad index.
 """
@@ -55,11 +58,12 @@ from twirlkit import (
     validate_density,
     werner,
 )
-from twirlkit.measures import _SPIN_FLIP, _align_first_bloch_to_z
-from twirlkit.qubit_algebra import _A_OPS, _AB_OPS, _B_OPS, ID2, _clamp_unit, pauli_sigma
+from twirlkit.measures import _align_first_bloch_to_z
+from twirlkit.qubit_algebra import _A_OPS, _AB_OPS, _B_OPS, ID2, SIGMA_Y, _clamp_unit, pauli_sigma
 from twirlkit.twirl import _haar_su2_batch
 
 _PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+_SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 def reference_decompose(rho):
@@ -162,6 +166,21 @@ def reference_discord_eigen(x, T):
 
 
 def reference_concurrence(rho):
+    """The kernel's form on one state, with sy x sy as a matrix: the l_i are
+    the singular values of B^T (sy x sy) B, B = V sqrt(max(w, 0)) from the
+    eigh of rho, taken as eigenvalue moduli when rho is real."""
+    if not np.any(rho.imag):
+        rho = rho.real
+    w, v = np.linalg.eigh(rho)
+    b = v * np.sqrt(np.maximum(w, 0.0))
+    flip = _SPIN_FLIP.real if np.isrealobj(rho) else _SPIN_FLIP
+    m = b.T @ (flip @ b)
+    lam = np.linalg.svd(m, compute_uv=False) if np.iscomplexobj(m) else sorted(np.abs(np.linalg.eigvalsh(m)))[::-1]
+    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def wootters_concurrence(rho):
+    """Wootters' route: the singular values of sqrt(rho) (sy x sy) sqrt(rho)*."""
     w, v = np.linalg.eigh(rho)
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
@@ -387,18 +406,38 @@ def test_discord_eigen(stack, members):
     assert_bits(result.argmin_direction, [n for _, n in references])
 
 
+# reference_concurrence against Wootters' route on the members: 8.9e-16 was
+# the worst measured (numpy 2.4.6, OpenBLAS 0.3.31)
+WOOTTERS_GAP = 2e-15
+
+
 def test_concurrence_and_eof(stack, members):
     c = concurrence(stack)
     singles = [concurrence(s) for s in members]
     assert all(type(v) is float for v in singles)
     assert_bits(c, singles)
     assert_bits(c, [reference_concurrence(s.rho) for s in members])
+    assert np.max(np.abs(c - [wootters_concurrence(s.rho) for s in members])) <= WOOTTERS_GAP
     assert_bits(eof_from_concurrence(c), [eof_from_concurrence(v) for v in singles])
     # np.log2 against math.log2: 1 ulp on the grid was the worst measured
     assert_ulps(eof_from_concurrence(c), [reference_eof(v) for v in singles], 1)
     grid = np.linspace(0.0, 1.0, 20001)
     assert_ulps(eof_from_concurrence(grid), [reference_eof(float(v)) for v in grid], 1)
     assert_bits(entanglement_of_formation(stack), [entanglement_of_formation(s) for s in members])
+
+
+def test_concurrence_routes_per_member(members):
+    """Real members (the families, I/4, the near-degenerate probe) and complex
+    ones take different routes; interleaved in one stack, on two leading
+    axes, or each kind alone, every member gets its single-state bits."""
+    real = [s for s in members if not np.any(s.rho.imag)]
+    cplx = [s for s in members if np.any(s.rho.imag)]
+    assert len(real) >= 10 and len(cplx) >= 10
+    mixed = [s for pair in zip(real[:10], cplx[:10]) for s in pair]
+    grid = validate_density(np.stack([s.rho for s in mixed]).reshape(5, 4, 4, 4))
+    assert_bits(concurrence(grid), np.reshape([concurrence(s) for s in mixed], (5, 4)))
+    for kind in (real, cplx):
+        assert_bits(concurrence(validate_density(np.stack([s.rho for s in kind]))), [concurrence(s) for s in kind])
 
 
 def test_align_and_bound(stack, members):
