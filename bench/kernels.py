@@ -4,8 +4,10 @@ Run from the repository root:
 
     python3 bench/kernels.py --out BENCH_<n>.json [--states 10000] [--repeats 9]
 
-Times ``concurrence``, ``validate_density``, ``pauli_decompose`` and
-``discord_eigen`` on two stacks of ``--states`` states each:
+Times ``concurrence``, ``validate_density``, ``pauli_decompose``,
+``discord_eigen`` and ``discord_error_rate_bound`` on two stacks of
+``--states`` states each, and ``discord_grid_oracle`` on the first
+``min(200, --states)`` members of each:
 
 * ``complex``: Hilbert-Schmidt-random states, ``random_state`` of the seeds
   0 to n - 1;
@@ -14,14 +16,16 @@ Times ``concurrence``, ``validate_density``, ``pauli_decompose`` and
   matrix, so this is what the sweep feeds the kernels.
 
 Each kernel runs once to warm up, then ``--repeats`` times per stack; the
-file keeps every run, the min and the median, in seconds. ``discord_eigen``
-is timed on states whose Pauli decomposition is already cached, so it does
-not repeat ``pauli_decompose``.
+file keeps every run, the min and the median, in seconds. ``discord_eigen``,
+``discord_error_rate_bound`` and the oracle are timed on states whose Pauli
+decomposition is already cached, so they do not repeat ``pauli_decompose``.
 
 The process is set up as a ``perfbench`` run is: BLAS threads pinned to 1,
 the process pinned to one CPU, and ``twirlkit`` imported from ``./src``.
 The file records the same run metadata (commit, numpy, BLAS and its thread
-setting, nproc), plus the host speed: bursts of ``perfbench/speedref.py``'s
+setting, nproc); ``dirty``, which says whether tracked files differ from
+that commit (true or false from ``git status``, null outside a git
+checkout); and the host speed: bursts of ``perfbench/speedref.py``'s
 reference loop just before and after the timings, as a multiple of its
 reference time (1.0 on the host where that time was set, higher when slower).
 """
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -40,6 +45,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import bootstrap, run_metadata  # noqa: E402
 from speedref import REFERENCE_S, SpeedSampler  # noqa: E402
+
+# the oracle's stacks: it costs about ten times the eigen form per state
+ORACLE_STATES = 200
 
 
 def parse_args(argv):
@@ -64,6 +72,17 @@ def timed(call, repeats: int) -> dict:
     return {"min_s": min(runs), "median_s": statistics.median(runs), "runs_s": runs}
 
 
+def git_dirty(root: Path):
+    """True when tracked files differ from the checked-out commit, False
+    when they do not, None outside a git checkout or without git."""
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=root,
+                              capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     twirlkit = bootstrap(ROOT)
@@ -74,34 +93,38 @@ def main(argv=None) -> int:
         "real": twirlkit.validate_density(complex_state.rho.real),
         "complex": complex_state,
     }
-    for state in stacks.values():
-        _ = state.decomp  # cached, so discord_eigen does not repeat it
+    heads = {kind: twirlkit.validate_density(state.rho[:ORACLE_STATES]) for kind, state in stacks.items()}
+    for state in (*stacks.values(), *heads.values()):
+        _ = state.decomp  # cached, so the discord kernels do not repeat it
     kernels = {
         "concurrence": twirlkit.concurrence,
         "validate_density": lambda s: twirlkit.validate_density(s.rho),
         "pauli_decompose": lambda s: twirlkit.pauli_decompose(s.rho),
         "discord_eigen": twirlkit.discord_eigen,
+        "discord_error_rate_bound": twirlkit.discord_error_rate_bound,
     }
     sampler = SpeedSampler()
     before = sampler.burst()
     timings = {name: {kind: timed(lambda: kernel(state), args.repeats) for kind, state in stacks.items()}
                for name, kernel in kernels.items()}
+    timings["discord_grid_oracle"] = {kind: timed(lambda: twirlkit.discord_grid_oracle(state), args.repeats)
+                                      for kind, state in heads.items()}
     after = sampler.burst()
     doc = {
-        "meta": run_metadata(ROOT, twirlkit),
+        "meta": {**run_metadata(ROOT, twirlkit), "dirty": git_dirty(ROOT)},
         "host_speed": {
             "reference_loop_s": REFERENCE_S,
             "loop_s_before": before,
             "loop_s_after": after,
             "slowdown": (before + after) / (2 * REFERENCE_S),
         },
-        "config": {"states": args.states, "repeats": args.repeats},
+        "config": {"states": args.states, "repeats": args.repeats, "oracle_states": len(heads["real"].rho)},
         "kernels": timings,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     for name, by_kind in timings.items():
         row = "  ".join(f"{kind} {t['min_s'] * 1e3:8.3f} / {t['median_s'] * 1e3:8.3f} ms" for kind, t in by_kind.items())
-        print(f"{name:17s} {row}   (min / median)")
+        print(f"{name:24s} {row}   (min / median)")
     return 0
 
 

@@ -8,8 +8,9 @@ checks and tests witness it with a grid oracle (a scan over projector
 directions finished by closed-form plane rotations, the value taken from
 the definition) and a closed form for X-type states on its branch. The
 module also implements Wootters concurrence, entanglement of formation,
-the bound tying discord to the two optimal error rates, and the
-before/after comparison under twirling.
+the bound tying discord to the two optimal error rates (the residual of
+dephasing the first qubit along its own Bloch direction, in the eigen
+form's terms), and the before/after comparison under twirling.
 
 ``cq_state``, the grid oracle, the eigenvalue form, the concurrence, the
 entanglement of formation, the error-rate bound, the discord form of the
@@ -28,17 +29,14 @@ from functools import partial
 import numpy as np
 
 from .errors import BranchConditionError, ConditionsNotMetError
-from .protocol import min_error_rate
 from .qubit_algebra import (
     _A_OPS,
-    ID2,
     TwoQubitState,
     _check_broadcast,
     _item,
     _raise_first_failure,
     _vector_norm,
     as_unit_vector,
-    pauli_sigma,
     validate_density,
 )
 from .states import XStateParams, _check_x_params, _in_range
@@ -63,6 +61,8 @@ _POLISH_ROUNDS = 2
 # D <= D_z <= 1/2 wherever the gap is positive, D_z - D is at most twice the
 # gap, so this gate refuses every state that the earlier D_z - D <= 1e-12 did.
 _Z_MINIMUM_SLACK = 5e-13
+
+_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 # sy x sy is the antidiagonal with these entries, from the first row down
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
@@ -326,42 +326,30 @@ def discord_x_closed_form(p: XStateParams) -> DiscordResult:
     )
 
 
-def _align_first_bloch_to_z(state: TwoQubitState) -> TwoQubitState:
-    """Rotate the first qubit so its Bloch vector points along +z.
-
-    This is the frame in which the standard decomposition carries no
-    in-plane first-qubit components; the error-rate bound below is a
-    theorem in that frame. States with a vanishing first-qubit Bloch
-    vector, or one already along +z, are kept as they are (a stack is
-    returned unchanged when every member is).
-    """
-    x = state.decomp.x
-    norm = _vector_norm(x)
-    small = norm <= 1e-12
-    xhat = x / np.where(small, 1.0, norm)[..., None]
-    axis = np.cross(xhat, (0.0, 0.0, 1.0))
-    s = _vector_norm(axis)
-    c = xhat[..., 2]
-    on_axis = s <= 1e-12
-    keep = small | (on_axis & (c > 0.0))
-    if keep.all():
-        return state
-    axis = np.where(on_axis[..., None], (1.0, 0.0, 0.0), axis / np.where(on_axis, 1.0, s)[..., None])
-    half = np.where(on_axis, math.pi, np.arctan2(s, c)) / 2
-    u = np.cos(half)[..., None, None] * ID2 - 1j * np.sin(half)[..., None, None] * pauli_sigma(axis)
-    w = np.kron(u, ID2)
-    return validate_density(np.where(keep[..., None, None], state.rho, w @ state.rho @ w.conj().mT))
+def _residual_along(d, n: np.ndarray) -> np.ndarray:
+    """The residual ||rho - chi(n)||^2 of dephasing the first qubit along
+    unit directions ``n`` (..., 3), from the decomposition ``d``:
+    (|x|^2 + ||T||_F^2 - (n.x)^2 - |n^T T|^2) / 4 (Dakic, Vedral & Brukner).
+    The discord is its minimum over n."""
+    nt = np.vecdot(n[..., :, None], d.T, axis=-2)
+    return 0.25 * (np.vecdot(d.x, d.x) + np.sum(d.T * d.T, axis=(-2, -1)) - np.square(np.vecdot(n, d.x))
+                   - np.vecdot(nt, nt))
 
 
 def discord_error_rate_bound(state: TwoQubitState) -> tuple[float, float]:
     """Discord versus the bound built from the two optimal error rates.
 
-    Evaluated in the state's adapted local frame (first-qubit Bloch vector
-    rotated to z, which leaves the discord unchanged): there
-    lhs = D_g <= rhs = (1/2 - delta_x_min)^2 + (1/2 - delta_y_min)^2
-    holds for every state. In a frame where the first-qubit Bloch vector
-    keeps in-plane components the raw inequality can fail, so the
-    alignment is part of the contract.
+    In the state's adapted local frame, where the first-qubit Bloch vector x
+    points along z, lhs = D_g <= rhs = (1/2 - delta_x_min)^2 + (1/2 - delta_y_min)^2
+    holds for every state. There rhs is a quarter of the squared x and y
+    rows of T, which is the residual of dephasing the first qubit along its
+    own Bloch direction x/|x|; no local rotation changes that residual, and
+    D_g is its minimum over all directions. So both sides are taken in the
+    given frame, with no rotation built: lhs from ``discord_eigen`` and rhs
+    from the residual along x/|x|, or along z when |x| <= 1e-12. A Bloch
+    vector near the z axis is used as it is, not snapped onto the axis. In
+    a frame where x keeps in-plane components the raw two-term bound, read
+    off that frame's rows of T, can fail.
 
     Args:
         state: the input state, or a stacked state.
@@ -369,11 +357,11 @@ def discord_error_rate_bound(state: TwoQubitState) -> tuple[float, float]:
     Returns:
         (lhs, rhs) with lhs <= rhs + 1e-9; arrays for a stacked state.
     """
-    aligned = _align_first_bloch_to_z(state)
-    lhs = discord_eigen(aligned).value
-    mer = min_error_rate(aligned)
-    rhs = np.square(0.5 - mer.delta_x_min) + np.square(0.5 - mer.delta_y_min)
-    return lhs, _item(rhs)
+    d = state.decomp
+    norm = _vector_norm(d.x)
+    small = norm <= 1e-12
+    n = np.where(small[..., None], _Z_AXIS, d.x / np.where(small, 1.0, norm)[..., None])
+    return discord_eigen(state).value, _item(_residual_along(d, n))
 
 
 def delta_min_from_discord(state: TwoQubitState) -> float:
@@ -392,8 +380,7 @@ def delta_min_from_discord(state: TwoQubitState) -> float:
     d = state.decomp
     in_plane = np.hypot(d.x[..., 0], d.x[..., 1])
     eigen = discord_eigen(state)
-    d_z = 0.25 * (np.vecdot(d.x, d.x) + np.sum(d.T * d.T, axis=(-2, -1)) - np.square(d.x[..., 2])
-                  - np.vecdot(d.T[..., 2, :], d.T[..., 2, :]))
+    d_z = _residual_along(d, _Z_AXIS)
     # how far the error rate from D_z lies below the one from the discord
     above = 0.5 * (np.sqrt(2.0 * np.maximum(d_z, 0.0)) - np.sqrt(2.0 * eigen.value))
     r1, r2 = _vector_norm(d.T[..., 0, :]), _vector_norm(d.T[..., 1, :])

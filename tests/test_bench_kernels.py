@@ -6,7 +6,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-KERNELS = ("concurrence", "validate_density", "pauli_decompose", "discord_eigen")
+KERNELS = ("concurrence", "validate_density", "pauli_decompose", "discord_eigen", "discord_error_rate_bound",
+           "discord_grid_oracle")
 
 
 def test_writes_every_kernel_on_both_stacks(tmp_path):
@@ -15,7 +16,7 @@ def test_writes_every_kernel_on_both_stacks(tmp_path):
                            "--states", "3", "--repeats", "2"], cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
-    assert doc["config"] == {"states": 3, "repeats": 2}
+    assert doc["config"] == {"states": 3, "repeats": 2, "oracle_states": 3}
     assert set(doc["kernels"]) == set(KERNELS)
     for by_kind in doc["kernels"].values():
         assert set(by_kind) == {"real", "complex"}
@@ -24,7 +25,33 @@ def test_writes_every_kernel_on_both_stacks(tmp_path):
     meta = doc["meta"]
     assert meta["numpy"] and meta["nproc"] >= 1
     assert set(meta["blas_threads"].values()) == {"1"}
+    # a bool in a git checkout, null outside one
+    assert meta["dirty"] in (True, False, None)
     assert doc["host_speed"]["slowdown"] > 0.0
+
+
+def _git_dirty(path):
+    """bench/kernels.py's git_dirty(path), called in a fresh interpreter."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); import kernels; "
+            f"print(kernels.git_dirty({str(path)!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_dirty_follows_git_status(tmp_path):
+    # null outside a checkout; untracked files do not count, a changed tracked file does
+    assert _git_dirty(tmp_path) == "None"
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    tracked = tmp_path / "f.txt"
+    tracked.write_text("a\n")
+    subprocess.run([*git, "add", "f.txt"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "f"], check=True)
+    (tmp_path / "untracked.txt").write_text("b\n")
+    assert _git_dirty(tmp_path) == "False"
+    tracked.write_text("c\n")
+    assert _git_dirty(tmp_path) == "True"
 
 
 def test_rejects_empty_stacks(tmp_path):

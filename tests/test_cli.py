@@ -730,37 +730,6 @@ class TestCheck:
         assert counts[0] == counts[1]
         assert counts[0]["cq_state"] == 2
 
-    def test_units_fallback_matches_unit_calls(self):
-        # a block of normals with a vector too short to normalize is drawn again by _unit
-        class ShortVectorRng:
-            """Normals from default_rng(seed), with the second 3-vector of the stream scaled by 1e-9."""
-
-            def __init__(self, seed):
-                self._rng, self._drawn = np.random.default_rng(seed), 0
-                self.bit_generator = self
-
-            @property
-            def state(self):
-                return self._rng.bit_generator.state, self._drawn
-
-            @state.setter
-            def state(self, value):
-                self._rng.bit_generator.state, self._drawn = value
-
-            def standard_normal(self, size):
-                v = self._rng.standard_normal(size)
-                position = self._drawn + np.arange(v.size).reshape(v.shape)
-                self._drawn += v.size
-                return np.where((3 <= position) & (position < 6), 1e-9 * v, v)
-
-        block, single = ShortVectorRng(5), ShortVectorRng(5)
-        units = checks._units(block, (4, 2))
-        expected = np.array([checks._unit(single) for _ in range(8)]).reshape(4, 2, 3)
-        assert units.tobytes() == expected.tobytes()
-        assert block.bit_generator.state == single.bit_generator.state
-        # the short vector was rejected: nine vectors drawn for eight units
-        assert single._drawn == 27
-
     def test_twirl_pair_states_the_ratio(self, monkeypatch):
         result = checks.check_measures_twirl_pair_monotonicity(checks.CheckConfig())
         assert result.status == "pass"

@@ -32,6 +32,7 @@ from twirlkit import (
     discord_grid_oracle,
     discord_x_closed_form,
     entanglement_of_formation,
+    hs_norm_sq,
     k_values,
     measures,
     min_error_rate,
@@ -502,6 +503,26 @@ class TestDiscordXClosedForm:
             assert math.hypot(*oracle.argmin_direction[:2]) <= 1e-4
 
 
+# first-qubit Bloch vectors for the bound's direction: zero, along +z and -z,
+# 1e-13 rad off each pole, either side of the |x| = 1e-12 switch to z, and
+# in the plane; each with the direction the residual is read along
+_TILT = 1e-13
+BOUND_DIRECTIONS = {
+    "zero": ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    "plus_z": ((0.0, 0.0, 0.3), (0.0, 0.0, 1.0)),
+    "minus_z": ((0.0, 0.0, -0.3), (0.0, 0.0, -1.0)),
+    "near_plus_z": ((0.3 * math.sin(_TILT), 0.0, 0.3 * math.cos(_TILT)), (math.sin(_TILT), 0.0, math.cos(_TILT))),
+    "near_minus_z": ((0.0, 0.3 * math.sin(_TILT), -0.3 * math.cos(_TILT)), (0.0, math.sin(_TILT), -math.cos(_TILT))),
+    "below_switch": ((1e-13, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    "above_switch": ((2e-12, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    "in_plane": ((0.2, -0.1, 0.0), (2 / math.sqrt(5), -1 / math.sqrt(5), 0.0)),
+}
+# the closed-form rhs against the residual from the definition: 1.6e-17 was
+# the worst measured; snapping the tilted vectors onto the pole moves the
+# residual by 2.1e-16 and more
+DEPHASING_GAP = 6e-17
+
+
 class TestDiscordErrorRateBound:
     @pytest.mark.parametrize("gamma", [0.0, 0.6, 1.2, math.pi / 2])
     def test_saturated_on_pure_family(self, gamma):
@@ -524,7 +545,8 @@ class TestDiscordErrorRateBound:
         # A state whose first-qubit Bloch vector points along x while the
         # correlations live in the z row: the raw rows give a vanishing
         # error-rate side although the discord is 1/16, so the bound only
-        # holds after rotating the local frame (which the function does).
+        # holds in the adapted frame, whose z is the Bloch direction x (the
+        # function reads the residual along it).
         rho = 0.25 * (np.eye(4) + 0.5 * np.kron(_SX, np.eye(2)) + 0.5 * np.kron(_SZ, _SZ))
         s = validate_density(rho)
         mer = min_error_rate(s)
@@ -536,12 +558,21 @@ class TestDiscordErrorRateBound:
         assert lhs <= rhs + 1e-9
 
     def test_methods_agree(self):
-        # the grid oracle on the unaligned state witnesses the bound's eigen lhs:
-        # the alignment is a local rotation, which keeps the discord
+        # the grid oracle witnesses the bound's eigen lhs on a state whose
+        # Bloch vector is far from z
         s = random_state(77)
         lhs, _ = discord_error_rate_bound(s)
         assert math.hypot(*s.decomp.x[:2]) > 0.1
         assert abs(discord_grid_oracle(s).value - lhs) <= 1e-9
+
+    @pytest.mark.parametrize("case", list(BOUND_DIRECTIONS))
+    def test_rhs_is_the_residual_along_the_bloch_direction(self, case):
+        # distinct T rows, so each direction gives its own residual
+        x, n = BOUND_DIRECTIONS[case]
+        t = np.array([[0.3, 0.05, 0.0], [0.0, -0.2, 0.04], [0.02, 0.0, 0.1]])
+        s = validate_density(pauli_compose(PauliDecomposition(np.array(x), np.array([0.0, 0.1, 0.0]), t)))
+        _, rhs = discord_error_rate_bound(s)
+        assert abs(rhs - hs_norm_sq(cq_state(s, n).rho - s.rho)) <= DEPHASING_GAP
 
 
 class TestDeltaMinFromDiscord:

@@ -9,11 +9,13 @@ near-degenerate correlation spectra of the discord oracle probe). The
 ``reference_*`` functions are the one-state kernels from before the
 kernels took stacks, kept so that both agree with them bit for bit too,
 except where a kernel now takes the plain numpy form of its quantity: the
-phi+ fidelity, the entanglement of formation and the Bloch alignment agree
-with their references to a few units in the last place. The concurrence
-reference follows the kernel's one-``eigh`` form, with the spin flip as a
-matrix, and the route it replaced (``wootters_concurrence``) is held to
-the gap measured between them.
+phi+ fidelity and the entanglement of formation agree with their
+references to a few units in the last place. The discord / error-rate
+bound builds no rotation; its two sides are held to the error-rate terms
+and the discord of the states that ``reference_align`` rotates into their
+adapted frame. The concurrence reference follows the kernel's one-``eigh``
+form, with the spin flip as a matrix, and the route it replaced
+(``wootters_concurrence``) is held to the gap measured between them.
 A stack with an invalid member raises the single-state error type and
 names the first bad index.
 """
@@ -58,7 +60,6 @@ from twirlkit import (
     validate_density,
     werner,
 )
-from twirlkit.measures import _align_first_bloch_to_z
 from twirlkit.qubit_algebra import _A_OPS, _AB_OPS, _B_OPS, ID2, SIGMA_Y, _clamp_unit, pauli_sigma
 from twirlkit.twirl import _haar_su2_batch
 
@@ -440,18 +441,22 @@ def test_concurrence_routes_per_member(members):
         assert_bits(concurrence(validate_density(np.stack([s.rho for s in kind]))), [concurrence(s) for s in kind])
 
 
+# the bound's sides against the error-rate terms and the discord of the
+# members rotated into their adapted frame by reference_align: 1.4e-16 (rhs)
+# and 2.5e-16 (lhs) were the worst measured
+BOUND_GAP = 5e-16
+
+
 def test_align_and_bound(stack, members):
-    aligned = _align_first_bloch_to_z(stack)
-    assert_bits(aligned.rho, [_align_first_bloch_to_z(s).rho for s in members])
-    # np.arctan2 against math.atan2: 1.8e-16 on the entries was the worst measured
-    assert np.max(np.abs(aligned.rho - np.array([reference_align(s.rho, s.x) for s in members]))) <= 1.8e-16
     lhs, rhs = discord_error_rate_bound(stack)
     singles = [discord_error_rate_bound(s) for s in members]
     assert all(type(a) is float and type(b) is float for a, b in singles)
     assert_bits(lhs, [a for a, _ in singles])
     assert_bits(rhs, [b for _, b in singles])
-    norms = [reference_row_norms(T) for T in aligned.T]
-    assert_bits(rhs, [(0.5 - 0.5 * (1.0 - px)) ** 2 + (0.5 - 0.5 * (1.0 - py)) ** 2 for px, py in norms])
+    aligned = validate_density(np.array([reference_align(s.rho, s.x) for s in members]))
+    mer = min_error_rate(aligned)
+    assert np.max(np.abs(rhs - ((0.5 - mer.delta_x_min) ** 2 + (0.5 - mer.delta_y_min) ** 2))) <= BOUND_GAP
+    assert np.max(np.abs(lhs - discord_eigen(aligned).value)) <= BOUND_GAP
 
 
 # stack lengths 1 to 17, which vector loops split into a body and a tail, and a strided view
@@ -477,7 +482,7 @@ def test_ufunc_tails_and_strides(members, concurrences, take):
     rhos = np.stack([s.rho for s in members[:51]])
     stack = validate_density(rhos[take])
     assert_bits(fidelity_phi_plus(stack), [fidelity_phi_plus(s) for s in chosen])
-    assert_bits(_align_first_bloch_to_z(stack).rho, [_align_first_bloch_to_z(s).rho for s in chosen])
+    assert_bits(discord_error_rate_bound(stack), np.array([discord_error_rate_bound(s) for s in chosen]).T)
     # the in-plane magnitudes of delta_min_from_discord, on views of the 51 Bloch vectors
     x = validate_density(rhos).x
     assert_bits(np.hypot(x[take, 0], x[take, 1]), [np.hypot(s.x[..., 0], s.x[..., 1]) for s in chosen])
