@@ -15,7 +15,21 @@ Times ``concurrence``, ``validate_density``, ``pauli_decompose``,
   paper family (pure, Werner, depolarized) and every twirl output is a real
   matrix, so this is what the sweep feeds the kernels.
 
-Each kernel runs once to warm up, then ``--repeats`` times per stack; the
+It also times ``check``'s samplers and the simulator on inputs of their own:
+
+* ``check_pool``: a random pool of ``--states`` states as ``check`` draws
+  it (``lane_block``: one block of normals from one lane generator, then
+  the Ginibre kernel) against ``random_state`` on as many seeds
+  (``per_seed``: one generator per member);
+* ``x_state``: the X states of ``--states`` parameter sets from one
+  ``sample_x_params`` block, as one stack (``stacked``);
+* ``twirl_monte_carlo``: one 8192-sample Monte Carlo chunk, the sampler's
+  chunk size, on the pure state at gamma = pi/3 (``chunk``);
+* ``simulate_protocol``: 10^6 rounds on that state at its optimal
+  settings (``rounds``), and ``write_rounds_csv``: the ledger of that run,
+  10^6 rows, written to a temporary directory (``rows``).
+
+Each kernel runs once to warm up, then ``--repeats`` times per input; the
 file keeps every run, the min and the median, in seconds. ``discord_eigen``,
 ``discord_error_rate_bound`` and the oracle are timed on states whose Pauli
 decomposition is already cached, so they do not repeat ``pauli_decompose``.
@@ -37,6 +51,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -48,6 +63,9 @@ from speedref import REFERENCE_S, SpeedSampler  # noqa: E402
 
 # the oracle's stacks: it costs about ten times the eigen form per state
 ORACLE_STATES = 200
+# one Monte Carlo chunk (twirl._CHUNK), and the simulator's and ledger's size
+MC_SAMPLES = 8192
+ROUNDS = 1_000_000
 
 
 def parse_args(argv):
@@ -83,6 +101,33 @@ def git_dirty(root: Path):
     return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
+def sampler_timings(twirlkit, states: int, repeats: int) -> dict:
+    """Timings of check's pool and X-state samplers on ``states`` members,
+    and of one Monte Carlo chunk, the simulator and its ledger writer."""
+    import numpy as np
+
+    from twirlkit import checks
+    from twirlkit.states import sample_x_params
+
+    config = checks.CheckConfig()
+    seeds = checks._rng(config, 11).integers(0, 2**63 - 1, states)
+    params = sample_x_params(np.random.default_rng(0), states)
+    state = twirlkit.pure_state(np.pi / 3)
+    mer = twirlkit.min_error_rate(state)
+    run = twirlkit.simulate_protocol(state, ROUNDS, 0, mer.b, mer.b_prime)
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger = Path(tmp) / "rounds.csv"
+        return {
+            "check_pool": {"lane_block": timed(lambda: checks._random_states(config, 11, states), repeats),
+                           "per_seed": timed(lambda: twirlkit.random_state(seeds), repeats)},
+            "x_state": {"stacked": timed(lambda: twirlkit.x_state(params), repeats)},
+            "twirl_monte_carlo": {"chunk": timed(lambda: twirlkit.twirl_monte_carlo(state, MC_SAMPLES, 0), repeats)},
+            "simulate_protocol": {"rounds": timed(lambda: twirlkit.simulate_protocol(state, ROUNDS, 0, mer.b,
+                                                                                     mer.b_prime), repeats)},
+            "write_rounds_csv": {"rows": timed(lambda: run.write_rounds_csv(ledger), repeats)},
+        }
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     twirlkit = bootstrap(ROOT)
@@ -109,6 +154,7 @@ def main(argv=None) -> int:
                for name, kernel in kernels.items()}
     timings["discord_grid_oracle"] = {kind: timed(lambda: twirlkit.discord_grid_oracle(state), args.repeats)
                                       for kind, state in heads.items()}
+    timings.update(sampler_timings(twirlkit, args.states, args.repeats))
     after = sampler.burst()
     doc = {
         "meta": {**run_metadata(ROOT, twirlkit), "dirty": git_dirty(ROOT)},
@@ -118,7 +164,8 @@ def main(argv=None) -> int:
             "loop_s_after": after,
             "slowdown": (before + after) / (2 * REFERENCE_S),
         },
-        "config": {"states": args.states, "repeats": args.repeats, "oracle_states": len(heads["real"].rho)},
+        "config": {"states": args.states, "repeats": args.repeats, "oracle_states": len(heads["real"].rho),
+                   "mc_samples": MC_SAMPLES, "rounds": ROUNDS},
         "kernels": timings,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -8,13 +8,14 @@ reduced for quick runs; the Monte Carlo agreement property reports
 itself as skipped instead of failing when its sample budget is too small
 to be meaningful.
 
-A random pool is one stacked state from one ``states.random_state`` call,
-and each pool or family grid is evaluated as one stacked expression. The
-seeded samplers loop over states: the X-parameter sampler, the Monte Carlo
-twirls and the simulator runs. So do the fixed-size X-parameter lists of
-``states_constructors_valid``, ``states_cross_constructor`` and
-``measures_bound_saturation_families``, which build one X state or closed
-form per parameter set.
+Every random draw comes from a lane: a generator seeded by the seed and
+the lane number, so every pool follows the seed. A random pool is one
+block of standard normals from its lane, turned into one stacked state by
+the Ginibre kernel that ``states.random_state`` also uses; X states come
+from one block of sampled parameters, and the family parameters as
+arrays. Each pool, parameter stack or family grid is evaluated as one
+stacked expression. Only the Monte Carlo twirls and the simulator runs
+loop, one seeded call per state or run.
 """
 
 from __future__ import annotations
@@ -132,8 +133,9 @@ def _rng(config: CheckConfig, lane: int) -> np.random.Generator:
 
 
 def _random_states(config: CheckConfig, lane: int, count: int) -> TwoQubitState:
-    """A stacked state of ``count`` random states, one per seed drawn on the lane."""
-    return states.random_state(_rng(config, lane).integers(0, 2**63 - 1, count))
+    """A stacked state of ``count`` Hilbert-Schmidt-random states, from one
+    block of the lane's standard normals."""
+    return states._ginibre(_rng(config, lane).standard_normal((count, 2, 4, 4)))
 
 
 def _stack(pool):
@@ -191,7 +193,7 @@ def check_states_constructors_valid(config: CheckConfig) -> PropertyResult:
         states.pure_state(gammas).rho,
         states.werner(np.linspace(0.0, 1.0, 21)).rho,
         states.depolarized_pure(gammas[::5, None], np.array([0.0, 0.3, 1.0])).rho.reshape(-1, 4, 4),
-        [states.x_state(states.sample_x_params(rng)).rho for _ in range(20)],
+        states.x_state(states.sample_x_params(rng, 20)).rho,
     ])
     return _result("states_constructors_valid", len(constructed), _validity_margin(constructed))
 
@@ -206,9 +208,10 @@ def check_states_pure_fidelity(config: CheckConfig) -> PropertyResult:
 def check_states_cross_constructor(config: CheckConfig) -> PropertyResult:
     fs, gammas = np.linspace(0.25, 1.0, 16), np.linspace(0.0, math.pi / 2, 16)
     families = np.concatenate([states.werner(fs).rho, states.pure_state(gammas).rho])
-    params = [states.werner_x_params(f) for f in fs] + [states.pure_x_params(g) for g in gammas]
-    worst = float(np.max(np.abs(families - np.stack([states.x_state(p).rho for p in params]))))
-    return _result("states_cross_constructor", len(params), worst - TOLERANCES["entrywise"])
+    x = np.concatenate([states.x_state(states.werner_x_params(fs)).rho,
+                        states.x_state(states.pure_x_params(gammas)).rho])
+    worst = float(np.max(np.abs(families - x)))
+    return _result("states_cross_constructor", len(x), worst - TOLERANCES["entrywise"])
 
 
 # ---------------------------------------------------------------------------
@@ -346,34 +349,42 @@ def check_measures_eigen_grid_agreement(config: CheckConfig) -> PropertyResult:
     return _result("measures_eigen_grid_agreement", gap.size, float(np.max(gap)) - TOLERANCES["eigen_grid_agreement"])
 
 
+def _sample_x_branch(config: CheckConfig) -> tuple[list[np.ndarray], int]:
+    """X-state parameter sets drawn on lane 30, as their eight fields: up to
+    ``x_states`` sets inside the z branch (k1 <= k3), then up to a third as
+    many outside it; and the count inside. Blocks of ``x_states`` samples
+    are drawn until enough fall inside, at most 100 blocks, and sets outside
+    count only up to the last set taken inside. Near-ties
+    |k1 - k3| <= branch_tie are skipped: their branch is genuinely ambiguous."""
+    rng, n = _rng(config, 30), config.x_states
+    blocks, inside, outside = [], [], []
+    while sum(map(np.count_nonzero, inside)) < n and len(blocks) < 100:
+        blocks.append(states.sample_x_params(rng, n))
+        k = measures.k_values(blocks[-1])
+        untied = np.abs(k.k1 - k.k3) > TOLERANCES["branch_tie"]
+        inside.append(untied & (k.k1 <= k.k3))
+        outside.append(untied & ~(k.k1 <= k.k3))
+    picked = np.flatnonzero(np.concatenate(inside))[:n]
+    stop = picked[-1] + 1 if len(picked) == n else None
+    chosen = np.concatenate([picked, np.flatnonzero(np.concatenate(outside)[:stop])[:max(1, n // 3)]])
+    columns = [np.concatenate([getattr(p, f.name) for p in blocks]) for f in fields(states.XStateParams)]
+    return [c[chosen] for c in columns], len(picked)
+
+
 def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResult:
-    rng = _rng(config, 30)
-    accepted = []
-    rejected = []
-    rejected_cap = max(1, config.x_states // 3)
-    attempts = 0
-    while len(accepted) < config.x_states and attempts < 100 * config.x_states:
-        attempts += 1
-        p = states.sample_x_params(rng)
-        k = measures.k_values(p)
-        if abs(k.k1 - k.k3) <= TOLERANCES["branch_tie"]:
-            continue  # skip boundary ties where the branch is genuinely ambiguous
-        if k.k1 <= k.k3:
-            accepted.append(p)
-        elif len(rejected) < rejected_cap:
-            rejected.append(p)
-    oracle = measures.discord_grid_oracle(_stack([states.x_state(p) for p in accepted + rejected]))
+    columns, m = _sample_x_branch(config)
+    oracle = measures.discord_grid_oracle(states.x_state(states.XStateParams(*columns)))
     n = oracle.argmin_direction
     on_axis = np.hypot(n[:, 0], n[:, 1]) <= TOLERANCES["on_axis"]
-    closed = np.array([measures.discord_x_closed_form(p).value for p in accepted])
-    worst_value = float(np.max(np.abs(closed - oracle.value[:len(accepted)]), initial=0.0))
+    closed = measures.discord_x_closed_form(states.XStateParams(*(c[:m] for c in columns))).value
+    worst_value = float(np.max(np.abs(closed - oracle.value[:m]), initial=0.0))
     # inside the branch the oracle must pick the z axis; outside it must leave it
-    off_branch = on_axis[len(accepted):] & (oracle.value[len(accepted):] > TOLERANCES["zero_discord"])
-    branch_mismatches = int(np.sum(~on_axis[:len(accepted)]) + np.sum(off_branch))
+    off_branch = on_axis[m:] & (oracle.value[m:] > TOLERANCES["zero_discord"])
+    branch_mismatches = int(np.sum(~on_axis[:m]) + np.sum(off_branch))
     # any mismatch fails; with none, the margin is the value gap's distance to its gate
     margin = float(branch_mismatches) if branch_mismatches else worst_value - TOLERANCES["oracle_agreement"]
     return _result(
-        "measures_xstate_oracle_agreement", len(accepted) + len(rejected), margin,
+        "measures_xstate_oracle_agreement", len(oracle.value), margin,
         f"{branch_mismatches} branch decisions disagree with the oracle argmin; "
         f"worst value gap {worst_value:.3e}",
     )
@@ -411,7 +422,7 @@ def check_measures_concurrence_lu_invariant(config: CheckConfig) -> PropertyResu
 
 
 def check_measures_discord_error_bound(config: CheckConfig) -> PropertyResult:
-    pool = states.random_state(np.arange(config.bound_states))
+    pool = _random_states(config, 36, config.bound_states)
     lhs, rhs = measures.discord_error_rate_bound(pool)
     oracle = measures.discord_grid_oracle(validate_density(pool.rho[:BOUND_CROSS_CHECKS])).value
     worst = float(max(np.max(lhs - rhs), np.max(oracle - rhs[:BOUND_CROSS_CHECKS]),
@@ -423,10 +434,10 @@ def check_measures_bound_saturation_families(config: CheckConfig) -> PropertyRes
     """The bound is tight on the pure and Werner families; the closed-form
     route must match the error-rate side exactly."""
     gammas, fs = np.linspace(0.0, math.pi / 2, GRID_POINTS), np.linspace(0.25, 1.0, 16)
-    params = [states.pure_x_params(g) for g in gammas] + [states.werner_x_params(f) for f in fs]
-    lhs = np.array([measures.discord_x_closed_form(p).value for p in params])
+    lhs = np.concatenate([measures.discord_x_closed_form(states.pure_x_params(gammas)).value,
+                          measures.discord_x_closed_form(states.werner_x_params(fs)).value])
     _, rhs = measures.discord_error_rate_bound(_stack([states.pure_state(gammas), states.werner(fs)]))
-    return _result("measures_bound_saturation_families", len(params),
+    return _result("measures_bound_saturation_families", len(lhs),
                    float(np.max(np.abs(lhs - rhs))) - TOLERANCES["bound_slack"])
 
 

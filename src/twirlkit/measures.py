@@ -17,7 +17,8 @@ entanglement of formation, the error-rate bound, the discord form of the
 minimal error rate and the twirl comparison are batch-first: given a
 stacked state (see :mod:`twirlkit.qubit_algebra`) they return stacks, each
 member bit for bit its own single-state value, and on one state what they
-always returned. The X-state closed form takes one parameter set at a time.
+always returned. The X-state branch quantities and closed form are
+batch-first in the same way over stacks of X-state parameters.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .qubit_algebra import (
     as_unit_vector,
     validate_density,
 )
-from .states import XStateParams, _check_x_params, _in_range
+from .states import XStateParams, _in_range, _x_fields, _x_param_failures
 from .twirl import twirl_analytic
 
 # Improvements below this size are treated as ties by the oracle's scan and
@@ -300,10 +301,12 @@ class KPair:
 
 
 def k_values(p: XStateParams) -> KPair:
-    """Branch quantities for the X-state discord closed form."""
-    k1 = 4.0 * (p.rho14 + p.rho23) ** 2
-    k3 = 2.0 * ((p.rho11 - p.rho33) ** 2 + (p.rho22 - p.rho44) ** 2)
-    return KPair(k1=k1, k3=k3)
+    """Branch quantities for the X-state discord closed form; arrays for a
+    stack of parameter sets."""
+    d11, d22, d33, d44, r14, r23 = _x_fields(p)[:6]
+    k1 = 4.0 * (r14 + r23) ** 2
+    k3 = 2.0 * ((d11 - d33) ** 2 + (d22 - d44) ** 2)
+    return KPair(k1=_item(k1), k3=_item(k3))
 
 
 def discord_x_closed_form(p: XStateParams) -> DiscordResult:
@@ -313,15 +316,19 @@ def discord_x_closed_form(p: XStateParams) -> DiscordResult:
     Raises BranchConditionError when k1 > k3; callers must fall back to
     ``discord_eigen`` there. Floating-point ties at the branch boundary
     (within 1e-12, where both dephasings are equally close and the two
-    expressions coincide) are accepted.
+    expressions coincide) are accepted. A stack of parameter sets gives a
+    stacked result, and an error names the first failing set.
     """
-    _check_x_params(p)
     k = k_values(p)
-    if k.k1 > k.k3 + 1e-12:
-        raise BranchConditionError(f"k1 = {k.k1:.6g} exceeds k3 = {k.k3:.6g}; closed form does not apply")
+    k1, k3 = np.asarray(k.k1), np.asarray(k.k3)
+    _raise_first_failure(k1.shape, (*_x_param_failures(p), (
+        k1 > k3 + 1e-12, BranchConditionError,
+        lambda i: f"k1 = {k1[i]:.6g} exceeds k3 = {k3[i]:.6g}; closed form does not apply",
+    )))
+    r14, r23 = _x_fields(p)[4:6]
     return DiscordResult(
-        value=2.0 * (p.rho14**2 + p.rho23**2),
-        argmin_direction=np.array([0.0, 0.0, 1.0]),
+        value=_item(2.0 * (r14**2 + r23**2)),
+        argmin_direction=np.broadcast_to(_Z_AXIS, k1.shape + (3,)),
         method="x-closed-form",
     )
 

@@ -15,12 +15,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidXParamsError, OutOfRangeError, SchemaError
-from .qubit_algebra import ID4, TwoQubitState, _clamp_unit, pauli_compose, PauliDecomposition, validate_density
+from .qubit_algebra import (
+    ID4,
+    PauliDecomposition,
+    TwoQubitState,
+    _clamp_unit,
+    _item,
+    _raise_first_failure,
+    pauli_compose,
+    validate_density,
+)
 
 # (diagonal pair, off-diagonal sign); entries are exact halves so the
 # projectors and everything derived from them stay float-exact.
@@ -98,7 +107,8 @@ class XStateParams:
     Diagonal entries rho11..rho44, nonnegative off-diagonal magnitudes
     rho14 (outer block) and rho23 (inner block), and their phases in
     radians. The phases multiply the upper off-diagonal entries as
-    exp(i gamma).
+    exp(i gamma). Any field may be an array: the fields broadcast
+    together to a stack of parameter sets.
     """
 
     rho11: float
@@ -111,49 +121,70 @@ class XStateParams:
     gamma13: float = 0.0
 
 
-def _check_x_params(p: XStateParams) -> None:
-    diag = (p.rho11, p.rho22, p.rho33, p.rho44)
-    if min(diag) < 0.0:
-        raise InvalidXParamsError(f"diagonal entries must be nonnegative, got {diag}")
-    total = sum(diag)
-    if abs(total - 1.0) > 1e-12:
-        raise InvalidXParamsError(f"diagonal sum {total} differs from 1 beyond 1e-12")
-    if p.rho14 < 0.0 or p.rho23 < 0.0:
-        raise InvalidXParamsError("off-diagonal magnitudes must be nonnegative")
-    if p.rho14 > math.sqrt(p.rho11 * p.rho44) + 1e-12:
-        raise InvalidXParamsError(
-            f"rho14 = {p.rho14} exceeds sqrt(rho11 rho44) = {math.sqrt(p.rho11 * p.rho44)}"
-        )
-    if p.rho23 > math.sqrt(p.rho22 * p.rho33) + 1e-12:
-        raise InvalidXParamsError(
-            f"rho23 = {p.rho23} exceeds sqrt(rho22 rho33) = {math.sqrt(p.rho22 * p.rho33)}"
-        )
+def _x_fields(p: XStateParams) -> list[np.ndarray]:
+    """The eight fields of ``p`` as float arrays broadcast to one shape."""
+    return np.broadcast_arrays(*(np.asarray(getattr(p, f.name), dtype=float) for f in fields(p)))
 
 
-def sample_x_params(rng: np.random.Generator) -> XStateParams:
-    """Random X-state parameters: uniform simplex diagonal, admissible
-    off-diagonal magnitudes, uniform phases."""
-    d = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-    r14 = rng.uniform(0.0, 1.0) * math.sqrt(d[0] * d[3])
-    r23 = rng.uniform(0.0, 1.0) * math.sqrt(d[1] * d[2])
-    g14, g13 = rng.uniform(0.0, 2 * math.pi, 2)
-    return XStateParams(d[0], d[1], d[2], d[3], r14, r23, g14, g13)
+def _x_param_failures(p: XStateParams) -> tuple:
+    """The positivity and normalization checks of ``p`` as the (mask, error,
+    message) triples ``_raise_first_failure`` takes, in the order a single
+    parameter set is checked."""
+    names = [f.name for f in fields(p)][:6]
+    d11, d22, d33, d44, r14, r23 = columns = _x_fields(p)[:6]
 
+    def member(i):  # rho11..rho23 of set i: as given for one set, floats for a stack
+        return dict(zip(names, (getattr(p, n) for n in names) if not d11.shape else (float(c[i]) for c in columns)))
 
-def pure_x_params(gamma: float) -> XStateParams:
-    """X-state parameters of the pure family at angle gamma."""
-    sg = math.sin(gamma)
-    return XStateParams(
-        rho11=(1.0 + sg) / 2.0, rho22=0.0, rho33=0.0, rho44=(1.0 - sg) / 2.0,
-        rho14=math.cos(gamma) / 2.0, rho23=0.0,
+    def oversized(off, a, b):
+        def message(i):
+            f = member(i)
+            return f"{off} = {f[off]} exceeds sqrt({a} {b}) = {math.sqrt(f[a] * f[b])}"
+        return message
+
+    # a product below zero has a negative factor, which the first check reports
+    return (
+        (np.minimum(np.minimum(d11, d22), np.minimum(d33, d44)) < 0.0, InvalidXParamsError,
+         lambda i: f"diagonal entries must be nonnegative, got {tuple(member(i).values())[:4]}"),
+        (np.abs(d11 + d22 + d33 + d44 - 1.0) > 1e-12, InvalidXParamsError,
+         lambda i: f"diagonal sum {sum(tuple(member(i).values())[:4])} differs from 1 beyond 1e-12"),
+        ((r14 < 0.0) | (r23 < 0.0), InvalidXParamsError, lambda i: "off-diagonal magnitudes must be nonnegative"),
+        (r14 > np.sqrt(np.maximum(d11 * d44, 0.0)) + 1e-12, InvalidXParamsError, oversized("rho14", "rho11", "rho44")),
+        (r23 > np.sqrt(np.maximum(d22 * d33, 0.0)) + 1e-12, InvalidXParamsError, oversized("rho23", "rho22", "rho33")),
     )
 
 
-def werner_x_params(f: float) -> XStateParams:
-    """X-state parameters of the Werner state with fidelity f."""
+def sample_x_params(rng: np.random.Generator, count: int | None = None) -> XStateParams:
+    """Random X-state parameters: uniform simplex diagonal, admissible
+    off-diagonal magnitudes, uniform phases.
+
+    With no ``count``, one parameter set from a Dirichlet draw, two
+    uniforms and two phases. With a count, a stack of ``count`` sets drawn
+    as one block of each.
+    """
+    d = np.moveaxis(rng.dirichlet((1.0, 1.0, 1.0, 1.0), count), -1, 0)
+    r14 = rng.uniform(0.0, 1.0, count) * _item(np.sqrt(d[0] * d[3]))
+    r23 = rng.uniform(0.0, 1.0, count) * _item(np.sqrt(d[1] * d[2]))
+    g14, g13 = rng.uniform(0.0, 2 * math.pi, 2 if count is None else (2, count))
+    return XStateParams(d[0], d[1], d[2], d[3], r14, r23, g14, g13)
+
+
+def pure_x_params(gamma) -> XStateParams:
+    """X-state parameters of the pure family at angle gamma (an array gives a stack)."""
+    g = np.asarray(gamma, dtype=float)
+    sg = np.sin(g)
     return XStateParams(
-        rho11=(2.0 * f + 1.0) / 6.0, rho22=(1.0 - f) / 3.0, rho33=(1.0 - f) / 3.0,
-        rho44=(2.0 * f + 1.0) / 6.0, rho14=abs(4.0 * f - 1.0) / 6.0, rho23=0.0,
+        rho11=_item((1.0 + sg) / 2.0), rho22=0.0, rho33=0.0, rho44=_item((1.0 - sg) / 2.0),
+        rho14=_item(np.cos(g) / 2.0), rho23=0.0,
+    )
+
+
+def werner_x_params(f) -> XStateParams:
+    """X-state parameters of the Werner state with fidelity f (an array gives a stack)."""
+    f = np.asarray(f, dtype=float)
+    diag, off = _item((2.0 * f + 1.0) / 6.0), _item((1.0 - f) / 3.0)
+    return XStateParams(
+        rho11=diag, rho22=off, rho33=off, rho44=diag, rho14=_item(np.abs(4.0 * f - 1.0) / 6.0), rho23=0.0,
     )
 
 
@@ -162,15 +193,17 @@ def x_state(p: XStateParams) -> TwoQubitState:
 
     The correlation matrix of such a state has T13 = T23 = T31 = T32 = 0.
     Raises InvalidXParamsError naming the violated positivity or
-    normalization constraint.
+    normalization constraint. A stack of parameter sets gives a stacked
+    state, and its error names the first failing set.
     """
-    _check_x_params(p)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = p.rho11, p.rho22, p.rho33, p.rho44
-    m[0, 3] = p.rho14 * np.exp(1j * p.gamma14)
-    m[3, 0] = np.conj(m[0, 3])
-    m[1, 2] = p.rho23 * np.exp(1j * p.gamma13)
-    m[2, 1] = np.conj(m[1, 2])
+    d11, d22, d33, d44, r14, r23, g14, g13 = _x_fields(p)
+    _raise_first_failure(d11.shape, _x_param_failures(p))
+    m = np.zeros(d11.shape + (4, 4), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1], m[..., 2, 2], m[..., 3, 3] = d11, d22, d33, d44
+    m[..., 0, 3] = r14 * np.exp(1j * g14)
+    m[..., 3, 0] = np.conj(m[..., 0, 3])
+    m[..., 1, 2] = r23 * np.exp(1j * g13)
+    m[..., 2, 1] = np.conj(m[..., 1, 2])
     return validate_density(m)
 
 
@@ -188,6 +221,16 @@ def fidelity_phi_plus(state: TwoQubitState):
     return _clamp_unit(0.5 * (rho[..., 0, 0] + rho[..., 0, 3] + rho[..., 3, 0] + rho[..., 3, 3]).real)
 
 
+def _ginibre(normals: np.ndarray) -> TwoQubitState:
+    """The validated state G G^dag / Tr(G G^dag) for each (2, 4, 4) block of
+    standard normals in ``normals`` (..., 2, 4, 4): the real parts of G and
+    then its imaginary parts. This is the Hilbert-Schmidt measure
+    (Zyczkowski & Sommers, J. Phys. A 34, 7111 (2001))."""
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    m = g @ g.conj().mT
+    return validate_density(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+
+
 def random_state(seed) -> TwoQubitState:
     """Random density matrix G G^dag / Tr(G G^dag) for a complex Gaussian G.
 
@@ -196,13 +239,11 @@ def random_state(seed) -> TwoQubitState:
     drawn from its own ``default_rng(seed)``, and validates it once.
     """
     seeds = np.asarray(seed)
-    # per seed, one draw of the real parts of G and then its imaginary parts
-    normals = np.empty((seeds.size, 2, 4, 4))
+    normals = np.empty(seeds.shape + (2, 4, 4))
+    flat = normals.reshape(-1, 2, 4, 4)
     for k, s in enumerate(seeds.ravel().tolist()):
-        normals[k] = np.random.default_rng(s).standard_normal((2, 4, 4))
-    g = (normals[:, 0] + 1j * normals[:, 1]).reshape(seeds.shape + (4, 4))
-    m = g @ g.conj().mT
-    return validate_density(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+        flat[k] = np.random.default_rng(s).standard_normal((2, 4, 4))
+    return _ginibre(normals)
 
 
 FAMILY_PARAMS = {"pure": ("gamma",), "werner": ("F",), "depolarized": ("gamma", "p")}

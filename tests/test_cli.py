@@ -2,6 +2,7 @@
 the property-check subcommand including its fault-injection smoke test."""
 
 import argparse
+import ast
 import dataclasses
 import json
 import math
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,16 @@ FAST_CHECK_FLAGS = [
     "--x-states", "60",
     "--range-states", "300",
 ]
+
+
+
+def _perfbench_check_counts():
+    """The reduced ``check`` counts of the benchmark's ``verify`` workload,
+    read from perfbench/workloads.py without importing it."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["CHECK_COUNTS"]]
+    return list(ast.literal_eval(value))
 
 
 # Small counts for the tests that assert on one or two properties of the
@@ -607,6 +619,15 @@ class TestCheck:
         assert doc["all_pass"] is True
         assert code == 0
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_benchmark_counts_all_pass(self, tmp_path, seed):
+        # the redrawn pools hold at more seeds than 7, at the benchmark's counts
+        out = tmp_path / "report.json"
+        code = main(["check", "--seed", str(seed), *_perfbench_check_counts(), "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert [p["name"] for p in doc["properties"] if p["status"] != "pass"] == []
+        assert doc["all_pass"] is True and code == 0
+
     def test_default_run_all_pass(self, default_check):
         # Full documented sample counts; this is the slow, authoritative run.
         failing = [name for name, p in default_check.properties.items() if p["status"] == "fail"]
@@ -704,16 +725,20 @@ class TestCheck:
         assert counts[0] == counts[1] == 4
 
     def test_random_state_calls_do_not_grow_with_counts(self, tmp_path, monkeypatch):
-        # each of the 15 random pools is one stacked state, drawn in one call whatever its size
-        calls = []
-        sampler = states.random_state
-        monkeypatch.setattr(states, "random_state", lambda seed: calls.append(seed) or sampler(seed))
+        # each of the 15 random pools is one stacked state, one Ginibre kernel
+        # call on one block of its lane's normals whatever its size; no pool
+        # goes through the per-seed random_state
+        calls = {"random_state": [], "_ginibre": []}
+        for name, log in calls.items():
+            kernel = getattr(states, name)
+            monkeypatch.setattr(states, name, lambda a, kernel=kernel, log=log: log.append(a) or kernel(a))
         counts = []
         for flags in (MIN_CHECK_FLAGS, FAST_CHECK_FLAGS):
-            calls.clear()
+            for log in calls.values():
+                log.clear()
             assert main(["check", "--seed", "7", *flags, "--out", str(tmp_path / "report.json")]) == 0
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == 15
+            counts.append({name: len(log) for name, log in calls.items()})
+        assert counts[0] == counts[1] == {"random_state": 0, "_ginibre": 15}
 
     def test_state_loops_do_not_grow_with_counts(self, tmp_path, monkeypatch):
         # the partner and cq_state kernels run on whole pools, not once per member
@@ -738,6 +763,13 @@ class TestCheck:
         assert "ratio - 2/3" in result.detail
         monkeypatch.setitem(checks.TOLERANCES, "entrywise", 0.0)
         assert checks.check_measures_twirl_pair_monotonicity(checks.CheckConfig()).status == "fail"
+
+    def test_bound_pool_follows_the_seed(self):
+        # the bound's pool, and so its oracle cross-check, is drawn from --seed
+        margins = [checks.check_measures_discord_error_bound(checks.CheckConfig(seed=seed, bound_states=200))
+                   for seed in (7, 8)]
+        assert [m.status for m in margins] == ["pass", "pass"]
+        assert margins[0].worst_margin != margins[1].worst_margin
 
     def test_xstate_margin_is_not_masked(self):
         result = checks.check_measures_xstate_oracle_agreement(checks.CheckConfig(x_states=6))

@@ -23,6 +23,7 @@ from twirlkit import (
     XStateParams,
     bell,
     binary_entropy,
+    checks,
     concurrence,
     cq_state,
     delta_min_from_discord,
@@ -734,12 +735,13 @@ class TestConcurrence:
         assert concurrence(werner(0.5)) == pytest.approx(0.0, abs=1e-8)
 
     def test_local_unitary_invariance(self):
+        # check's own gate; the worst gap on these 50 states is 1.2e-15
         rng = np.random.default_rng(5)
         for seed in range(50):
             s = random_state(seed)
             w = np.kron(_haar_su2(rng), _haar_su2(rng))
             rotated = validate_density(w @ s.rho @ w.conj().T)
-            assert abs(concurrence(rotated) - concurrence(s)) <= 1e-10
+            assert abs(concurrence(rotated) - concurrence(s)) <= checks.TOLERANCES["concurrence_invariance"]
 
 
 class TestEntanglementOfFormation:

@@ -20,6 +20,7 @@ A stack with an invalid member raises the single-state error type and
 names the first bad index.
 """
 
+import dataclasses
 import math
 import re
 
@@ -29,6 +30,8 @@ import pytest
 from twirlkit import (
     SETTING_X,
     SETTING_Y,
+    BranchConditionError,
+    InvalidXParamsError,
     NonHermitianError,
     NotADistributionError,
     NotPositiveError,
@@ -36,18 +39,22 @@ from twirlkit import (
     PauliDecomposition,
     TraceNotOneError,
     TwoQubitState,
+    XStateParams,
+    checks,
     concurrence,
     correlation,
     cq_state,
     depolarized_pure,
     discord_eigen,
     discord_error_rate_bound,
+    discord_x_closed_form,
     entanglement_of_formation,
     eof_from_concurrence,
     error_rate,
     fidelity_phi_plus,
     hermitian_eigenvalues,
     hs_norm_sq,
+    k_values,
     min_error_rate,
     optimal_partner,
     outcome_probs,
@@ -59,8 +66,10 @@ from twirlkit import (
     twirl_analytic,
     validate_density,
     werner,
+    x_state,
 )
 from twirlkit.qubit_algebra import _A_OPS, _AB_OPS, _B_OPS, ID2, SIGMA_Y, _clamp_unit, pauli_sigma
+from twirlkit.states import _ginibre, pure_x_params, sample_x_params, werner_x_params
 from twirlkit.twirl import _haar_su2_batch
 
 _PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -287,6 +296,25 @@ def test_random_state():
     assert random_state([]).rho.shape == (0, 4, 4)
 
 
+def test_random_state_is_one_ginibre_block_per_seed():
+    # each member is G G^dag / Tr from the (2, 4, 4) normals of its own
+    # default_rng(seed): the real parts of G, then its imaginary parts
+    seeds = np.random.default_rng(1).integers(0, 2**63 - 1, 50)
+    blocks = np.stack([np.random.default_rng(int(seed)).standard_normal((2, 4, 4)) for seed in seeds])
+    g = blocks[:, 0] + 1j * blocks[:, 1]
+    m = g @ g.conj().mT
+    assert_bits(random_state(seeds).rho, m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
+    assert_bits(random_state(seeds).rho, [_ginibre(b).rho for b in blocks])
+
+
+def test_check_pool_is_the_kernel_on_its_lane_block():
+    config = checks.CheckConfig(seed=11)
+    pool = checks._random_states(config, 29, 40)
+    normals = checks._rng(config, 29).standard_normal((40, 2, 4, 4))
+    assert_bits(pool.rho, _ginibre(normals).rho)
+    assert_bits(pool.rho, [_ginibre(b).rho for b in normals])
+
+
 def test_pauli_compose(stack, members):
     singles = [pauli_compose(s.decomp) for s in members]
     assert_bits(pauli_compose(stack.decomp), singles)
@@ -380,6 +408,79 @@ def test_family_constructors():
         assert_bits(depolarized_pure(gammas, p).rho, [depolarized_pure(float(g), p).rho for g in gammas])
         assert_bits(depolarized_pure(gammas, p).rho,
                     [p * reference_pure(float(g)) + (1.0 - p) * np.eye(4, dtype=complex) / 4.0 for g in gammas])
+
+
+@pytest.fixture(scope="module")
+def x_columns():
+    """The eight fields of 40 sampled X-state parameter sets, then of the
+    pure family at its Bell, inner and product points and of Werner
+    states at F = 1/4, 1/2 and 1 (Bell and tie points of the branch)."""
+    sets = (sample_x_params(np.random.default_rng(21), 40), pure_x_params(np.array([0.0, 0.7, math.pi / 2])),
+            werner_x_params(np.array([0.25, 0.5, 1.0])))
+    return [np.concatenate([np.broadcast_to(getattr(p, f.name), np.shape(p.rho11)) for p in sets])
+            for f in dataclasses.fields(XStateParams)]
+
+
+def _x_singles(columns):
+    """One XStateParams of Python floats per member of the columns."""
+    return [XStateParams(*(float(c[i]) for c in columns)) for i in range(len(columns[0]))]
+
+
+def test_x_family_params():
+    gammas, fs = np.linspace(0.0, math.pi / 2, 101), np.linspace(0.0, 1.0, 101)
+    for stacked, singles in ((pure_x_params(gammas), [pure_x_params(float(g)) for g in gammas]),
+                             (werner_x_params(fs), [werner_x_params(float(f)) for f in fs])):
+        for f in dataclasses.fields(XStateParams):
+            column = np.broadcast_to(getattr(stacked, f.name), (101,))
+            assert_bits(column, [getattr(p, f.name) for p in singles])
+
+
+_X_TAKES = [slice(0, n) for n in range(1, 18)] + [slice(None, None, 3)]
+
+
+@pytest.mark.parametrize("take", _X_TAKES, ids=[f"first{t.stop}" for t in _X_TAKES[:-1]] + ["every3rd"])
+def test_x_state_kernels(x_columns, take):
+    """Each parameter set of a stack, of any length 1-17 or strided, gets
+    its single-call bits from x_state, k_values and the closed form."""
+    columns = [c[take] for c in x_columns]
+    singles = _x_singles(columns)
+    stacked = XStateParams(*columns)
+    assert_bits(x_state(stacked).rho, [x_state(p).rho for p in singles])
+    k = k_values(stacked)
+    assert_bits(k.k1, [k_values(p).k1 for p in singles])
+    assert_bits(k.k3, [k_values(p).k3 for p in singles])
+    branch = k.k1 <= k.k3 + 1e-12
+    closed = discord_x_closed_form(XStateParams(*(c[branch] for c in columns)))
+    expected = [discord_x_closed_form(p) for p, inside in zip(singles, branch) if inside]
+    assert_bits(closed.value, [r.value for r in expected])
+    assert_bits(closed.argmin_direction, [r.argmin_direction for r in expected])
+    # one parameter set still gets Python floats
+    assert all(type(v) is float for p in singles[:3] for v in (k_values(p).k1, k_values(p).k3))
+    assert all(type(r.value) is float for r in expected)
+
+
+@pytest.mark.parametrize("fields, error", [
+    ((1.2, -0.2, 0.0, 0.0, 0.0, 0.0), InvalidXParamsError),
+    ((0.5, 0.5, 0.5, 0.5, 0.0, 0.0), InvalidXParamsError),
+    ((0.5, 0.0, 0.0, 0.5, -0.1, 0.0), InvalidXParamsError),
+    ((0.5, 0.0, 0.0, 0.5, 0.6, 0.0), InvalidXParamsError),
+    ((0.0, 0.5, 0.5, 0.0, 0.0, 0.6), InvalidXParamsError),
+    ((0.25, 0.25, 0.25, 0.25, 0.25, 0.25), BranchConditionError),
+], ids=["negative", "sum", "negative-off", "rho14", "rho23", "branch"])
+def test_bad_x_member_names_its_index(x_columns, fields, error):
+    # member 6 breaks one rule and member 8 the normalization; the error is
+    # member 6's, named, also when it is the branch and member 8's is a constraint
+    columns = [np.concatenate([c[40:46], c[:4]]) for c in x_columns]
+    for k, v in enumerate(fields):
+        columns[k][6] = v
+    columns[0][8] = 0.9
+    calls = [discord_x_closed_form] if error is BranchConditionError else [x_state, discord_x_closed_form]
+    for call in calls:
+        with pytest.raises(error) as single:
+            call(_x_singles(columns)[6])
+        with pytest.raises(error) as stacked:
+            call(XStateParams(*columns))
+        assert str(stacked.value) == f"state 6: {single.value}"
 
 
 def test_min_error_rate(stack, members):

@@ -1,5 +1,6 @@
 """State constructor and state-file schema tests."""
 
+import dataclasses
 import json
 import math
 
@@ -22,6 +23,7 @@ from twirlkit import (
     werner,
     x_state,
 )
+from twirlkit.states import sample_x_params
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -159,6 +161,40 @@ class TestXState:
     def test_rejects_oversized_off_diagonal(self):
         with pytest.raises(InvalidXParamsError):
             x_state(XStateParams(0.5, 0.0, 0.0, 0.5, 0.6, 0.0))
+
+
+def reference_sample_x_params(rng):
+    """sample_x_params as it was before it took a count: one set per call."""
+    d = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
+    r14 = rng.uniform(0.0, 1.0) * math.sqrt(d[0] * d[3])
+    r23 = rng.uniform(0.0, 1.0) * math.sqrt(d[1] * d[2])
+    g14, g13 = rng.uniform(0.0, 2 * math.pi, 2)
+    return XStateParams(d[0], d[1], d[2], d[3], r14, r23, g14, g13)
+
+
+def _typed_fields(p):
+    return [(type(v), v) for v in dataclasses.astuple(p)]
+
+
+class TestSampleXParams:
+    def test_without_count_keeps_its_stream(self):
+        # the same values of the same types, and the generator left where it was
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(200):
+            assert _typed_fields(sample_x_params(ours)) == _typed_fields(reference_sample_x_params(theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_with_count_draws_one_admissible_block(self):
+        p = sample_x_params(np.random.default_rng(3), 500)
+        fields = dataclasses.astuple(p)
+        assert all(np.shape(v) == (500,) for v in fields)
+        diag = np.stack(fields[:4])
+        assert np.all(diag >= 0.0) and np.max(np.abs(diag.sum(axis=0) - 1.0)) <= 1e-12
+        assert np.all(p.rho14 <= np.sqrt(p.rho11 * p.rho44)) and np.all(p.rho23 <= np.sqrt(p.rho22 * p.rho33))
+        assert np.all((0.0 <= np.stack(fields[6:])) & (np.stack(fields[6:]) < 2 * math.pi))
+        assert x_state(p).rho.shape == (500, 4, 4)
+        again = sample_x_params(np.random.default_rng(3), 500)
+        assert all(np.array_equal(u, v) for u, v in zip(fields, dataclasses.astuple(again)))
 
 
 class TestDepolarizedPure:
