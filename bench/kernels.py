@@ -15,6 +15,12 @@ Times ``concurrence``, ``validate_density``, ``pauli_decompose``,
   paper family (pure, Werner, depolarized) and every twirl output is a real
   matrix, so this is what the sweep feeds the kernels.
 
+``validate_density`` on the real stack includes its eigenvectors: it keeps
+the eigenpairs of one real ``eigh``, and ``concurrence`` on the validated
+real stack starts from them. ``concurrence`` is also timed on a bare
+``TwoQubitState`` of the same matrices (``real_bare``), which runs that
+``eigh`` itself, so the saving shows per kernel.
+
 It also times ``check``'s samplers and the simulator on inputs of their own:
 
 * ``check_pool``: a random pool of ``--states`` states as ``check`` draws
@@ -27,7 +33,10 @@ It also times ``check``'s samplers and the simulator on inputs of their own:
   chunk size, on the pure state at gamma = pi/3 (``chunk``);
 * ``simulate_protocol``: 10^6 rounds on that state at its optimal
   settings (``rounds``), and ``write_rounds_csv``: the ledger of that run,
-  10^6 rows, written to a temporary directory (``rows``).
+  10^6 rows, written to a temporary directory (``rows``);
+* ``run_sweep``: the sweep table of each family (depolarized at p = 1/2)
+  on 2000 grid points, the ``perfbench`` size, and on 2^14 + 1, one point
+  past the first of ``run_sweep``'s blocks (``<family>_<points>``).
 
 Each kernel runs once to warm up, then ``--repeats`` times per input; the
 file keeps every run, the min and the median, in seconds. ``discord_eigen``,
@@ -66,6 +75,8 @@ ORACLE_STATES = 200
 # one Monte Carlo chunk (twirl._CHUNK), and the simulator's and ledger's size
 MC_SAMPLES = 8192
 ROUNDS = 1_000_000
+# the benchmark's sweep size, and one point past a run_sweep block (cli._SWEEP_BLOCK)
+SWEEP_POINTS = (2000, 2**14 + 1)
 
 
 def parse_args(argv):
@@ -128,6 +139,20 @@ def sampler_timings(twirlkit, states: int, repeats: int) -> dict:
         }
 
 
+def sweep_timings(repeats: int) -> dict:
+    """Timings of the sweep table of each family at each of ``SWEEP_POINTS``."""
+    import numpy as np
+
+    from twirlkit import cli
+
+    timings = {}
+    for family, top, p in (("pure", np.pi / 2, None), ("werner", 1.0, None), ("depolarized", np.pi / 2, 0.5)):
+        for points in SWEEP_POINTS:
+            spec = cli.SweepSpec(family=family, grid=np.linspace(0.0, top, points), p=p)
+            timings[f"{family}_{points}"] = timed(lambda: cli.run_sweep(spec), repeats)
+    return timings
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     twirlkit = bootstrap(ROOT)
@@ -152,9 +177,12 @@ def main(argv=None) -> int:
     before = sampler.burst()
     timings = {name: {kind: timed(lambda: kernel(state), args.repeats) for kind, state in stacks.items()}
                for name, kernel in kernels.items()}
+    bare = twirlkit.TwoQubitState(stacks["real"].rho)
+    timings["concurrence"]["real_bare"] = timed(lambda: twirlkit.concurrence(bare), args.repeats)
     timings["discord_grid_oracle"] = {kind: timed(lambda: twirlkit.discord_grid_oracle(state), args.repeats)
                                       for kind, state in heads.items()}
     timings.update(sampler_timings(twirlkit, args.states, args.repeats))
+    timings["run_sweep"] = sweep_timings(args.repeats)
     after = sampler.burst()
     doc = {
         "meta": {**run_metadata(ROOT, twirlkit), "dirty": git_dirty(ROOT)},
@@ -165,7 +193,7 @@ def main(argv=None) -> int:
             "slowdown": (before + after) / (2 * REFERENCE_S),
         },
         "config": {"states": args.states, "repeats": args.repeats, "oracle_states": len(heads["real"].rho),
-                   "mc_samples": MC_SAMPLES, "rounds": ROUNDS},
+                   "mc_samples": MC_SAMPLES, "rounds": ROUNDS, "sweep_points": list(SWEEP_POINTS)},
         "kernels": timings,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -89,15 +89,15 @@ class SweepSpec:
         return [c for c in cols if c in keep]
 
 
-def run_sweep(spec: SweepSpec) -> np.recarray:
-    """Evaluate the sweep as a record array: one field per ``spec.columns()``
-    entry, in that order, and one record per grid point.
+# Grid points per block of run_sweep: the stacked states, their kept
+# eigenpairs and the kernels' temporaries exist for one block at a time.
+_SWEEP_BLOCK = 1 << 14
 
-    The grid is built, validated and twirled as one stack, and each column
-    is one array expression over it; the values are those of a
-    point-by-point loop, bit for bit.
-    """
-    points = spec.points()
+
+def _sweep_block(spec: SweepSpec, points: np.ndarray) -> dict:
+    """Every column of the sweep at ``points`` (one row of family
+    parameters per point): the points are built, validated and twirled as
+    one stack, and each column is one array expression over it."""
     state = states.family_state(spec.family, *points.T)
     twirled = twirl_analytic(state)
     delta_pure = min_error_rate(state).value
@@ -118,25 +118,56 @@ def run_sweep(spec: SweepSpec) -> np.recarray:
         "eof_twirled": eof_from_concurrence(c_twirled),
     }
     columns.update(zip(spec.extra_params, points[:, 1:].T))
-    return np.rec.fromarrays([columns[c] for c in spec.columns()], names=spec.columns())
+    return columns
 
 
-def _cells(table: np.recarray, fmt=None) -> list[list]:
-    """The cells of each field of ``table``: bools as true/false, floats
-    through ``fmt``, or as floats without one."""
-    return [
-        list(map(("false", "true").__getitem__, table[c].tolist())) if table.dtype[c] == bool
-        else table[c].tolist() if fmt is None else list(map(fmt, table[c].tolist()))
-        for c in table.dtype.names
-    ]
+def run_sweep(spec: SweepSpec) -> np.recarray:
+    """Evaluate the sweep as a record array: one field per ``spec.columns()``
+    entry, in that order, and one record per grid point.
+
+    The grid is evaluated in blocks of ``_SWEEP_BLOCK`` points, each as one
+    stack (see ``_sweep_block``), and each block's columns are written into
+    the table. Every kernel gives a member its single-state bits, so the
+    values are those of a point-by-point loop, bit for bit, whatever the
+    block size.
+    """
+    points = spec.points()
+    cols = spec.columns()
+    table = np.recarray(len(points), dtype=[(c, bool if c == "ratio_defined" else float) for c in cols])
+    for lo in range(0, len(points), _SWEEP_BLOCK):
+        block = _sweep_block(spec, points[lo:lo + _SWEEP_BLOCK])
+        for c in cols:
+            table[c][lo:lo + _SWEEP_BLOCK] = block[c]
+    return table
+
+
+def _cells(table: np.recarray, float_conversion: str, fmt=None) -> tuple[list[str], list[list]]:
+    """The ``%`` conversion and the cells of each field of ``table``: bools
+    as true/false through ``%s``; floats through ``float_conversion``, or,
+    when ``fmt`` is given and the field holds a non-finite value, as ``fmt``
+    writes them through ``%s``."""
+    conversions, cells = [], []
+    for c in table.dtype.names:
+        values = table[c]
+        if values.dtype == bool:
+            conversions.append("%s")
+            cells.append(list(map(("false", "true").__getitem__, values.tolist())))
+        elif fmt is not None and not np.isfinite(values).all():
+            conversions.append("%s")
+            cells.append(list(map(fmt, values.tolist())))
+        else:
+            conversions.append(float_conversion)
+            cells.append(values.tolist())
+    return conversions, cells
 
 
 def render_sweep_csv(table: np.recarray, spec: SweepSpec) -> str:
     """The sweep CSV, each row from one ``%`` template: ``%.17g`` per float
     field, the bools already written as true/false."""
-    row = ",".join("%s" if table.dtype[c] == bool else "%.17g" for c in table.dtype.names)
-    lines = [",".join(spec.columns()), *map(row.__mod__, zip(*_cells(table)))]
-    return "\n".join(lines) + "\n"
+    conversions, cells = _cells(table, "%.17g")
+    lines = [",".join(spec.columns()) + "\n", *map((",".join(conversions) + "\n").__mod__, zip(*cells))]
+    del cells  # every row is written: free the cells before the join copies the rows
+    return "".join(lines)
 
 
 def _json_safe(value):
@@ -161,11 +192,17 @@ def _json_value(value: float) -> str:
 
 def render_sweep_json(table: np.recarray, spec: SweepSpec) -> str:
     """The sweep document ``_dump_json`` writes, byte for byte, from one row
-    template: with ``indent`` set, ``json`` runs its pure-Python encoder."""
-    cols = spec.columns()
-    row = "    {\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in cols) + "\n    }"
-    body = ",\n".join(map(row.__mod__, zip(*_cells(table, _json_value))))
-    return f'{{\n  "family": {json.dumps(spec.family)},\n  "rows": [\n{body}\n  ]\n}}\n'
+    template: with ``indent`` set, ``json`` runs its pure-Python encoder,
+    which writes a finite float by ``repr``. So an all-finite float field
+    goes through ``%r``, and only a field with a non-finite value through
+    ``_json_value``."""
+    conversions, cells = _cells(table, "%r", _json_value)
+    fields = ",\n".join(f"      {json.dumps(c)}: {v}" for c, v in zip(spec.columns(), conversions))
+    lines = [f'{{\n  "family": {json.dumps(spec.family)},\n  "rows": [',
+             *map(f",\n    {{\n{fields}\n    }}".__mod__, zip(*cells)), "\n  ]\n}\n"]
+    del cells  # every row is written: free the cells before the join copies the rows
+    lines[1] = lines[1][1:]  # no comma before the first row
+    return "".join(lines)
 
 
 def _write(text: str, path: str | None) -> None:

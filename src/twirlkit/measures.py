@@ -19,6 +19,11 @@ stacked state (see :mod:`twirlkit.qubit_algebra`) they return stacks, each
 member bit for bit its own single-state value, and on one state what they
 always returned. The X-state branch quantities and closed form are
 batch-first in the same way over stacks of X-state parameters.
+
+The concurrence of a state that ``validate_density`` returned for an
+all-real stack starts from the eigenpairs that the validation kept, so
+such a state takes one 4x4 eigensolve for both; any other state runs
+its own.
 """
 
 from __future__ import annotations
@@ -403,7 +408,7 @@ def delta_min_from_discord(state: TwoQubitState) -> float:
     return _item(0.5 * (1.0 - np.sqrt(2.0 * eigen.value)))
 
 
-def _flipped_spectrum(rho: np.ndarray) -> np.ndarray:
+def _flipped_spectrum(rho: np.ndarray, eigh: tuple | None = None) -> np.ndarray:
     """The descending l_i of each member of a (..., 4, 4) stack, from one
     ``eigh``: with rho = V diag(w) V^dag, s = sqrt(max(w, 0)), B = V diag(s)
     and S = sy x sy, they are the singular values of B^T S B, the complex
@@ -411,9 +416,10 @@ def _flipped_spectrum(rho: np.ndarray) -> np.ndarray:
 
     A float64 ``rho`` has a real orthogonal V and a real symmetric B^T S B,
     whose singular values are the moduli of its eigenvalues; a complex
-    ``rho`` takes the SVD.
+    ``rho`` takes the SVD. ``eigh``, when given, is the (w, v) of ``rho``
+    already computed, and no eigensolve of ``rho`` runs.
     """
-    w, v = np.linalg.eigh(rho)
+    w, v = np.linalg.eigh(rho) if eigh is None else eigh
     b = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
     # S B is B with its rows reversed and signed
     m = b.mT @ (_FLIP_SIGNS * b[..., ::-1, :])
@@ -440,11 +446,16 @@ def concurrence(state: TwoQubitState):
     real symmetric eigensolve, whose eigenvalue moduli are the l_i. Any
     other member takes the complex SVD. The route is chosen per member, so
     each member of a stack gets bit for bit its single-state value; a stack
-    whose members all take one route goes through it at once. A float for
+    whose members all take one route goes through it at once. A state that
+    ``validate_density`` returned for an all-real stack keeps the eigenpairs
+    of ``rho.real`` from its check, and the real route starts from those:
+    the same LAPACK call on the same values, so the same bits. A float for
     one state, an array for a stack.
     """
     rho = state.rho
-    if not np.count_nonzero(rho.imag):
+    if state._eigh is not None:
+        lam = _flipped_spectrum(rho.real, state._eigh)
+    elif not np.count_nonzero(rho.imag):
         lam = _flipped_spectrum(rho.real)
     else:
         real = ~rho.imag.any(axis=(-2, -1))

@@ -9,24 +9,28 @@ ROOT = Path(__file__).resolve().parent.parent
 STACKS = {"real", "complex"}
 # each kernel and the inputs it is timed on
 KERNELS = {
-    **{name: STACKS for name in ("concurrence", "validate_density", "pauli_decompose", "discord_eigen",
+    **{name: STACKS for name in ("validate_density", "pauli_decompose", "discord_eigen",
                                  "discord_error_rate_bound", "discord_grid_oracle")},
+    "concurrence": STACKS | {"real_bare"},
     "check_pool": {"lane_block", "per_seed"},
     "x_state": {"stacked"},
     "twirl_monte_carlo": {"chunk"},
     "simulate_protocol": {"rounds"},
     "write_rounds_csv": {"rows"},
+    "run_sweep": {f"{family}_{points}" for family in ("pure", "werner", "depolarized") for points in (2000, 16385)},
 }
 
 
 def test_writes_every_kernel_on_both_stacks(tmp_path):
-    # the six state kernels on the real and complex stacks, the samplers and the simulator on their own inputs
+    # the six state kernels on the real and complex stacks (the concurrence also on a bare real stack), the
+    # samplers, the simulator and the sweep on their own inputs
     out = tmp_path / "bench.json"
     proc = subprocess.run([sys.executable, str(ROOT / "bench" / "kernels.py"), "--out", str(out),
                            "--states", "3", "--repeats", "2"], cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
-    assert doc["config"] == {"states": 3, "repeats": 2, "oracle_states": 3, "mc_samples": 8192, "rounds": 1_000_000}
+    assert doc["config"] == {"states": 3, "repeats": 2, "oracle_states": 3, "mc_samples": 8192, "rounds": 1_000_000,
+                             "sweep_points": [2000, 16385]}
     assert set(doc["kernels"]) == set(KERNELS)
     for name, by_kind in doc["kernels"].items():
         assert set(by_kind) == KERNELS[name]

@@ -23,6 +23,7 @@ names the first bad index.
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +69,7 @@ from twirlkit import (
     werner,
     x_state,
 )
+from twirlkit import cli, qubit_algebra
 from twirlkit.qubit_algebra import _A_OPS, _AB_OPS, _B_OPS, ID2, SIGMA_Y, _clamp_unit, pauli_sigma
 from twirlkit.states import _ginibre, pure_x_params, sample_x_params, werner_x_params
 from twirlkit.twirl import _haar_su2_batch
@@ -766,3 +768,127 @@ _THREE, _TWO_DIRS = random_state(np.arange(3)), np.eye(3)[:2]
 def test_leading_axes_that_do_not_broadcast_raise(call, shapes):
     with pytest.raises(OutOfRangeError, match=f"^leading axes do not broadcast: {re.escape(shapes)}$"):
         call()
+
+
+def _real_and_complex(members):
+    real = [s for s in members if not np.any(s.rho.imag)]
+    cplx = [s for s in members if np.any(s.rho.imag)]
+    assert len(real) >= 10 and len(cplx) >= 10
+    return real, cplx
+
+
+def test_validate_density_keeps_the_real_eigenpairs(members):
+    """An all-real validated state keeps bit for bit the (w, v) of
+    np.linalg.eigh(rho.real), read-only; complex members, mixed stacks and
+    states built directly keep none. Repr, equality and replace leave the
+    private fields out."""
+    real, cplx = _real_and_complex(members)
+    stacked = validate_density(np.stack([s.rho for s in real]))
+    grid = validate_density(np.stack([s.rho for s in real[:12]]).reshape(3, 4, 4, 4))
+    for state in (*real, stacked, grid):
+        w, v = state._eigh
+        expected = np.linalg.eigh(state.rho.real)
+        assert_bits(w, expected.eigenvalues)
+        assert_bits(v, expected.eigenvectors)
+        assert not (w.flags.writeable or v.flags.writeable)
+        assert state._validated
+    mixed = validate_density(np.stack([s.rho for pair in zip(real[:5], cplx[:5]) for s in pair]))
+    for state in (cplx[0], validate_density(np.stack([s.rho for s in cplx])), mixed):
+        assert state._eigh is None and state._validated
+    for state in (real[0], stacked):
+        for bare in (TwoQubitState(state.rho), dataclasses.replace(state)):
+            assert bare._eigh is None and not bare._validated
+        assert repr(state) == repr(TwoQubitState(state.rho))
+    private = [f for f in dataclasses.fields(TwoQubitState) if f.name.startswith("_")]
+    assert [f.name for f in private] == ["_validated", "_eigh"]
+    assert not any(f.init or f.repr or f.compare for f in private)
+
+
+def test_concurrence_from_kept_eigenpairs(members, monkeypatch):
+    """The concurrence of a validated state, a real stack and a mixed
+    real/complex stack equals that of a bare state with the same rho, bit
+    for bit; a state with kept eigenpairs runs no eigh of its own."""
+    real, cplx = _real_and_complex(members)
+    single, stacked = real[0], validate_density(np.stack([s.rho for s in real]))
+    mixed = validate_density(np.stack([s.rho for pair in zip(real[:10], cplx[:10]) for s in pair]))
+    for state in (single, stacked, mixed):
+        expected = concurrence(TwoQubitState(state.rho))
+        assert type(concurrence(state)) is type(expected)
+        assert_bits(concurrence(state), expected)
+    solves = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: solves.append(a.shape) or eigh(a, *args, **kw))
+    concurrence(single), concurrence(stacked)
+    assert solves == []
+    concurrence(TwoQubitState(stacked.rho))
+    assert solves == [stacked.rho.shape]
+
+
+def test_decomp_checks_only_states_built_directly(members, monkeypatch):
+    """A validated state takes its decomposition without pauli_decompose's
+    re-check, with the same bits; a state built directly keeps every check."""
+    calls = []
+    kernel = qubit_algebra.pauli_decompose
+    monkeypatch.setattr(qubit_algebra, "pauli_decompose", lambda rho: calls.append(rho) or kernel(rho))
+    rhos = np.stack([s.rho for s in members])
+    validated = validate_density(rhos)
+    expected = kernel(rhos)
+    for name in ("x", "y", "T"):
+        assert_bits(getattr(validated.decomp, name), getattr(expected, name))
+    assert calls == []
+    assert_bits(TwoQubitState(rhos).T, expected.T)
+    assert len(calls) == 1
+    skewed = np.eye(4, dtype=complex) / 4
+    skewed[0, 1] = 1e-3
+    with pytest.raises(NonHermitianError, match="^input deviates from Hermitian by 1.000e-03$"):
+        TwoQubitState(skewed).decomp
+    rhos[6] = skewed
+    with pytest.raises(NonHermitianError, match="^state 6: input deviates from Hermitian"):
+        TwoQubitState(rhos).decomp
+
+
+_SWEEP_SPECS = {"pure": None, "werner": None, "depolarized": 0.5}
+
+
+def _sweep_bytes(spec):
+    table = cli.run_sweep(spec)
+    return cli.render_sweep_csv(table, spec), cli.render_sweep_json(table, spec)
+
+
+@pytest.mark.parametrize("family", list(_SWEEP_SPECS))
+def test_sweep_blocks_write_the_same_bytes(family, monkeypatch):
+    """A grid of 2^14 + 3 points, evaluated in two blocks, and a 50-point grid
+    in blocks of 7, write the CSV and JSON bytes of one block over the
+    whole grid. The pure and Werner grids reach the Bell state, whose ratio
+    is undefined (a null in the JSON)."""
+    assert cli._SWEEP_BLOCK == 2**14
+    top = 1.0 if family == "werner" else math.pi / 2
+    for points, block in ((2**14 + 3, 2**14), (50, 7)):
+        spec = cli.SweepSpec(family=family, grid=np.linspace(0.0, top, points), p=_SWEEP_SPECS[family])
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
+        blocked = _sweep_bytes(spec)
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", points + 1)
+        assert blocked == _sweep_bytes(spec)
+    assert ('"ratio": null' in blocked[1]) == (family != "depolarized")
+
+
+@pytest.mark.parametrize("family", list(_SWEEP_SPECS))
+def test_sweep_takes_one_eigh_per_state_stack_per_block(family, monkeypatch):
+    """Per block, each of the two state stacks (the family's and its twirl)
+    gets one 4x4 eigh, at validation, and no eigvalsh runs on a state: the
+    only eigvalsh is the concurrence's, on the spin-flipped matrix."""
+    solves = {"eigh": [], "eigvalsh": []}
+    for name, log in solves.items():
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, solver=solver, log=log, **kw):
+            log.append((sys._getframe(1).f_code.co_name, a.shape))
+            return solver(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 16)
+    cli.run_sweep(cli.SweepSpec(family=family, grid=np.linspace(0.1, 0.9, 40), p=_SWEEP_SPECS[family]))
+    blocks = [16, 16, 16, 16, 8, 8]
+    assert [call for call in solves["eigh"] if call[1][-2:] == (4, 4)] == [
+        ("validate_density", (n, 4, 4)) for n in blocks]
+    assert solves["eigvalsh"] == [("_flipped_spectrum", (n, 4, 4)) for n in blocks]
