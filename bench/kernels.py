@@ -15,11 +15,15 @@ Times ``concurrence``, ``validate_density``, ``pauli_decompose``,
   paper family (pure, Werner, depolarized) and every twirl output is a real
   matrix, so this is what the sweep feeds the kernels.
 
-``validate_density`` on the real stack includes its eigenvectors: it keeps
-the eigenpairs of one real ``eigh``, and ``concurrence`` on the validated
-real stack starts from them. ``concurrence`` is also timed on a bare
-``TwoQubitState`` of the same matrices (``real_bare``), which runs that
-``eigh`` itself, so the saving shows per kernel.
+``validate_density`` keeps the eigenpairs of one real ``eigh`` of the real
+members, and ``concurrence`` on a validated state starts from them.
+``concurrence`` is also timed on a fresh bare ``TwoQubitState`` of the real
+stack per call (``real_bare``), which runs that ``eigh`` itself, so the
+saving shows per kernel. Both kernels choose a route per member, so they
+are also timed on a ``mixed`` stack, whose members alternate between the
+real and the complex stack (real first), and on one state of each kind
+(``one_real``, ``one_complex``: the first member of each stack), timed over
+``ONE_STATE_CALLS`` calls per run.
 
 It also times ``check``'s samplers and the simulator on inputs of their own:
 
@@ -77,6 +81,8 @@ MC_SAMPLES = 8192
 ROUNDS = 1_000_000
 # the benchmark's sweep size, and one point past a run_sweep block (cli._SWEEP_BLOCK)
 SWEEP_POINTS = (2000, 2**14 + 1)
+# calls per timed run on one state, whose call takes tens of microseconds
+ONE_STATE_CALLS = 1000
 
 
 def parse_args(argv):
@@ -90,14 +96,16 @@ def parse_args(argv):
     return args
 
 
-def timed(call, repeats: int) -> dict:
-    """Seconds per call of ``call()`` after one warm-up call: every run, the min and the median."""
+def timed(call, repeats: int, calls: int = 1) -> dict:
+    """Seconds per call of ``call()`` after one warm-up call, each run timing
+    ``calls`` calls: every run, the min and the median."""
     call()
     runs = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        call()
-        runs.append(time.perf_counter() - t0)
+        for _ in range(calls):
+            call()
+        runs.append((time.perf_counter() - t0) / calls)
     return {"min_s": min(runs), "median_s": statistics.median(runs), "runs_s": runs}
 
 
@@ -177,8 +185,16 @@ def main(argv=None) -> int:
     before = sampler.burst()
     timings = {name: {kind: timed(lambda: kernel(state), args.repeats) for kind, state in stacks.items()}
                for name, kernel in kernels.items()}
-    bare = twirlkit.TwoQubitState(stacks["real"].rho)
-    timings["concurrence"]["real_bare"] = timed(lambda: twirlkit.concurrence(bare), args.repeats)
+    real_rho = stacks["real"].rho
+    timings["concurrence"]["real_bare"] = timed(lambda: twirlkit.concurrence(twirlkit.TwoQubitState(real_rho)),
+                                                args.repeats)
+    odd = (np.arange(args.states) % 2 == 1)[:, None, None]
+    routed = {"mixed": (twirlkit.validate_density(np.where(odd, complex_state.rho, real_rho)), 1),
+              "one_real": (twirlkit.validate_density(real_rho[0]), ONE_STATE_CALLS),
+              "one_complex": (twirlkit.validate_density(complex_state.rho[0]), ONE_STATE_CALLS)}
+    for name in ("concurrence", "validate_density"):
+        for kind, (state, calls) in routed.items():
+            timings[name][kind] = timed(lambda: kernels[name](state), args.repeats, calls)
     timings["discord_grid_oracle"] = {kind: timed(lambda: twirlkit.discord_grid_oracle(state), args.repeats)
                                       for kind, state in heads.items()}
     timings.update(sampler_timings(twirlkit, args.states, args.repeats))
@@ -193,7 +209,8 @@ def main(argv=None) -> int:
             "slowdown": (before + after) / (2 * REFERENCE_S),
         },
         "config": {"states": args.states, "repeats": args.repeats, "oracle_states": len(heads["real"].rho),
-                   "mc_samples": MC_SAMPLES, "rounds": ROUNDS, "sweep_points": list(SWEEP_POINTS)},
+                   "mc_samples": MC_SAMPLES, "rounds": ROUNDS, "sweep_points": list(SWEEP_POINTS),
+                   "one_state_calls": ONE_STATE_CALLS},
         "kernels": timings,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

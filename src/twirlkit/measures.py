@@ -20,10 +20,10 @@ member bit for bit its own single-state value, and on one state what they
 always returned. The X-state branch quantities and closed form are
 batch-first in the same way over stacks of X-state parameters.
 
-The concurrence of a state that ``validate_density`` returned for an
-all-real stack starts from the eigenpairs that the validation kept, so
-such a state takes one 4x4 eigensolve for both; any other state runs
-its own.
+The concurrence takes each member's route and real eigenpairs from the
+state's record (see :mod:`twirlkit.qubit_algebra`), so a real member that
+``validate_density`` checked takes one 4x4 eigensolve for both; a complex
+member runs its own.
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ from .errors import BranchConditionError, ConditionsNotMetError
 from .qubit_algebra import (
     _A_OPS,
     TwoQubitState,
+    _by_route,
     _check_broadcast,
     _item,
     _raise_first_failure,
+    _read_only,
     _vector_norm,
     as_unit_vector,
     validate_density,
@@ -108,9 +110,7 @@ class DiscordResult:
     method: str
 
     def __post_init__(self):
-        nd = np.asarray(self.argmin_direction, dtype=float)
-        nd.flags.writeable = False
-        object.__setattr__(self, "argmin_direction", nd)
+        object.__setattr__(self, "argmin_direction", _read_only(np.asarray(self.argmin_direction, dtype=float)))
 
 
 def _canonical_direction(n: np.ndarray) -> np.ndarray:
@@ -408,18 +408,15 @@ def delta_min_from_discord(state: TwoQubitState) -> float:
     return _item(0.5 * (1.0 - np.sqrt(2.0 * eigen.value)))
 
 
-def _flipped_spectrum(rho: np.ndarray, eigh: tuple | None = None) -> np.ndarray:
-    """The descending l_i of each member of a (..., 4, 4) stack, from one
-    ``eigh``: with rho = V diag(w) V^dag, s = sqrt(max(w, 0)), B = V diag(s)
-    and S = sy x sy, they are the singular values of B^T S B, the complex
+def _flipped_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The descending l_i of each member of a stack with eigenpairs (w, v),
+    rho = V diag(w) V^dag: with s = sqrt(max(w, 0)), B = V diag(s) and
+    S = sy x sy, they are the singular values of B^T S B, the complex
     conjugate of diag(s) (V^dag S V*) diag(s).
 
-    A float64 ``rho`` has a real orthogonal V and a real symmetric B^T S B,
-    whose singular values are the moduli of its eigenvalues; a complex
-    ``rho`` takes the SVD. ``eigh``, when given, is the (w, v) of ``rho``
-    already computed, and no eigensolve of ``rho`` runs.
+    A real orthogonal V gives a real symmetric B^T S B, whose singular
+    values are the moduli of its eigenvalues; a complex V takes the SVD.
     """
-    w, v = np.linalg.eigh(rho) if eigh is None else eigh
     b = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
     # S B is B with its rows reversed and signed
     m = b.mT @ (_FLIP_SIGNS * b[..., ::-1, :])
@@ -442,31 +439,16 @@ def concurrence(state: TwoQubitState):
     working with s rather than with rho rho~ avoids the square-root blowup
     of near-zero eigenvalues.
 
-    A member whose imaginary part is exactly zero takes the real route: a
-    real symmetric eigensolve, whose eigenvalue moduli are the l_i. Any
-    other member takes the complex SVD. The route is chosen per member, so
-    each member of a stack gets bit for bit its single-state value; a stack
-    whose members all take one route goes through it at once. A state that
-    ``validate_density`` returned for an all-real stack keeps the eigenpairs
-    of ``rho.real`` from its check, and the real route starts from those:
-    the same LAPACK call on the same values, so the same bits. A float for
-    one state, an array for a stack.
+    A member whose imaginary part is exactly zero starts from the real
+    eigenpairs in the state's record (see :mod:`twirlkit.qubit_algebra`);
+    any other member runs one complex ``eigh``. Each member gets the same
+    LAPACK calls on the same values alone and in any stack, so the same
+    bits. A float for one state, an array for a stack.
     """
-    rho = state.rho
-    if state._eigh is not None:
-        lam = _flipped_spectrum(rho.real, state._eigh)
-    elif not np.count_nonzero(rho.imag):
-        lam = _flipped_spectrum(rho.real)
-    else:
-        real = ~rho.imag.any(axis=(-2, -1))
-        if real.any():
-            lam = np.empty(rho.shape[:-1])
-            lam[real] = _flipped_spectrum(rho[real].real)
-            lam[~real] = _flipped_spectrum(rho[~real])
-        else:
-            lam = _flipped_spectrum(rho)
-    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-    return _item(np.where(c > 0.0, c, 0.0))
+    l1, l2, l3, l4 = _by_route(state.rho, state._eigen_record, _flipped_spectrum,
+                               lambda c: _flipped_spectrum(*np.linalg.eigh(c))).T
+    c = l1 - l2 - l3 - l4
+    return _item(np.where(c > 0.0, c, 0.0).reshape(state.rho.shape[:-2]))
 
 
 def binary_entropy(x):
@@ -505,10 +487,8 @@ def twirl_discord_comparison(state: TwoQubitState) -> TwirlComparison:
     Reports the four numbers without asserting any ordering; twirling
     preserves the concurrence-based entanglement only for specific
     families, and whether it raises the discord depends on the state.
-    A stacked state gives four arrays. The state and its twirl go through
-    the discord and the concurrence as one (2, ...) stack.
+    A stacked state gives four arrays.
     """
-    pair = TwoQubitState(np.stack([state.rho, twirl_analytic(state).rho]))
-    d = discord_eigen(pair).value
-    c = concurrence(pair)
-    return TwirlComparison(d_before=_item(d[0]), d_after=_item(d[1]), c_before=_item(c[0]), c_after=_item(c[1]))
+    after = twirl_analytic(state)
+    return TwirlComparison(d_before=discord_eigen(state).value, d_after=discord_eigen(after).value,
+                           c_before=concurrence(state), c_after=concurrence(after))

@@ -40,6 +40,7 @@ from .qubit_algebra import (
     _clamp_unit,
     _item,
     _raise_first_failure,
+    _read_only,
     _vector_norm,
     as_unit_vector,
 )
@@ -231,11 +232,6 @@ _CHUNK = 1 << 13
 def _chunks(n: int):
     """Consecutive slices of at most _CHUNK rounds that cover range(n)."""
     return (slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ gets bit for bit the result it gets on its own, and every member is
 validated; an error raised for a stack names the index of the first
 failing member.
 
-``validate_density`` takes each member's smallest eigenvalue from one
-eigensolve: a real symmetric ``eigh`` for a member whose imaginary part
-is exactly zero, a complex ``eigvalsh`` for any other. A state it returns
-for an all-real stack keeps those eigenpairs, 160 bytes per member, which
-``measures.concurrence`` reuses; and the decomposition of any state it
-returns skips ``pauli_decompose``'s re-check. A ``TwoQubitState`` built
-directly keeps no eigenpairs and every check.
+Each member's eigensolve route is decided once, in ``_real_eigh``: a
+real symmetric ``eigh`` for a member whose imaginary part is exactly
+zero, a complex solve for any other. Every state holds that record, the
+real members' mask and eigenpairs (160 bytes per real member), which
+``validate_density`` seeds and ``measures.concurrence`` reuses. The
+decomposition of a state that ``validate_density`` returns skips
+``pauli_decompose``'s re-check; a state built directly keeps every check.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ EIGENVALUE_FLOOR = -1e-10
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -85,7 +85,7 @@ def _raise_first_failure(shape: tuple, failures) -> None:
     member (in C order) is raised. A member of a stack is named by its
     index; with no leading axes the message is the single-state one.
     """
-    masks = [mask for mask, _, _ in failures if mask.any()]
+    masks = [mask for mask, _, _ in failures if np.count_nonzero(mask)]
     if not masks:
         return
     index = tuple(int(k) for k in np.unravel_index(int(np.argmax(np.logical_or.reduce(masks))), shape))
@@ -228,6 +228,39 @@ def pauli_compose(d: PauliDecomposition) -> np.ndarray:
     return m / 4.0
 
 
+_NO_PAIRS = (_frozen(np.empty((0, 4))), _frozen(np.empty((0, 4, 4))))
+
+
+def _real_eigh(m: np.ndarray) -> tuple:
+    """Each member's eigensolve route, decided once for a (..., 4, 4) stack:
+    (real, w, v), read-only and over the members in C order. ``real`` marks
+    the members whose imaginary part is exactly zero, and (w, v) is
+    ``np.linalg.eigh`` of their real parts: a view of the stack when every
+    member is real, and no solve when none is."""
+    flat = m.reshape(-1, 4, 4)
+    real = ~flat.imag.any(axis=(-2, -1))
+    n_real = np.count_nonzero(real)
+    w, v = _NO_PAIRS if not n_real else np.linalg.eigh(flat.real if n_real == len(flat) else flat.real[real])
+    return _read_only(real), _read_only(w), _read_only(v)
+
+
+def _by_route(m: np.ndarray, record: tuple, on_real, on_other) -> np.ndarray:
+    """One row per member of the stack ``m`` with ``_real_eigh`` ``record``,
+    in C order: those of ``on_real(w, v)`` at the real members and of
+    ``on_other(members)`` at the rest. A route that every member takes gets
+    the stack itself."""
+    real, w, v = record
+    if len(w) == len(real):
+        return on_real(w, v)
+    if not len(w):
+        return on_other(m.reshape(-1, 4, 4))
+    rows = on_real(w, v)
+    out = np.empty((len(real), *rows.shape[1:]))
+    out[real] = rows
+    out[~real] = on_other(m.reshape(-1, 4, 4)[~real])
+    return out
+
+
 @dataclass(frozen=True)
 class TwoQubitState:
     """A validated two-qubit density matrix with cached Pauli decomposition.
@@ -237,15 +270,13 @@ class TwoQubitState:
     build them through :func:`validate_density` or the constructors in
     :mod:`twirlkit.states`.
 
-    Only :func:`validate_density` sets the two private fields, which repr
-    and equality leave out: ``_validated``, under which ``decomp`` skips
-    ``pauli_decompose``'s checks, and, when every member is real,
-    ``_eigh``, the (w, v) that ``np.linalg.eigh(rho.real)`` returns.
+    Only :func:`validate_density` sets ``_validated`` (left out of repr and
+    equality), under which ``decomp`` skips ``pauli_decompose``'s checks,
+    and seeds ``_eigen_record``, which any other state computes on first use.
     """
 
     rho: np.ndarray
     _validated: bool = field(default=False, init=False, repr=False, compare=False)
-    _eigh: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rho", _frozen(np.asarray(self.rho, dtype=complex)))
@@ -253,6 +284,10 @@ class TwoQubitState:
     @cached_property
     def decomp(self) -> PauliDecomposition:
         return _decompose(self.rho) if self._validated else pauli_decompose(self.rho)
+
+    @cached_property
+    def _eigen_record(self) -> tuple:
+        return _real_eigh(self.rho)
 
     @property
     def x(self) -> np.ndarray:
@@ -279,25 +314,15 @@ def validate_density(rho) -> TwoQubitState:
     NotPositiveError naming the violated invariant and its magnitude, and
     for a stack the index of the first failing member.
 
-    The smallest eigenvalue of a member whose imaginary part is exactly
-    zero comes from one real symmetric ``eigh`` of its real part, and of
-    any other member from a complex ``eigvalsh``; the route is chosen per
-    member, so a member gets the same verdict alone and in a stack. When
-    every member is real, the state keeps those eigenpairs (160 bytes per
-    member) for ``measures.concurrence``.
+    A real member's smallest eigenvalue comes from the eigenpairs of
+    ``_real_eigh``, which the returned state keeps, and any other member's
+    from a complex ``eigvalsh``: no member is solved twice.
     """
     m = _as_square(rho, 4, stack=True)
     defect = _hermitian_defect(m)
     tr = np.trace(m, axis1=-2, axis2=-1)
-    eigh = None
-    if not np.count_nonzero(m.imag):
-        eigh = np.linalg.eigh(m.real)
-        smallest = eigh.eigenvalues[..., 0]
-    else:
-        smallest = np.linalg.eigvalsh(m)[..., 0]
-        real = ~m.imag.any(axis=(-2, -1))
-        if real.any():
-            smallest[real] = np.linalg.eigh(m[real].real).eigenvalues[..., 0]
+    record = _real_eigh(m)
+    smallest = _by_route(m, record, lambda w, v: w[:, 0], lambda c: np.linalg.eigvalsh(c)[:, 0]).reshape(m.shape[:-2])
     _raise_first_failure(m.shape[:-2], (
         (defect > HERMITIAN_ATOL, NonHermitianError,
          lambda i: f"deviates from Hermitian by {defect[i]:.3e} (atol {HERMITIAN_ATOL:.1e})"),
@@ -308,8 +333,7 @@ def validate_density(rho) -> TwoQubitState:
     ))
     state = TwoQubitState(m)
     object.__setattr__(state, "_validated", True)
-    if eigh is not None:
-        object.__setattr__(state, "_eigh", tuple(map(_read_only, eigh)))
+    vars(state)["_eigen_record"] = record
     return state
 
 

@@ -7,11 +7,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STACKS = {"real", "complex"}
+# the inputs of the two kernels that choose a route per member
+ROUTED = STACKS | {"mixed", "one_real", "one_complex"}
 # each kernel and the inputs it is timed on
 KERNELS = {
-    **{name: STACKS for name in ("validate_density", "pauli_decompose", "discord_eigen",
-                                 "discord_error_rate_bound", "discord_grid_oracle")},
-    "concurrence": STACKS | {"real_bare"},
+    **{name: STACKS for name in ("pauli_decompose", "discord_eigen", "discord_error_rate_bound",
+                                 "discord_grid_oracle")},
+    "validate_density": ROUTED,
+    "concurrence": ROUTED | {"real_bare"},
     "check_pool": {"lane_block", "per_seed"},
     "x_state": {"stacked"},
     "twirl_monte_carlo": {"chunk"},
@@ -22,15 +25,16 @@ KERNELS = {
 
 
 def test_writes_every_kernel_on_both_stacks(tmp_path):
-    # the six state kernels on the real and complex stacks (the concurrence also on a bare real stack), the
-    # samplers, the simulator and the sweep on their own inputs
+    # the six state kernels on the real and complex stacks (validate_density and the concurrence also on a
+    # mixed stack and on one state of each kind, the concurrence on a bare real stack), the samplers, the
+    # simulator and the sweep on their own inputs
     out = tmp_path / "bench.json"
     proc = subprocess.run([sys.executable, str(ROOT / "bench" / "kernels.py"), "--out", str(out),
                            "--states", "3", "--repeats", "2"], cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["config"] == {"states": 3, "repeats": 2, "oracle_states": 3, "mc_samples": 8192, "rounds": 1_000_000,
-                             "sweep_points": [2000, 16385]}
+                             "sweep_points": [2000, 16385], "one_state_calls": 1000}
     assert set(doc["kernels"]) == set(KERNELS)
     for name, by_kind in doc["kernels"].items():
         assert set(by_kind) == KERNELS[name]

@@ -265,17 +265,24 @@ def test_stacked_call_matches_members(call, stack):
         ], (call, i)
 
 
+# The oracle against its closed forms 1/8 (pure, gamma = pi/3) and 2/9
+# (Werner, F = 3/4), measured with numpy 2.4.6 and OpenBLAS 0.3.31: 5.6e-17
+# and 0. Eight times that leaves four units in the last place of 1/2
+# (1.1e-16 each) for other LAPACK builds.
+ORACLE_VALUE_ATOL = 8 * 5.56e-17
+
+
 class TestDiscordGridOracle:
     def test_pure_state_value(self):
         res = discord_grid_oracle(pure_state(math.pi / 3))
-        assert res.value == pytest.approx(0.125, abs=1e-6)
+        assert res.value == pytest.approx(0.125, abs=ORACLE_VALUE_ATOL)
         np.testing.assert_allclose(res.argmin_direction, [0.0, 0.0, 1.0], atol=1e-4)
         assert res.method == "grid-oracle"
         assert discord_grid_oracle(pure_state(1.0)).value == pytest.approx(0.5 * math.cos(1.0) ** 2, abs=1e-12)
 
     def test_werner_value(self):
         res = discord_grid_oracle(werner(0.75))
-        assert res.value == pytest.approx(2 / 9, abs=1e-6)
+        assert res.value == pytest.approx(2 / 9, abs=ORACLE_VALUE_ATOL)
         # fully degenerate landscape: ties resolve to the z axis
         np.testing.assert_allclose(res.argmin_direction, [0.0, 0.0, 1.0], atol=1e-12)
 
@@ -522,20 +529,25 @@ BOUND_DIRECTIONS = {
 # the worst measured; snapping the tilted vectors onto the pole moves the
 # residual by 2.1e-16 and more
 DEPHASING_GAP = 6e-17
+# The bound's sides on the pure and Werner families against their shared
+# closed form, and against each other: 2.8e-17 and 1.4e-17 were the worst
+# measured (numpy 2.4.6, OpenBLAS 0.3.31). Sixteen times the larger leaves
+# four units in the last place of 1/2 for other LAPACK builds.
+SATURATION_ATOL = 16 * 2.78e-17
 
 
 class TestDiscordErrorRateBound:
     @pytest.mark.parametrize("gamma", [0.0, 0.6, 1.2, math.pi / 2])
     def test_saturated_on_pure_family(self, gamma):
         lhs, rhs = discord_error_rate_bound(pure_state(gamma))
-        assert lhs == pytest.approx(0.5 * math.cos(gamma) ** 2, abs=1e-6)
-        assert abs(lhs - rhs) <= 1e-6
+        assert lhs == pytest.approx(0.5 * math.cos(gamma) ** 2, abs=SATURATION_ATOL)
+        assert abs(lhs - rhs) <= SATURATION_ATOL
 
     @pytest.mark.parametrize("f", [0.25, 0.6, 1.0])
     def test_saturated_on_werner_family(self, f):
         lhs, rhs = discord_error_rate_bound(werner(f))
-        assert lhs == pytest.approx((4 * f - 1) ** 2 / 18, abs=1e-6)
-        assert abs(lhs - rhs) <= 1e-6
+        assert lhs == pytest.approx((4 * f - 1) ** 2 / 18, abs=SATURATION_ATOL)
+        assert abs(lhs - rhs) <= SATURATION_ATOL
 
     def test_holds_on_random_states(self):
         for seed in range(500):
@@ -661,8 +673,8 @@ def _real_random_rhos(seed, n, rank):
 
 
 def _route_concurrence(rho):
-    """C from ``_flipped_spectrum``, whose route follows the dtype of ``rho``."""
-    lam = measures._flipped_spectrum(rho)
+    """C from ``_flipped_spectrum`` of the ``eigh`` of ``rho``, whose route follows the dtype of ``rho``."""
+    lam = measures._flipped_spectrum(*np.linalg.eigh(rho))
     c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     return np.where(c > 0.0, c, 0.0)
 
@@ -776,18 +788,25 @@ class TestEntanglementOfFormation:
             binary_entropy(1.5)
 
 
+# d_before and d_after against their closed forms over this class's pure,
+# product and depolarized states: 1.25e-16 was the worst measured (numpy
+# 2.4.6, OpenBLAS 0.3.31), and four times that leaves about four units in
+# the last place of 1/2 for other LAPACK builds.
+COMPARISON_DISCORD_ATOL = 4 * 1.25e-16
+
+
 class TestTwirlDiscordComparison:
     def test_values_at_pi_over_three(self):
         cmp = twirl_discord_comparison(pure_state(math.pi / 3))
-        assert cmp.d_before == pytest.approx(0.125, abs=1e-6)
-        assert cmp.d_after == pytest.approx(2 / 9, abs=1e-6)
+        assert cmp.d_before == pytest.approx(0.125, abs=COMPARISON_DISCORD_ATOL)
+        assert cmp.d_after == pytest.approx(2 / 9, abs=COMPARISON_DISCORD_ATOL)
         assert cmp.c_before == pytest.approx(0.5, abs=COMPARISON_CONCURRENCE_ATOL)
         assert cmp.c_after == pytest.approx(0.5, abs=COMPARISON_CONCURRENCE_ATOL)
 
     def test_product_endpoint(self):
         cmp = twirl_discord_comparison(pure_state(math.pi / 2))
-        assert cmp.d_before == pytest.approx(0.0, abs=1e-8)
-        assert cmp.d_after == pytest.approx(1 / 18, abs=1e-6)
+        assert cmp.d_before == pytest.approx(0.0, abs=COMPARISON_DISCORD_ATOL)
+        assert cmp.d_after == pytest.approx(1 / 18, abs=COMPARISON_DISCORD_ATOL)
         assert cmp.c_before == 0.0
         assert cmp.c_after == 0.0
 
@@ -795,6 +814,6 @@ class TestTwirlDiscordComparison:
     def test_depolarized_formulas(self, gamma, p):
         cmp = twirl_discord_comparison(depolarized_pure(gamma, p))
         cg = math.cos(gamma)
-        assert cmp.d_before == pytest.approx(p**2 * cg**2 / 2, abs=1e-6)
-        assert cmp.d_after == pytest.approx(p**2 * (1 + 2 * cg) ** 2 / 18, abs=1e-6)
+        assert cmp.d_before == pytest.approx(p**2 * cg**2 / 2, abs=COMPARISON_DISCORD_ATOL)
+        assert cmp.d_after == pytest.approx(p**2 * (1 + 2 * cg) ** 2 / 18, abs=COMPARISON_DISCORD_ATOL)
         assert cmp.d_after >= cmp.d_before - 1e-12

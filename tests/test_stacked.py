@@ -777,51 +777,106 @@ def _real_and_complex(members):
     return real, cplx
 
 
+def _count_solves(monkeypatch, names=("eigh", "eigvalsh")):
+    """Patch the np.linalg solvers ``names`` to log (solver, calling function, input shape) per call."""
+    log = []
+    for name in names:
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, solver=solver, name=name, **kw):
+            log.append((name, sys._getframe(1).f_code.co_name, a.shape))
+            return solver(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return log
+
+
+def _interleaved(real, cplx):
+    """Six real and four complex members in an uneven order."""
+    return [real[0], cplx[0], real[1], real[2], cplx[1], real[3], cplx[2], real[4], real[5], cplx[3]]
+
+
 def test_validate_density_keeps_the_real_eigenpairs(members):
-    """An all-real validated state keeps bit for bit the (w, v) of
-    np.linalg.eigh(rho.real), read-only; complex members, mixed stacks and
-    states built directly keep none. Repr, equality and replace leave the
-    private fields out."""
+    """Every validated state, single, stacked, on a (3, 4) grid, complex or
+    mixed, holds the record of its route: the mask of its real members and
+    bit for bit the (w, v) of np.linalg.eigh of their real parts, in C
+    order and read-only. A state built directly or by replace carries no
+    seeded record and computes the same one on first use. Repr, equality
+    and replace leave the private field out."""
     real, cplx = _real_and_complex(members)
     stacked = validate_density(np.stack([s.rho for s in real]))
     grid = validate_density(np.stack([s.rho for s in real[:12]]).reshape(3, 4, 4, 4))
-    for state in (*real, stacked, grid):
-        w, v = state._eigh
-        expected = np.linalg.eigh(state.rho.real)
+    mixed = validate_density(np.stack([s.rho for s in _interleaved(real, cplx)]))
+    complex_stack = validate_density(np.stack([s.rho for s in cplx]))
+    for state in (*real, *cplx, stacked, grid, mixed, complex_stack):
+        assert "_eigen_record" in vars(state) and state._validated
+        mask, w, v = state._eigen_record
+        flat = state.rho.reshape(-1, 4, 4)
+        assert mask.tolist() == [not np.any(rho.imag) for rho in flat]
+        expected = np.linalg.eigh(flat[mask].real)
         assert_bits(w, expected.eigenvalues)
         assert_bits(v, expected.eigenvectors)
-        assert not (w.flags.writeable or v.flags.writeable)
-        assert state._validated
-    mixed = validate_density(np.stack([s.rho for pair in zip(real[:5], cplx[:5]) for s in pair]))
-    for state in (cplx[0], validate_density(np.stack([s.rho for s in cplx])), mixed):
-        assert state._eigh is None and state._validated
-    for state in (real[0], stacked):
+        assert not (mask.flags.writeable or w.flags.writeable or v.flags.writeable)
+    assert mixed._eigen_record[0].tolist() == [True, False, True, True, False, True, False, True, True, False]
+    assert_bits(mixed._eigen_record[2], [s._eigen_record[2][0] for s in real[:6]])
+    assert complex_stack._eigen_record[1].shape == (0, 4)
+    for state in (real[0], cplx[0], stacked, mixed):
         for bare in (TwoQubitState(state.rho), dataclasses.replace(state)):
-            assert bare._eigh is None and not bare._validated
+            assert "_eigen_record" not in vars(bare) and not bare._validated
+            for kept, computed in zip(state._eigen_record, bare._eigen_record):
+                assert_bits(computed, kept)
         assert repr(state) == repr(TwoQubitState(state.rho))
     private = [f for f in dataclasses.fields(TwoQubitState) if f.name.startswith("_")]
-    assert [f.name for f in private] == ["_validated", "_eigh"]
+    assert [f.name for f in private] == ["_validated"]
     assert not any(f.init or f.repr or f.compare for f in private)
 
 
 def test_concurrence_from_kept_eigenpairs(members, monkeypatch):
     """The concurrence of a validated state, a real stack and a mixed
     real/complex stack equals that of a bare state with the same rho, bit
-    for bit; a state with kept eigenpairs runs no eigh of its own."""
+    for bit; a validated real state or stack runs no eigh of its own, and a
+    bare one runs the record's."""
     real, cplx = _real_and_complex(members)
     single, stacked = real[0], validate_density(np.stack([s.rho for s in real]))
-    mixed = validate_density(np.stack([s.rho for pair in zip(real[:10], cplx[:10]) for s in pair]))
+    mixed = validate_density(np.stack([s.rho for s in _interleaved(real, cplx)]))
     for state in (single, stacked, mixed):
         expected = concurrence(TwoQubitState(state.rho))
         assert type(concurrence(state)) is type(expected)
         assert_bits(concurrence(state), expected)
-    solves = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: solves.append(a.shape) or eigh(a, *args, **kw))
+    solves = _count_solves(monkeypatch, ("eigh",))
     concurrence(single), concurrence(stacked)
     assert solves == []
     concurrence(TwoQubitState(stacked.rho))
-    assert solves == [stacked.rho.shape]
+    assert solves == [("eigh", "_real_eigh", stacked.rho.shape)]
+
+
+def test_mixed_stack_solves_each_member_once(members, monkeypatch):
+    """Validating a mixed stack runs one eigh on its real members and one
+    eigvalsh on its complex ones; its concurrence runs eigh on the complex
+    members only (and eigvalsh on the real members' spin-flipped matrices).
+    A single real or complex state runs each solve on itself and none on an
+    empty stack."""
+    real, cplx = _real_and_complex(members)
+    rhos = np.stack([s.rho for s in _interleaved(real, cplx)])
+    solves = _count_solves(monkeypatch)
+    state = validate_density(rhos)
+    assert solves == [("eigh", "_real_eigh", (6, 4, 4)), ("eigvalsh", "<lambda>", (4, 4, 4))]
+    solves.clear()
+    concurrence(state)
+    assert solves == [("eigvalsh", "_flipped_spectrum", (6, 4, 4)), ("eigh", "<lambda>", (4, 4, 4))]
+    one = (1, 4, 4)
+    expected = {
+        "real": ([("eigh", "_real_eigh", one)], [("eigvalsh", "_flipped_spectrum", one)]),
+        "complex": ([("eigvalsh", "<lambda>", one)], [("eigh", "<lambda>", one)]),
+    }
+    for kind, rho in (("real", real[0].rho), ("complex", cplx[0].rho)):
+        validation, spectrum = expected[kind]
+        solves.clear()
+        concurrence(validate_density(rho))
+        assert solves == validation + spectrum
+        solves.clear()
+        concurrence(TwoQubitState(rho))
+        assert solves == (validation if kind == "real" else []) + spectrum
 
 
 def test_decomp_checks_only_states_built_directly(members, monkeypatch):
@@ -877,18 +932,11 @@ def test_sweep_takes_one_eigh_per_state_stack_per_block(family, monkeypatch):
     """Per block, each of the two state stacks (the family's and its twirl)
     gets one 4x4 eigh, at validation, and no eigvalsh runs on a state: the
     only eigvalsh is the concurrence's, on the spin-flipped matrix."""
-    solves = {"eigh": [], "eigvalsh": []}
-    for name, log in solves.items():
-        solver = getattr(np.linalg, name)
-
-        def counted(a, *args, solver=solver, log=log, **kw):
-            log.append((sys._getframe(1).f_code.co_name, a.shape))
-            return solver(a, *args, **kw)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    solves = _count_solves(monkeypatch)
     monkeypatch.setattr(cli, "_SWEEP_BLOCK", 16)
     cli.run_sweep(cli.SweepSpec(family=family, grid=np.linspace(0.1, 0.9, 40), p=_SWEEP_SPECS[family]))
     blocks = [16, 16, 16, 16, 8, 8]
-    assert [call for call in solves["eigh"] if call[1][-2:] == (4, 4)] == [
-        ("validate_density", (n, 4, 4)) for n in blocks]
-    assert solves["eigvalsh"] == [("_flipped_spectrum", (n, 4, 4)) for n in blocks]
+    assert [call for call in solves if call[0] == "eigh" and call[2][-2:] == (4, 4)] == [
+        ("eigh", "_real_eigh", (n, 4, 4)) for n in blocks]
+    assert [call for call in solves if call[0] == "eigvalsh"] == [
+        ("eigvalsh", "_flipped_spectrum", (n, 4, 4)) for n in blocks]
