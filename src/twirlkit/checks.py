@@ -2,11 +2,9 @@
 
 Every property runs a seeded sweep and reports its worst margin, defined
 as the largest observed deviation minus its fixed gate in ``TOLERANCES``,
-so any positive margin is a failure. The seed and the sample counts are
-the only inputs. The counts follow the documented defaults and can be
-reduced for quick runs; the Monte Carlo agreement property reports
-itself as skipped instead of failing when its sample budget is too small
-to be meaningful.
+so any positive margin is a failure. The seed and the pool sizes are
+the only inputs. The sizes follow the documented defaults and can be
+reduced for quick runs.
 
 Every random draw comes from a lane: a generator seeded by the seed and
 the lane number, so every pool follows the seed. A random pool is one
@@ -38,6 +36,7 @@ from .qubit_algebra import (
     hs_norm_sq,
     pauli_compose,
     pauli_decompose,
+    tensor,
     validate_density,
 )
 
@@ -70,32 +69,31 @@ TOLERANCES = {
 }
 
 
-# Fixed sizes: below MC_MIN_SAMPLES Monte Carlo samples the agreement
-# property is skipped; the first BOUND_CROSS_CHECKS bound states are also
+# Fixed sizes: a Monte Carlo twirl takes MC_SAMPLES samples, a simulator
+# run SIM_ROUNDS rounds; the first BOUND_CROSS_CHECKS bound states are also
 # run through the grid oracle; family grids have GRID_POINTS points.
-MC_MIN_SAMPLES = 1_000
+MC_SAMPLES = 100_000
+SIM_ROUNDS = 100_000
 BOUND_CROSS_CHECKS = 100
 GRID_POINTS = 50
 # The acceptance grid: GRID_POINTS angles in (0, pi/2].
 OPEN_GAMMA_GRID = np.linspace(0.0, math.pi / 2, GRID_POINTS + 1)[1:]
 
 
-def _flag(default: int, minimum: int | None = 1, help: str | None = None):
+def _flag(default: int, minimum: int = 1, help: str | None = None):
     """A CheckConfig integer that the ``check`` flag of the same name sets;
-    the flag rejects values below ``minimum`` (None: no lower bound)."""
+    the flag rejects values below ``minimum``."""
     return field(default=default, metadata={"minimum": minimum, "help": help})
 
 
 @dataclass
 class CheckConfig:
-    """The seed and sample counts; each field is a ``check`` flag."""
+    """The seed and pool sizes; each field is a ``check`` flag."""
 
     seed: int = _flag(7, minimum=0)
     random_states: int = _flag(100)
     mc_states: int = _flag(100)
-    mc_samples: int = _flag(100_000, minimum=None)  # below MC_MIN_SAMPLES: skipped
     runs: int = _flag(100, help="seeded simulator runs")
-    rounds: int = _flag(100_000, help="rounds per simulator run")
     bound_states: int = _flag(10_000)
     x_states: int = _flag(1_000)
     range_states: int = _flag(10_000)
@@ -110,17 +108,8 @@ class PropertyResult:
     name: str
     samples: int
     worst_margin: float
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail"
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "worst_margin": self.worst_margin,
-            "status": self.status,
-            "detail": self.detail,
-        }
 
 
 def _result(name: str, samples: int, margin: float, detail: str = "") -> PropertyResult:
@@ -242,18 +231,12 @@ def check_twirl_linear(config: CheckConfig) -> PropertyResult:
 
 
 def check_twirl_mc_agreement(config: CheckConfig) -> PropertyResult:
-    name = "twirl_mc_agreement"
-    if config.mc_samples < MC_MIN_SAMPLES:
-        return PropertyResult(
-            name, 0, 0.0, "skipped",
-            f"below-threshold: {config.mc_samples} Monte Carlo samples < {MC_MIN_SAMPLES}",
-        )
     rng = _rng(config, 19)
     worst = 0.0
     for rho in _random_states(config, 20, config.mc_states).rho:
-        report = twirl.twirl_monte_carlo(TwoQubitState(rho), config.mc_samples, int(rng.integers(0, 2**62)))
+        report = twirl.twirl_monte_carlo(TwoQubitState(rho), MC_SAMPLES, int(rng.integers(0, 2**62)))
         worst = max(worst, report.trace_distance_to_analytic)
-    return _result(name, config.mc_states, worst - TOLERANCES["mc_trace_distance"])
+    return _result("twirl_mc_agreement", config.mc_states, worst - TOLERANCES["mc_trace_distance"])
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +285,7 @@ def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
     rng = _rng(config, 28)
     gaps, gates = np.empty(config.runs), np.empty(config.runs)
     for k in range(config.runs):
-        run = protocol.simulate_protocol(state, config.rounds, int(rng.integers(0, 2**62)), mer.b, mer.b_prime)
+        run = protocol.simulate_protocol(state, SIM_ROUNDS, int(rng.integers(0, 2**62)), mer.b, mer.b_prime)
         gaps[k] = abs(run.empirical_delta - delta)
         gates[k] = protocol.binomial_gate(delta, run.m_sifted)
     failures = int(np.sum(gaps > gates))
@@ -319,9 +302,9 @@ def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
 
 def _local_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` Haar local unitaries u x v, from 2 ``count`` rows drawn in
-    pairs, as the products np.kron takes; a (count, 4, 4) stack."""
+    pairs; a (count, 4, 4) stack."""
     rows = twirl._haar_su2_batch(rng, 2 * count)
-    return (rows[0::2, :, None, :, None] * rows[1::2, None, :, None, :]).reshape(-1, 4, 4)
+    return tensor(rows[0::2], rows[1::2])
 
 
 def _near_degenerate_states(rng: np.random.Generator, count: int) -> TwoQubitState:
@@ -398,10 +381,10 @@ def check_measures_discord_range(config: CheckConfig) -> PropertyResult:
     # zero iff a dephasing fixes the state: product states reach zero,
     # and the reported value equals the residual at the reported argmin.
     rows = twirl._haar_su2_batch(_rng(config, 32), 20)
-    # u P u^dag x v R v^dag for each pair of rows, the products np.kron takes
+    # u P u^dag x v R v^dag for each pair of rows
     a = rows[0::2] @ np.diag([1.0, 0.0]) @ rows[0::2].conj().mT
     b = rows[1::2] @ np.diag([0.7, 0.3]) @ rows[1::2].conj().mT
-    products = validate_density((a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, 4, 4))
+    products = validate_density(tensor(a, b))
     res = measures.discord_grid_oracle(products)
     residual = hs_norm_sq(measures.cq_state(products, res.argmin_direction).rho - products.rho)
     worst = max(worst, float(np.max([res.value, residual])) - TOLERANCES["product_discord"])

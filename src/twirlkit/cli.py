@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -322,7 +322,7 @@ def _option(name: str) -> str:
 
 # The lower bounds of the ``check`` flags. Any command's flag of the same
 # name obeys the same bound: ``--seed`` of simulate and twirl is check's.
-_MINIMUMS = {f.name: f.metadata["minimum"] for f in FLAG_FIELDS if f.metadata["minimum"] is not None}
+_MINIMUMS = {f.name: f.metadata["minimum"] for f in FLAG_FIELDS}
 
 
 def _require_minimums(args) -> None:
@@ -336,11 +336,11 @@ def _require_minimums(args) -> None:
 def cmd_check(args) -> int:
     config = CheckConfig(**{f.name: getattr(args, f.name) for f in FLAG_FIELDS})
     results = run_all(config)
-    all_pass = all(r.status != "fail" for r in results)
+    all_pass = all(r.status == "pass" for r in results)
     doc = {
         "seed": config.seed,
         "all_pass": all_pass,
-        "properties": [r.as_dict() for r in results],
+        "properties": [asdict(r) for r in results],
     }
     _write(_dump_json(doc), args.out)
     return 0 if all_pass else 2

@@ -109,10 +109,10 @@ def _check_broadcast(**shapes: tuple) -> None:
         raise OutOfRangeError(f"leading axes do not broadcast: {named}") from None
 
 
-def _as_square(a, dim: int, stack: bool = False) -> np.ndarray:
-    """A finite complex dim x dim matrix, or with ``stack`` a (..., dim, dim) stack."""
+def _as_square(a, dim: int) -> np.ndarray:
+    """A finite complex dim x dim matrix or (..., dim, dim) stack."""
     m = np.asarray(a, dtype=complex)
-    if m.shape[-2:] != (dim, dim) or (m.ndim > 2 and not stack):
+    if m.shape[-2:] != (dim, dim):
         raise OutOfRangeError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
     finite = np.isfinite(m).all(axis=(-2, -1))
     _raise_first_failure(m.shape[:-2], ((~finite, OutOfRangeError, lambda i: "matrix entries must be finite"),))
@@ -120,8 +120,13 @@ def _as_square(a, dim: int, stack: bool = False) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 operators in the |uu>,|ud>,|du>,|dd> ordering."""
-    return np.kron(_as_square(a, 2), _as_square(b, 2))
+    """Kronecker product of two 2x2 operators in the |uu>,|ud>,|du>,|dd> ordering;
+    (..., 2, 2) stacks broadcast to a (..., 4, 4) stack. Each entry is the
+    one product np.kron takes, so a member's bits are np.kron's."""
+    a, b = _as_square(a, 2), _as_square(b, 2)
+    _check_broadcast(a=a.shape[:-2], b=b.shape[:-2])
+    w = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return w.reshape(*w.shape[:-4], 4, 4)
 
 
 def pauli_sigma(n) -> np.ndarray:
@@ -146,13 +151,14 @@ def as_unit_vector(n) -> np.ndarray:
 def hs_norm_sq(a) -> float:
     """Squared Hilbert-Schmidt norm Tr(A A^dag) = sum of squared entry
     moduli; an array of them for a (..., 4, 4) stack."""
-    m = _as_square(a, 4, stack=True)
+    m = _as_square(a, 4)
     return _item(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
 
 
 def _hermitian_defect(m: np.ndarray) -> np.ndarray:
     """Largest entrywise deviation from Hermitian of each matrix in a stack."""
-    return np.max(np.abs(m - m.conj().mT), axis=(-2, -1))
+    with np.errstate(over="ignore"):  # a difference past the float range is inf, which fails its gate
+        return np.max(np.abs(m - m.conj().mT), axis=(-2, -1))
 
 
 def hermitian_eigenvalues(a) -> np.ndarray:
@@ -162,7 +168,7 @@ def hermitian_eigenvalues(a) -> np.ndarray:
     Raises NonHermitianError when a matrix deviates from its adjoint by
     more than 1e-10 in any entry.
     """
-    m = _as_square(a, 4, stack=True)
+    m = _as_square(a, 4)
     defect = _hermitian_defect(m)
     message = "matrix deviates from Hermitian by {:.3e} (atol 1.0e-10)"
     _raise_first_failure(m.shape[:-2], ((defect > 1e-10, NonHermitianError, lambda i: message.format(defect[i])),))
@@ -170,9 +176,9 @@ def hermitian_eigenvalues(a) -> np.ndarray:
 
 
 # Fixed operator stacks used by the decomposition; built once at import.
-_A_OPS = _frozen(np.stack([np.kron(p, ID2) for p in PAULIS]))
-_B_OPS = _frozen(np.stack([np.kron(ID2, p) for p in PAULIS]))
-_AB_OPS = _frozen(np.stack([np.stack([np.kron(p, q) for q in PAULIS]) for p in PAULIS]))
+_A_OPS = _frozen(tensor(PAULIS, ID2))
+_B_OPS = _frozen(tensor(ID2, PAULIS))
+_AB_OPS = _frozen(tensor(PAULIS[:, None], PAULIS))
 
 
 @dataclass(frozen=True)
@@ -212,7 +218,7 @@ def pauli_decompose(rho) -> PauliDecomposition:
     Hermitian by more than HERMITIAN_ATOL, the rule validate_density
     applies, raises NonHermitianError; within it the real parts are kept.
     """
-    m = _as_square(rho, 4, stack=True)
+    m = _as_square(rho, 4)
     defect = _hermitian_defect(m)
     _raise_first_failure(m.shape[:-2], ((defect > HERMITIAN_ATOL, NonHermitianError,
                                         lambda i: f"input deviates from Hermitian by {defect[i]:.3e}"),))
@@ -318,9 +324,10 @@ def validate_density(rho) -> TwoQubitState:
     ``_real_eigh``, which the returned state keeps, and any other member's
     from a complex ``eigvalsh``: no member is solved twice.
     """
-    m = _as_square(rho, 4, stack=True)
+    m = _as_square(rho, 4)
     defect = _hermitian_defect(m)
-    tr = np.trace(m, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore"):  # a trace past the float range is inf, which fails its gate
+        tr = np.trace(m, axis1=-2, axis2=-1)
     record = _real_eigh(m)
     smallest = _by_route(m, record, lambda w, v: w[:, 0], lambda c: np.linalg.eigvalsh(c)[:, 0]).reshape(m.shape[:-2])
     _raise_first_failure(m.shape[:-2], (

@@ -271,6 +271,16 @@ def _require_number(value, label: str) -> float:
         raise SchemaError(f"{label} is too large for a float") from exc
 
 
+def _require_numbers(value, shape: tuple, label: str):
+    """``value`` as nested lists of floats of ``shape``, each entry checked by ``_require_number``."""
+    if not shape:
+        return _require_number(value, label)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        got = f"{len(value)} entries" if isinstance(value, list) else type(value).__name__
+        raise SchemaError(f"{label} must be a list of {shape[0]} entries, got {got}")
+    return [_require_numbers(v, shape[1:], f"{label}[{i}]") for i, v in enumerate(value)]
+
+
 def state_from_dict(doc: dict) -> TwoQubitState:
     """Build a state from one of the three JSON representations.
 
@@ -306,13 +316,11 @@ def state_from_dict(doc: dict) -> TwoQubitState:
         block = doc["pauli"]
         if not isinstance(block, dict) or set(block) != {"x", "y", "T"}:
             raise SchemaError("'pauli' must be an object with keys x, y, T")
-        try:
-            x = np.asarray(block["x"], dtype=float).reshape(3)
-            y = np.asarray(block["y"], dtype=float).reshape(3)
-            T = np.asarray(block["T"], dtype=float).reshape(3, 3)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"pauli block is not 3, 3 and 3x3 floats: {exc}") from exc
-        return validate_density(pauli_compose(PauliDecomposition(x, y, T)))
+        x, y, T = (np.array(_require_numbers(block[k], shape, f"pauli {k}"))
+                   for k, shape in (("x", (3,)), ("y", (3,)), ("T", (3, 3))))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum fails the finite check
+            m = pauli_compose(PauliDecomposition(x, y, T))
+        return validate_density(m)
 
     family = doc["family"]
     if not isinstance(family, str) or family not in FAMILY_PARAMS:

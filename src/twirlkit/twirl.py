@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit_algebra import TwoQubitState, _as_square, _check_broadcast, _check_sampler_inputs, _item, validate_density
+from .qubit_algebra import (
+    TwoQubitState, _as_square, _check_broadcast, _check_sampler_inputs, _item, tensor, validate_density,
+)
 from .states import fidelity_phi_plus, werner
 
 # Samples are drawn in fixed-size chunks, each from a sub-seed derived from
@@ -70,11 +72,6 @@ def _haar_su2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     return _su2(_haar_quaternions(rng, n))
 
 
-def _conjugate_pair(u: np.ndarray) -> np.ndarray:
-    """U x U* for each U of a (..., 2, 2) stack."""
-    return np.einsum("...ij,...kl->...ikjl", u, u.conj()).reshape(*u.shape[:-2], 4, 4)
-
-
 def _quadratic_basis() -> np.ndarray:
     """The ten B_ab, in ``_PAIRS`` order, with U x U* = sum_{a<=b} q_a q_b B_ab.
 
@@ -84,8 +81,8 @@ def _quadratic_basis() -> np.ndarray:
     """
     eye = np.eye(4)
     a, b = _PAIRS
-    single = _conjugate_pair(_su2(eye))
-    pair = _conjugate_pair(_su2(eye[a] + eye[b]))
+    u, v = _su2(eye), _su2(eye[a] + eye[b])
+    single, pair = tensor(u, u.conj()), tensor(v, v.conj())
     return np.where((a == b)[:, None, None], single[a], pair - single[a] - single[b])
 
 
@@ -132,7 +129,8 @@ def _moments(n_samples: int, seed: int) -> np.ndarray:
 def conjugate_pair_apply(state: TwoQubitState, u) -> TwoQubitState:
     """Apply (U x U*) rho (U x U*)^dag for a 2x2 unitary U, or for each U of
     a (..., 2, 2) stack (giving a stacked state)."""
-    w = _conjugate_pair(_as_square(u, 2, stack=True))
+    u = _as_square(u, 2)
+    w = tensor(u, u.conj())
     return validate_density(w @ state.rho @ w.conj().swapaxes(-1, -2))
 
 
@@ -146,7 +144,7 @@ def trace_distance(a: TwoQubitState, b: TwoQubitState) -> float:
     """Half the sum of absolute eigenvalues of a - b, member by member for
     stacks; OutOfRangeError when their leading axes do not broadcast."""
     _check_broadcast(a=a.rho.shape[:-2], b=b.rho.shape[:-2])
-    ev = np.linalg.eigvalsh(_as_square(a.rho - b.rho, 4, stack=True))
+    ev = np.linalg.eigvalsh(_as_square(a.rho - b.rho, 4))
     return _item(0.5 * np.sum(np.abs(ev), axis=-1))
 
 

@@ -28,9 +28,7 @@ EXPECTED_HEADER = (
 FAST_CHECK_FLAGS = [
     "--random-states", "30",
     "--mc-states", "5",
-    "--mc-samples", "20000",
     "--runs", "20",
-    "--rounds", "20000",
     "--bound-states", "300",
     "--x-states", "60",
     "--range-states", "300",
@@ -53,7 +51,6 @@ MIN_CHECK_FLAGS = [
     "--random-states", "1",
     "--mc-states", "1",
     "--runs", "1",
-    "--rounds", "20000",
     "--bound-states", "1",
     "--x-states", "6",
     "--range-states", "1",
@@ -472,6 +469,41 @@ class TestSimulate:
         assert main(["simulate", "--state", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("pauli, message", [
+        ({"x": ["0.5", 0, 0]}, "pauli x[0] must be a number, got '0.5'"),
+        ({"x": [True, 0, 0]}, "pauli x[0] must be a number, got True"),
+        ({"T": [0.5, 0, 0, 0, -0.5, 0, 0, 0, 0.5]}, "pauli T must be a list of 3 entries, got 9 entries"),
+        ({"x": [[1], [0], [0]]}, "pauli x[0] must be a number, got [1]"),
+        ({"x": ["nan", 0, 0]}, "pauli x[0] must be a number, got 'nan'"),
+    ], ids=["string", "bool", "flat-T", "nested-x", "string-nan"])
+    def test_pauli_entries_follow_the_schema(self, tmp_path, capsys, pauli, message):
+        # x and y are [3] numbers and T is [[3] x 3], as the matrix and family forms check theirs
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"pauli": {"x": [0, 0, 0], "y": [0, 0, 0], "T": [[0] * 3] * 3, **pauli}}))
+        assert main(["simulate", "--state", str(path), "--n", "100"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["twirl", "simulate"])
+    @pytest.mark.parametrize("entries, message", [
+        ({(0, 0): 1e308, (1, 1): 1e308}, "trace is (inf+0j), differs from 1 by inf"),
+        ({(0, 0): 0.5, (3, 3): 0.5, (0, 1): 1e308, (1, 0): -1e308}, "deviates from Hermitian by inf (atol 1.0e-12)"),
+        ({"T": [[1e308, 0, 0], [0, 1e308, 0], [0, 0, 1e308]]}, "matrix entries must be finite"),
+    ], ids=["huge-trace", "huge-hermitian-defect", "huge-pauli-sum"])
+    def test_huge_entries_exit_one_without_a_warning(self, tmp_path, capsys, command, entries, message):
+        # finite entries whose trace, Hermitian defect or Pauli sum overflows
+        # fail their gate, with no numpy warning
+        if "T" in entries:
+            doc = {"pauli": {"x": [0, 0, 0], "y": [0, 0, 0], **entries}}
+        else:
+            doc = {"matrix": [[{"re": entries.get((i, j), 0.0), "im": 0.0} for j in range(4)] for i in range(4)]}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--state", str(path), "--n", "100", "--out", str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("b", ["nan,0,0", "inf,0,0"])
     def test_non_finite_direction_exits_one(self, tmp_path, werner_file, capsys, b):
         out = tmp_path / "summary.json"
@@ -659,15 +691,6 @@ class TestCheck:
         assert "measures_bound_saturation_families" in failing
         assert doc["all_pass"] is False
 
-    def test_small_mc_budget_is_skipped_not_failed(self, tmp_path):
-        out = tmp_path / "report.json"
-        code = main(["check", "--seed", "7", *MIN_CHECK_FLAGS, "--mc-samples", "10", "--out", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        mc = next(p for p in doc["properties"] if p["name"] == "twirl_mc_agreement")
-        assert mc["status"] == "skipped"
-        assert "below-threshold" in mc["detail"]
-
     def test_tolerance_override(self, tmp_path, monkeypatch):
         # an impossible Monte Carlo gate must flip exactly that property
         monkeypatch.setitem(checks.TOLERANCES, "mc_trace_distance", 1e-9)
@@ -682,6 +705,12 @@ class TestCheck:
         assert main(["check", "--tolerance", "nonsense=1"]) == 1
         assert "tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--mc-samples", "--rounds"])
+    def test_fixed_size_flags_exit_one(self, capsys, flag):
+        # the Monte Carlo samples and the simulator rounds are fixed sizes, not flags
+        assert main(["check", *MIN_CHECK_FLAGS, flag, "1000"]) == 1
+        assert f"unrecognized arguments: {flag} 1000" in capsys.readouterr().err
+
     def test_fault_flag_exits_one(self, capsys):
         assert main(["check", "--inject-fault", "discord-x-negate-rho14"]) == 1
         assert "inject-fault" in capsys.readouterr().err
@@ -693,7 +722,7 @@ class TestCheck:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [
-        "--random-states", "--mc-states", "--runs", "--rounds", "--bound-states", "--x-states", "--range-states",
+        "--random-states", "--mc-states", "--runs", "--bound-states", "--x-states", "--range-states",
     ])
     def test_counts_below_one_exit_one(self, capsys, flag):
         assert main(["check", *FAST_CHECK_FLAGS, flag, "0"]) == 1
@@ -705,9 +734,13 @@ class TestCheck:
         for f in checks.FLAG_FIELDS:
             assert flags[f.name].option_strings == [f"--{f.name.replace('_', '-')}"]
             assert flags[f.name].default == f.default
-        # the seed and the counts are the only inputs: no gate or fault knob
+        # the seed and the pool sizes are the only inputs: no gate, budget or fault knob
         assert set(flags) == {f.name for f in dataclasses.fields(checks.CheckConfig)} | {"out", "help"}
         assert flags["out"].option_strings == ["--out"] and flags["help"].option_strings == ["-h", "--help"]
+        assert sorted(o for a in flags.values() for o in a.option_strings) == sorted([
+            "--seed", "--random-states", "--mc-states", "--runs", "--bound-states", "--x-states", "--range-states",
+            "--out", "-h", "--help",
+        ])
         args = build_parser().parse_args(["check"])
         assert checks.CheckConfig(**{f.name: getattr(args, f.name) for f in checks.FLAG_FIELDS}) == checks.CheckConfig()
 

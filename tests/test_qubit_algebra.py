@@ -16,6 +16,7 @@ from twirlkit import (
     ID4,
     NonHermitianError,
     NotPositiveError,
+    OutOfRangeError,
     TraceNotOneError,
     bell,
     hermitian_eigenvalues,
@@ -62,10 +63,21 @@ class TestTensor:
         np.testing.assert_array_equal(tensor(SIGMA_X, SIGMA_X), expected)
 
     def test_matches_numpy_kron(self):
+        # one product per entry, as np.kron takes it: the bits of np.kron, on
+        # one pair, on a stack and on broadcast stacks, for each member
         rng = np.random.default_rng(0)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        np.testing.assert_allclose(tensor(a, b), np.kron(a, b), atol=0)
+        a = rng.standard_normal((6, 1, 2, 2)) + 1j * rng.standard_normal((6, 1, 2, 2))
+        b = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+        assert tensor(a[0, 0], b[0]).tobytes() == np.kron(a[0, 0], b[0]).tobytes()
+        assert tensor(a[:5, 0], b).tobytes() == np.stack([np.kron(u, v) for u, v in zip(a[:5, 0], b)]).tobytes()
+        expected = np.stack([[np.kron(u, v) for v in b] for u in a[:, 0]])
+        assert tensor(a, b).shape == (6, 5, 4, 4)
+        assert tensor(a, b).tobytes() == expected.tobytes()
+        assert tensor(a[:, 0], ID2).tobytes() == np.stack([np.kron(u, ID2) for u in a[:, 0]]).tobytes()
+
+    def test_stacks_that_do_not_broadcast_raise(self):
+        with pytest.raises(OutOfRangeError, match="leading axes do not broadcast"):
+            tensor(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)))
 
 
 class TestPauliDecompose:
