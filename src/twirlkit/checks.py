@@ -1,10 +1,13 @@
 """Machine-checkable property suite behind the ``check`` subcommand.
 
-Every property runs a seeded sweep and reports its worst margin, defined
-as the largest observed deviation minus its fixed gate in ``TOLERANCES``,
-so any positive margin is a failure. The seed and the pool sizes are
-the only inputs. The sizes follow the documented defaults and can be
-reduced for quick runs.
+Every property runs a seeded sweep and returns its sample count and its
+terms: one (label, worst value, gate) triple per compared reading, the
+gate mostly a fixed entry of ``TOLERANCES``. ``_result`` derives the
+rest: the worst margin is the largest worst value minus its gate, so any
+positive margin is a failure, and the detail lists every term. A gate of
+inf marks a reading that is reported but not gated. The seed and the
+pool sizes are the only inputs. The sizes follow the documented
+defaults and can be reduced for quick runs.
 
 Every random draw comes from a lane: a generator seeded by the seed and
 the lane number, so every pool follows the seed. A random pool is one
@@ -109,12 +112,17 @@ class PropertyResult:
     samples: int
     worst_margin: float
     status: str  # "pass" | "fail"
-    detail: str = ""
+    detail: str
 
 
-def _result(name: str, samples: int, margin: float, detail: str = "") -> PropertyResult:
-    status = "pass" if margin <= 0.0 else "fail"
-    return PropertyResult(name, samples, float(margin), status, detail)
+Terms = list[tuple[str, float, float]]  # (label, worst value, gate) per compared reading
+
+
+def _result(name: str, samples: int, terms: Terms) -> PropertyResult:
+    """The result of a property from its (label, worst value, gate) terms."""
+    margin = float(np.max([worst - gate for _, worst, gate in terms]))
+    detail = "; ".join(f"{label} {worst:.4g} (gate {gate:g})" for label, worst, gate in terms)
+    return PropertyResult(name, samples, margin, "pass" if margin <= 0.0 else "fail", detail)
 
 
 def _rng(config: CheckConfig, lane: int) -> np.random.Generator:
@@ -142,84 +150,82 @@ def _units(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operator algebra
 
-def check_algebra_roundtrip(config: CheckConfig) -> PropertyResult:
+def check_algebra_roundtrip(config: CheckConfig) -> tuple[int, Terms]:
     pool = _random_states(config, 11, config.random_states)
-    worst = float(np.max(np.abs(pauli_compose(pauli_decompose(pool.rho)) - pool.rho)))
-    return _result("algebra_pauli_roundtrip", len(pool.rho), worst - TOLERANCES["entrywise"])
+    gap = np.abs(pauli_compose(pauli_decompose(pool.rho)) - pool.rho)
+    return len(pool.rho), [("|compose(decompose(rho)) - rho|", np.max(gap), TOLERANCES["entrywise"])]
 
 
-def check_algebra_purity_identity(config: CheckConfig) -> PropertyResult:
+def check_algebra_purity_identity(config: CheckConfig) -> tuple[int, Terms]:
     pool = _random_states(config, 12, config.random_states)
     d = pool.decomp
     predicted = (1.0 + np.vecdot(d.x, d.x) + np.vecdot(d.y, d.y) + np.sum(d.T * d.T, axis=(-2, -1))) / 4.0
-    worst = float(np.max(np.abs(hs_norm_sq(pool.rho) - predicted)))
-    return _result("algebra_purity_identity", len(pool.rho), worst - TOLERANCES["entrywise"])
+    gap = np.abs(hs_norm_sq(pool.rho) - predicted)
+    return len(pool.rho), [("|tr rho^2 - Pauli purity|", np.max(gap), TOLERANCES["entrywise"])]
 
 
-def check_algebra_eigenvalue_range(config: CheckConfig) -> PropertyResult:
+def check_algebra_eigenvalue_range(config: CheckConfig) -> tuple[int, Terms]:
     pool = _random_states(config, 13, config.random_states)
     ev = hermitian_eigenvalues(pool.rho)
-    worst = max(np.max(-ev[:, -1]), np.max(ev[:, 0] - 1.0), np.max(np.abs(np.sum(ev, axis=-1) - 1.0)))
-    return _result("algebra_eigenvalue_range", len(pool.rho), float(worst) - TOLERANCES["eigen_floor"])
+    gate = TOLERANCES["eigen_floor"]
+    return len(pool.rho), [
+        ("-smallest eigenvalue", np.max(-ev[:, -1]), gate),
+        ("largest eigenvalue - 1", np.max(ev[:, 0] - 1.0), gate),
+        ("|eigenvalue sum - 1|", np.max(np.abs(np.sum(ev, axis=-1) - 1.0)), gate),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # state constructors
 
-def _validity_margin(rho: np.ndarray) -> float:
-    """The worst margin of a (m, 4, 4) stack against validate_density's rules."""
-    herm = _hermitian_defect(rho)
-    tr = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    lo = np.linalg.eigvalsh(rho)[:, 0]
-    return float(np.max([herm - HERMITIAN_ATOL, tr - TRACE_ATOL, -lo + EIGENVALUE_FLOOR]))
-
-
-def check_states_constructors_valid(config: CheckConfig) -> PropertyResult:
+def check_states_constructors_valid(config: CheckConfig) -> tuple[int, Terms]:
     rng = _rng(config, 14)
     gammas = np.linspace(0.0, math.pi / 2, 21)
-    constructed = np.concatenate([
+    rho = np.concatenate([
         [states.bell(k).rho for k in states.BELL_KINDS],
         states.pure_state(gammas).rho,
         states.werner(np.linspace(0.0, 1.0, 21)).rho,
         states.depolarized_pure(gammas[::5, None], np.array([0.0, 0.3, 1.0])).rho.reshape(-1, 4, 4),
         states.x_state(states.sample_x_params(rng, 20)).rho,
     ])
-    return _result("states_constructors_valid", len(constructed), _validity_margin(constructed))
+    return len(rho), [
+        ("Hermitian defect", np.max(_hermitian_defect(rho)), HERMITIAN_ATOL),
+        ("|trace - 1|", np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)), TRACE_ATOL),
+        ("-smallest eigenvalue", np.max(-np.linalg.eigvalsh(rho)[:, 0]), -EIGENVALUE_FLOOR),
+    ]
 
 
-def check_states_pure_fidelity(config: CheckConfig) -> PropertyResult:
+def check_states_pure_fidelity(config: CheckConfig) -> tuple[int, Terms]:
     gammas = np.linspace(0.0, math.pi / 2, GRID_POINTS)
-    closed = np.cos(gammas / 2) ** 2
-    worst = float(np.max(np.abs(states.fidelity_phi_plus(states.pure_state(gammas)) - closed)))
-    return _result("states_pure_fidelity_grid", len(gammas), worst - TOLERANCES["entrywise"])
+    gap = np.abs(states.fidelity_phi_plus(states.pure_state(gammas)) - np.cos(gammas / 2) ** 2)
+    return len(gammas), [("|fidelity - cos^2(g/2)|", np.max(gap), TOLERANCES["entrywise"])]
 
 
-def check_states_cross_constructor(config: CheckConfig) -> PropertyResult:
+def check_states_cross_constructor(config: CheckConfig) -> tuple[int, Terms]:
     fs, gammas = np.linspace(0.25, 1.0, 16), np.linspace(0.0, math.pi / 2, 16)
     families = np.concatenate([states.werner(fs).rho, states.pure_state(gammas).rho])
     x = np.concatenate([states.x_state(states.werner_x_params(fs)).rho,
                         states.x_state(states.pure_x_params(gammas)).rho])
-    worst = float(np.max(np.abs(families - x)))
-    return _result("states_cross_constructor", len(x), worst - TOLERANCES["entrywise"])
+    return len(x), [("|family - x_state|", np.max(np.abs(families - x)), TOLERANCES["entrywise"])]
 
 
 # ---------------------------------------------------------------------------
 # twirling channel
 
-def check_twirl_idempotent(config: CheckConfig) -> PropertyResult:
+def check_twirl_idempotent(config: CheckConfig) -> tuple[int, Terms]:
     pool = _random_states(config, 15, config.random_states)
     once = twirl.twirl_analytic(pool)
-    worst = float(np.max(np.abs(twirl.twirl_analytic(once).rho - once.rho)))
-    return _result("twirl_idempotent", len(pool.rho), worst - TOLERANCES["entrywise"])
+    gap = np.abs(twirl.twirl_analytic(once).rho - once.rho)
+    return len(pool.rho), [("|twirl twice - twirl once|", np.max(gap), TOLERANCES["entrywise"])]
 
 
-def check_twirl_fidelity_preserved(config: CheckConfig) -> PropertyResult:
+def check_twirl_fidelity_preserved(config: CheckConfig) -> tuple[int, Terms]:
     pool = _random_states(config, 16, config.random_states)
     gap = np.abs(states.fidelity_phi_plus(twirl.twirl_analytic(pool)) - states.fidelity_phi_plus(pool))
-    return _result("twirl_fidelity_preserved", len(pool.rho), float(np.max(gap)) - TOLERANCES["entrywise"])
+    return len(pool.rho), [("|fidelity after - before|", np.max(gap), TOLERANCES["entrywise"])]
 
 
-def check_twirl_linear(config: CheckConfig) -> PropertyResult:
+def check_twirl_linear(config: CheckConfig) -> tuple[int, Terms]:
     rng = _rng(config, 17)
     pool = _random_states(config, 18, 2 * config.random_states)
     n_pairs = config.random_states
@@ -227,40 +233,44 @@ def check_twirl_linear(config: CheckConfig) -> PropertyResult:
     lhs = twirl.twirl_analytic(validate_density(p * pool.rho[0::2] + (1.0 - p) * pool.rho[1::2])).rho
     twirled = twirl.twirl_analytic(pool).rho
     rhs = p * twirled[0::2] + (1.0 - p) * twirled[1::2]
-    return _result("twirl_linear", n_pairs, float(np.max(np.abs(lhs - rhs))) - TOLERANCES["entrywise"])
+    return n_pairs, [("|twirl of mixture - mixture of twirls|", np.max(np.abs(lhs - rhs)), TOLERANCES["entrywise"])]
 
 
-def check_twirl_mc_agreement(config: CheckConfig) -> PropertyResult:
+def check_twirl_mc_agreement(config: CheckConfig) -> tuple[int, Terms]:
     rng = _rng(config, 19)
     worst = 0.0
     for rho in _random_states(config, 20, config.mc_states).rho:
         report = twirl.twirl_monte_carlo(TwoQubitState(rho), MC_SAMPLES, int(rng.integers(0, 2**62)))
         worst = max(worst, report.trace_distance_to_analytic)
-    return _result("twirl_mc_agreement", config.mc_states, worst - TOLERANCES["mc_trace_distance"])
+    return config.mc_states, [("trace distance to analytic", worst, TOLERANCES["mc_trace_distance"])]
 
 
 # ---------------------------------------------------------------------------
 # protocol statistics
 
-def check_protocol_outcome_closure(config: CheckConfig) -> PropertyResult:
+def check_protocol_outcome_closure(config: CheckConfig) -> tuple[int, Terms]:
     rng = _rng(config, 21)
     pool = _random_states(config, 22, config.random_states)
     # per state, Alice's direction and then Bob's
     a, b = _units(rng, (len(pool.rho), 2)).swapaxes(0, 1)
     w = protocol.outcome_probs(pool, a, b).as_array()
-    worst = max(np.max(np.abs(np.sum(w, axis=-1) - 1.0)), np.max(-w), np.max(w - 1.0))
-    return _result("protocol_outcome_closure", len(pool.rho), float(worst) - TOLERANCES["entrywise"])
+    gate = TOLERANCES["entrywise"]
+    return len(pool.rho), [
+        ("|probability sum - 1|", np.max(np.abs(np.sum(w, axis=-1) - 1.0)), gate),
+        ("-probability", np.max(-w), gate),
+        ("probability - 1", np.max(w - 1.0), gate),
+    ]
 
 
-def check_protocol_correlation_identity(config: CheckConfig) -> PropertyResult:
+def check_protocol_correlation_identity(config: CheckConfig) -> tuple[int, Terms]:
     rng = _rng(config, 23)
     pool = _random_states(config, 24, config.random_states)
     a, b = _units(rng, (len(pool.rho), 2)).swapaxes(0, 1)
     gap = np.abs(protocol.outcome_probs(pool, a, b).correlation() - protocol.correlation(pool, a, b))
-    return _result("protocol_correlation_identity", len(pool.rho), float(np.max(gap)) - TOLERANCES["entrywise"])
+    return len(pool.rho), [("|outcome correlation - a.Tb|", np.max(gap), TOLERANCES["entrywise"])]
 
 
-def check_protocol_partner_optimality(config: CheckConfig) -> PropertyResult:
+def check_protocol_partner_optimality(config: CheckConfig) -> tuple[int, Terms]:
     rng = _rng(config, 25)
     pool = _random_states(config, 26, config.random_states)
     # per state, 20 Alice settings, each followed by its 100 brute-force partners
@@ -268,17 +278,17 @@ def check_protocol_partner_optimality(config: CheckConfig) -> PropertyResult:
     a, b = units[:, :, 0], units[:, :, 1:]
     best = protocol.optimal_partner(TwoQubitState(pool.rho[:, None]), a).value
     brute = np.vecdot(b, (a @ pool.T)[:, :, None]).max(axis=-1)
-    return _result("protocol_partner_optimality", best.size, float(np.max(brute - best)) - TOLERANCES["entrywise"])
+    return best.size, [("brute-force partner - optimal", np.max(brute - best), TOLERANCES["entrywise"])]
 
 
-def check_protocol_optimal_value_row_norm(config: CheckConfig) -> PropertyResult:
+def check_protocol_optimal_value_row_norm(config: CheckConfig) -> tuple[int, Terms]:
     pool = _random_states(config, 27, config.random_states)
     gap = [np.abs(protocol.optimal_partner(pool, setting).value - _vector_norm(pool.T[:, k]))
            for k, setting in enumerate((protocol.SETTING_X, protocol.SETTING_Y))]
-    return _result("protocol_optimal_value_row_norm", len(pool.rho), float(np.max(gap)) - TOLERANCES["entrywise"])
+    return len(pool.rho), [("|optimal value - T row norm|", np.max(gap), TOLERANCES["entrywise"])]
 
 
-def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
+def check_protocol_simulator_convergence(config: CheckConfig) -> tuple[int, Terms]:
     state = states.pure_state(math.pi / 3)
     mer = protocol.min_error_rate(state)
     delta = mer.value
@@ -288,13 +298,10 @@ def check_protocol_simulator_convergence(config: CheckConfig) -> PropertyResult:
         run = protocol.simulate_protocol(state, SIM_ROUNDS, int(rng.integers(0, 2**62)), mer.b, mer.b_prime)
         gaps[k] = abs(run.empirical_delta - delta)
         gates[k] = protocol.binomial_gate(delta, run.m_sifted)
-    failures = int(np.sum(gaps > gates))
-    frac = failures / config.runs
-    return _result(
-        "protocol_simulator_convergence", config.runs, frac - TOLERANCES["sim_fail_fraction"],
-        f"{failures} of {config.runs} runs outside the 4-sigma band; "
-        f"largest |delta_hat - delta| / gate {np.max(gaps / gates):.3f}",
-    )
+    return config.runs, [
+        ("share of runs outside the 4-sigma band", np.mean(gaps > gates), TOLERANCES["sim_fail_fraction"]),
+        ("|delta_hat - delta| / band", np.max(gaps / gates), math.inf),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +329,14 @@ def _near_degenerate_states(rng: np.random.Generator, count: int) -> TwoQubitSta
     return validate_density(w @ rho @ w.conj().mT)
 
 
-def check_measures_eigen_grid_agreement(config: CheckConfig) -> PropertyResult:
+def check_measures_eigen_grid_agreement(config: CheckConfig) -> tuple[int, Terms]:
     # random states, then as many Bell-diagonal states with nearly tied correlation values
     pool = _stack([
         _random_states(config, 29, config.random_states),
         _near_degenerate_states(_rng(config, 35), config.random_states),
     ])
     gap = np.abs(measures.discord_eigen(pool).value - measures.discord_grid_oracle(pool).value)
-    return _result("measures_eigen_grid_agreement", gap.size, float(np.max(gap)) - TOLERANCES["eigen_grid_agreement"])
+    return gap.size, [("|eigen - oracle|", np.max(gap), TOLERANCES["eigen_grid_agreement"])]
 
 
 def _sample_x_branch(config: CheckConfig) -> tuple[list[np.ndarray], int]:
@@ -354,30 +361,26 @@ def _sample_x_branch(config: CheckConfig) -> tuple[list[np.ndarray], int]:
     return [c[chosen] for c in columns], len(picked)
 
 
-def check_measures_xstate_oracle_agreement(config: CheckConfig) -> PropertyResult:
+def check_measures_xstate_oracle_agreement(config: CheckConfig) -> tuple[int, Terms]:
     columns, m = _sample_x_branch(config)
     oracle = measures.discord_grid_oracle(states.x_state(states.XStateParams(*columns)))
     n = oracle.argmin_direction
     on_axis = np.hypot(n[:, 0], n[:, 1]) <= TOLERANCES["on_axis"]
     closed = measures.discord_x_closed_form(states.XStateParams(*(c[:m] for c in columns))).value
-    worst_value = float(np.max(np.abs(closed - oracle.value[:m]), initial=0.0))
     # inside the branch the oracle must pick the z axis; outside it must leave it
     off_branch = on_axis[m:] & (oracle.value[m:] > TOLERANCES["zero_discord"])
-    branch_mismatches = int(np.sum(~on_axis[:m]) + np.sum(off_branch))
-    # any mismatch fails; with none, the margin is the value gap's distance to its gate
-    margin = float(branch_mismatches) if branch_mismatches else worst_value - TOLERANCES["oracle_agreement"]
-    return _result(
-        "measures_xstate_oracle_agreement", len(oracle.value), margin,
-        f"{branch_mismatches} branch decisions disagree with the oracle argmin; "
-        f"worst value gap {worst_value:.3e}",
-    )
+    mismatches = int(np.sum(~on_axis[:m]) + np.sum(off_branch))
+    # any mismatch fails; with none, the term is -inf and leaves the margin to the value gap
+    return len(oracle.value), [
+        ("branch decisions off the oracle argmin", mismatches or -math.inf, 0.0),
+        ("worst value gap", np.max(np.abs(closed - oracle.value[:m]), initial=0.0), TOLERANCES["oracle_agreement"]),
+    ]
 
 
-def check_measures_discord_range(config: CheckConfig) -> PropertyResult:
+def check_measures_discord_range(config: CheckConfig) -> tuple[int, Terms]:
     pool = _random_states(config, 31, config.range_states)
     eigen = measures.discord_eigen(pool)
     d = eigen.value
-    worst = float(max(np.max(-d - TOLERANCES["entrywise"]), np.max(d - 0.5 - TOLERANCES["entrywise"])))
     # zero iff a dephasing fixes the state: product states reach zero,
     # and the reported value equals the residual at the reported argmin.
     rows = twirl._haar_su2_batch(_rng(config, 32), 20)
@@ -387,54 +390,58 @@ def check_measures_discord_range(config: CheckConfig) -> PropertyResult:
     products = validate_density(tensor(a, b))
     res = measures.discord_grid_oracle(products)
     residual = hs_norm_sq(measures.cq_state(products, res.argmin_direction).rho - products.rho)
-    worst = max(worst, float(np.max([res.value, residual])) - TOLERANCES["product_discord"])
     head = TwoQubitState(pool.rho[:50])
-    residual = hs_norm_sq(measures.cq_state(head, eigen.argmin_direction[:50]).rho - head.rho)
-    worst = max(worst, float(np.max(np.abs(residual - d[:50]))) - TOLERANCES["argmin_residual"])
-    return _result("measures_discord_range", len(pool.rho) + 60, worst)
+    head_residual = hs_norm_sq(measures.cq_state(head, eigen.argmin_direction[:50]).rho - head.rho)
+    return len(pool.rho) + 60, [
+        ("-discord", np.max(-d), TOLERANCES["entrywise"]),
+        ("discord - 1/2", np.max(d - 0.5), TOLERANCES["entrywise"]),
+        ("product-state discord", np.max(res.value), TOLERANCES["product_discord"]),
+        ("product-state residual at the argmin", np.max(residual), TOLERANCES["product_discord"]),
+        ("|residual at the argmin - discord|", np.max(np.abs(head_residual - d[:50])), TOLERANCES["argmin_residual"]),
+    ]
 
 
-def check_measures_concurrence_lu_invariant(config: CheckConfig) -> PropertyResult:
+def check_measures_concurrence_lu_invariant(config: CheckConfig) -> tuple[int, Terms]:
     pool = _random_states(config, 34, config.random_states)
     w = _local_unitaries(_rng(config, 33), len(pool.rho))
     rotated = validate_density(w @ pool.rho @ w.conj().mT)
     gap = np.abs(measures.concurrence(rotated) - measures.concurrence(pool))
-    return _result(
-        "measures_concurrence_lu_invariant", gap.size, float(np.max(gap)) - TOLERANCES["concurrence_invariance"]
-    )
+    return gap.size, [("|C(rotated) - C|", np.max(gap), TOLERANCES["concurrence_invariance"])]
 
 
-def check_measures_discord_error_bound(config: CheckConfig) -> PropertyResult:
+def check_measures_discord_error_bound(config: CheckConfig) -> tuple[int, Terms]:
     pool = _random_states(config, 36, config.bound_states)
     lhs, rhs = measures.discord_error_rate_bound(pool)
     oracle = measures.discord_grid_oracle(validate_density(pool.rho[:BOUND_CROSS_CHECKS])).value
-    worst = float(max(np.max(lhs - rhs), np.max(oracle - rhs[:BOUND_CROSS_CHECKS]),
-                      np.max(np.abs(oracle - lhs[:BOUND_CROSS_CHECKS]))))
-    return _result("measures_discord_error_bound", config.bound_states, worst - TOLERANCES["bound_slack"])
+    gate = TOLERANCES["bound_slack"]
+    return config.bound_states, [
+        ("discord - bound", np.max(lhs - rhs), gate),
+        ("oracle discord - bound", np.max(oracle - rhs[:BOUND_CROSS_CHECKS]), gate),
+        ("|oracle - eigen discord|", np.max(np.abs(oracle - lhs[:BOUND_CROSS_CHECKS])), gate),
+    ]
 
 
-def check_measures_bound_saturation_families(config: CheckConfig) -> PropertyResult:
+def check_measures_bound_saturation_families(config: CheckConfig) -> tuple[int, Terms]:
     """The bound is tight on the pure and Werner families; the closed-form
     route must match the error-rate side exactly."""
     gammas, fs = np.linspace(0.0, math.pi / 2, GRID_POINTS), np.linspace(0.25, 1.0, 16)
     lhs = np.concatenate([measures.discord_x_closed_form(states.pure_x_params(gammas)).value,
                           measures.discord_x_closed_form(states.werner_x_params(fs)).value])
     _, rhs = measures.discord_error_rate_bound(_stack([states.pure_state(gammas), states.werner(fs)]))
-    return _result("measures_bound_saturation_families", len(lhs),
-                   float(np.max(np.abs(lhs - rhs))) - TOLERANCES["bound_slack"])
+    return len(lhs), [("|closed-form discord - bound|", np.max(np.abs(lhs - rhs)), TOLERANCES["bound_slack"])]
 
 
-def check_measures_delta_min_relation(config: CheckConfig) -> PropertyResult:
+def check_measures_delta_min_relation(config: CheckConfig) -> tuple[int, Terms]:
     targets = _stack([
         states.pure_state(np.linspace(0.0, math.pi / 2, GRID_POINTS)),
         states.werner(np.linspace(0.0, 1.0, 16)),
         states.depolarized_pure(0.0, 0.0),
     ])
     gap = np.abs(measures.delta_min_from_discord(targets) - protocol.min_error_rate(targets).value)
-    return _result("measures_delta_min_relation", gap.size, float(np.max(gap)) - TOLERANCES["relation_equality"])
+    return gap.size, [("|delta from discord - delta_min|", np.max(gap), TOLERANCES["relation_equality"])]
 
 
-def check_measures_twirl_pair_monotonicity(config: CheckConfig) -> PropertyResult:
+def check_measures_twirl_pair_monotonicity(config: CheckConfig) -> tuple[int, Terms]:
     """Twirling the pure family turns its minimal error rate sin^2(g/2)
     into the Werner value (2/3) sin^2(g/2), keeps the concurrence cos g and
     the entanglement of formation, and raises the discord from
@@ -446,29 +453,23 @@ def check_measures_twirl_pair_monotonicity(config: CheckConfig) -> PropertyResul
     d_werner = protocol.min_error_rate(states.werner(np.cos(grid / 2) ** 2)).value
     s2 = np.sin(grid / 2) ** 2
     c = np.cos(grid)
-    closed_before = 0.5 * c ** 2
-    closed_after = 0.5 * ((2 * c + 1) / 3) ** 2
-    worst_ratio = float(np.max(np.abs(d_twirled / d_pure - 2 / 3)))
-    worst_rate = float(max(np.max(np.abs(d_pure - s2)), np.max(np.abs(d_werner - (2 / 3) * s2))))
     cmp = measures.twirl_discord_comparison(pure)
-    worst_c = float(max(np.max(np.abs(cmp.c_before - cmp.c_after)), np.max(np.abs(cmp.c_before - c)),
-                        np.max(np.abs(cmp.c_after - c))))
-    worst_e = float(np.max(np.abs(measures.eof_from_concurrence(cmp.c_before)
-                                  - measures.eof_from_concurrence(cmp.c_after))))
-    worst_d = float(max(np.max(np.abs(cmp.d_before - closed_before)), np.max(np.abs(cmp.d_after - closed_after))))
-    min_gap = float(np.min(cmp.d_after - cmp.d_before))
-    margin = max(
-        max(worst_ratio, worst_rate) - TOLERANCES["entrywise"],
-        max(worst_c, worst_e) - TOLERANCES["concurrence_invariance"],
-        worst_d - TOLERANCES["oracle_agreement"],  # the discord's gate against its closed forms
-        TOLERANCES["discord_increase"] - min_gap,
-    )
-    return _result(
-        "measures_twirl_pair_monotonicity", len(OPEN_GAMMA_GRID), margin,
-        f"worst |ratio - 2/3| {worst_ratio:.3e}, worst error-rate closed-form deviation {worst_rate:.3e}, "
-        f"worst concurrence deviation {worst_c:.3e}, worst EoF change {worst_e:.3e}, "
-        f"worst discord closed-form deviation {worst_d:.3e}, smallest discord increase {min_gap:.3e}",
-    )
+    eof = measures.eof_from_concurrence
+    # the discord's closed forms gate at the oracle's gate; its increase gates from below, so negated
+    entry, conc, oracle = (TOLERANCES[k] for k in ("entrywise", "concurrence_invariance", "oracle_agreement"))
+    return len(grid), [
+        ("|ratio - 2/3|", np.max(np.abs(d_twirled / d_pure - 2 / 3)), entry),
+        ("|pure error rate - sin^2(g/2)|", np.max(np.abs(d_pure - s2)), entry),
+        ("|Werner error rate - (2/3) sin^2(g/2)|", np.max(np.abs(d_werner - (2 / 3) * s2)), entry),
+        ("|concurrence before - after|", np.max(np.abs(cmp.c_before - cmp.c_after)), conc),
+        ("|concurrence before - cos g|", np.max(np.abs(cmp.c_before - c)), conc),
+        ("|concurrence after - cos g|", np.max(np.abs(cmp.c_after - c)), conc),
+        ("|EoF before - after|", np.max(np.abs(eof(cmp.c_before) - eof(cmp.c_after))), conc),
+        ("|discord before - cos^2 g / 2|", np.max(np.abs(cmp.d_before - 0.5 * c ** 2)), oracle),
+        ("|discord after - ((2 cos g + 1) / 3)^2 / 2|",
+         np.max(np.abs(cmp.d_after - 0.5 * ((2 * c + 1) / 3) ** 2)), oracle),
+        ("discord before - after", np.max(cmp.d_before - cmp.d_after), -TOLERANCES["discord_increase"]),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -481,24 +482,21 @@ _SWEEP_HEADER = [
 ]
 
 
-def check_cli_sweep_determinism(config: CheckConfig) -> PropertyResult:
+def check_cli_sweep_determinism(config: CheckConfig) -> tuple[int, Terms]:
     from .cli import SweepSpec, render_sweep_csv, run_sweep
 
     spec = SweepSpec(family="pure", grid=np.linspace(0.0, math.pi / 2, 9))
     first = render_sweep_csv(run_sweep(spec), spec)
     second = render_sweep_csv(run_sweep(spec), spec)
-    margin = 0.0 if first == second else 1.0
-    return _result("cli_sweep_determinism", 2, margin, "byte comparison of repeated sweeps")
+    return 2, [("repeated sweeps differ in bytes", first != second, 0.0)]
 
 
-def check_cli_sweep_schema(config: CheckConfig) -> PropertyResult:
+def check_cli_sweep_schema(config: CheckConfig) -> tuple[int, Terms]:
     from .cli import SweepSpec, render_sweep_csv, run_sweep
 
     spec = SweepSpec(family="pure", grid=[0.1, 0.2])
-    text = render_sweep_csv(run_sweep(spec), spec)
-    header = text.splitlines()[0].split(",")
-    margin = 0.0 if header == _SWEEP_HEADER else 1.0
-    return _result("cli_sweep_schema", 1, margin, f"header: {header}")
+    header = render_sweep_csv(run_sweep(spec), spec).splitlines()[0].split(",")
+    return 1, [("header differs from the schema", header != _SWEEP_HEADER, 0.0)]
 
 
 ALL_CHECKS = (
@@ -539,7 +537,7 @@ def run_all(config: CheckConfig) -> list[PropertyResult]:
     results = []
     for name, fn in ALL_CHECKS:
         try:
-            results.append(fn(config))
+            results.append(_result(name, *fn(config)))
         except Exception as exc:  # failures are report content, not faults
             results.append(PropertyResult(name, 0, math.inf, "fail", f"error: {exc}"))
     return results

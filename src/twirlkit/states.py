@@ -100,7 +100,7 @@ def werner(f) -> TwoQubitState:
     return validate_density(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XStateParams:
     """Parameters of an X-type density matrix.
 
@@ -108,7 +108,8 @@ class XStateParams:
     rho14 (outer block) and rho23 (inner block), and their phases in
     radians. The phases multiply the upper off-diagonal entries as
     exp(i gamma). Any field may be an array: the fields broadcast
-    together to a stack of parameter sets.
+    together to a stack of parameter sets, so a set compares and hashes
+    by identity.
     """
 
     rho11: float

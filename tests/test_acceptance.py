@@ -41,7 +41,7 @@ def report_property(default_check, name, prop):
     """Report the claim ``name`` as the default ``check`` run's property ``prop`` found it."""
     p = default_check.properties[prop]
     detail = f"{prop} {p['status']}, worst margin {p['worst_margin']:.3e} over {p['samples']} samples"
-    report(name, p["status"] == "pass", f"{detail}; {p['detail']}" if p["detail"] else detail)
+    report(name, p["status"] == "pass", f"{detail}; {p['detail']}")
 
 
 def test_error_rate_ratio_is_two_thirds(default_check):

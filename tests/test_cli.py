@@ -55,6 +55,34 @@ MIN_CHECK_FLAGS = [
     "--x-states", "6",
     "--range-states", "1",
 ]
+MIN_CHECK_CONFIG = checks.CheckConfig(**{f[2:].replace("-", "_"): int(v) for f, v in zip(*[iter(MIN_CHECK_FLAGS)] * 2)})
+
+# The properties that compare a reading against each gate of
+# checks.TOLERANCES; the other three entries set the X-state branch rules.
+GATE_PROPERTIES = {
+    "entrywise": {
+        "algebra_pauli_roundtrip", "algebra_purity_identity", "states_pure_fidelity_grid", "states_cross_constructor",
+        "twirl_idempotent", "twirl_fidelity_preserved", "twirl_linear", "protocol_outcome_closure",
+        "protocol_correlation_identity", "protocol_partner_optimality", "protocol_optimal_value_row_norm",
+        "measures_discord_range", "measures_twirl_pair_monotonicity",
+    },
+    "eigen_floor": {"algebra_eigenvalue_range"},
+    "mc_trace_distance": {"twirl_mc_agreement"},
+    "sim_fail_fraction": {"protocol_simulator_convergence"},
+    "eigen_grid_agreement": {"measures_eigen_grid_agreement"},
+    "oracle_agreement": {"measures_xstate_oracle_agreement", "measures_twirl_pair_monotonicity"},
+    "bound_slack": {"measures_discord_error_bound", "measures_bound_saturation_families"},
+    "concurrence_invariance": {"measures_concurrence_lu_invariant", "measures_twirl_pair_monotonicity"},
+    "relation_equality": {"measures_delta_min_relation"},
+    "discord_increase": {"measures_twirl_pair_monotonicity"},
+    "product_discord": {"measures_discord_range"},
+    "argmin_residual": {"measures_discord_range"},
+}
+
+
+def _run_property(name, config):
+    """The property ``name`` alone, as ``run_all`` reports it."""
+    return checks._result(name, *dict(checks.ALL_CHECKS)[name](config))
 
 
 def reference_sweep_rows(spec):
@@ -789,26 +817,68 @@ class TestCheck:
         assert counts[0]["cq_state"] == 2
 
     def test_twirl_pair_states_the_ratio(self, monkeypatch):
-        result = checks.check_measures_twirl_pair_monotonicity(checks.CheckConfig())
+        result = _run_property("measures_twirl_pair_monotonicity", checks.CheckConfig())
         assert result.status == "pass"
         assert result.samples == 50
         assert result.worst_margin < 0.0
         assert "ratio - 2/3" in result.detail
         monkeypatch.setitem(checks.TOLERANCES, "entrywise", 0.0)
-        assert checks.check_measures_twirl_pair_monotonicity(checks.CheckConfig()).status == "fail"
+        assert _run_property("measures_twirl_pair_monotonicity", checks.CheckConfig()).status == "fail"
 
     def test_bound_pool_follows_the_seed(self):
         # the bound's pool, and so its oracle cross-check, is drawn from --seed
-        margins = [checks.check_measures_discord_error_bound(checks.CheckConfig(seed=seed, bound_states=200))
+        margins = [_run_property("measures_discord_error_bound", checks.CheckConfig(seed=seed, bound_states=200))
                    for seed in (7, 8)]
         assert [m.status for m in margins] == ["pass", "pass"]
         assert margins[0].worst_margin != margins[1].worst_margin
 
     def test_xstate_margin_is_not_masked(self):
-        result = checks.check_measures_xstate_oracle_agreement(checks.CheckConfig(x_states=6))
+        result = _run_property("measures_xstate_oracle_agreement", checks.CheckConfig(x_states=6))
         assert result.status == "pass"
         assert result.worst_margin < 0.0
         assert "worst value gap" in result.detail
+
+    def test_detail_lists_each_term(self):
+        # one "label worst (gate g)" part per term; an inf gate is reported, not gated
+        result = checks._result("p", 3, [("a", 2.5e-13, 1e-12), ("b", 0.70412, math.inf), ("c", -0.25, -1e-06)])
+        assert result == checks.PropertyResult("p", 3, -7.5e-13, "pass", "a 2.5e-13 (gate 1e-12); "
+                                               "b 0.7041 (gate inf); c -0.25 (gate -1e-06)")
+        assert checks._result("p", 1, [("a", 0.0, 1.0), ("b", math.nan, 0.0)]).status == "fail"
+
+    @pytest.mark.parametrize("key", GATE_PROPERTIES)
+    def test_each_gate_fails_exactly_its_properties(self, monkeypatch, key):
+        # a gate no reading meets fails each property that compares against
+        # it, and only those: a dropped term or a term on the wrong gate shows
+        assert set(GATE_PROPERTIES) == set(checks.TOLERANCES) - {"branch_tie", "on_axis", "zero_discord"}
+        # the discord increase gates from below, so its impossible gate is +inf
+        monkeypatch.setitem(checks.TOLERANCES, key, math.inf if key == "discord_increase" else -math.inf)
+        failing = {name for name, _ in checks.ALL_CHECKS if _run_property(name, MIN_CHECK_CONFIG).status == "fail"}
+        assert failing == GATE_PROPERTIES[key]
+
+    def test_raising_property_fails_alone(self, tmp_path, monkeypatch):
+        # a property that raises is reported as failed; every other property still runs
+        ran = []
+        entries = [(name, lambda config, name=name, fn=fn: ran.append(name) or fn(config))
+                   for name, fn in checks.ALL_CHECKS]
+        broken = entries[len(entries) // 2][0]
+
+        def raises(config):
+            raise ValueError("no reading")
+
+        entries[len(entries) // 2] = (broken, raises)
+        monkeypatch.setattr(checks, "ALL_CHECKS", tuple(entries))
+        out = tmp_path / "report.json"
+        assert main(["check", "--seed", "7", *MIN_CHECK_FLAGS, "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["all_pass"] is False
+        assert [p["name"] for p in doc["properties"]] == [name for name, _ in entries]
+        assert ran == [name for name, _ in entries if name != broken]
+        for p in doc["properties"]:
+            if p["name"] == broken:
+                assert p == {"name": broken, "samples": 0, "worst_margin": None, "status": "fail",
+                             "detail": "error: no reading"}
+            else:
+                assert p["status"] == "pass"
 
 
 class TestMemoryError:

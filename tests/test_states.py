@@ -196,6 +196,13 @@ class TestSampleXParams:
         again = sample_x_params(np.random.default_rng(3), 500)
         assert all(np.array_equal(u, v) for u, v in zip(fields, dataclasses.astuple(again)))
 
+    def test_stacks_compare_and_hash_by_identity(self):
+        # equal stacks compare without numpy's ambiguous truth value; a stack hashes
+        p, q = (sample_x_params(np.random.default_rng(3), 3) for _ in range(2))
+        assert all(np.array_equal(u, v) for u, v in zip(dataclasses.astuple(p), dataclasses.astuple(q)))
+        assert p == p and p != q
+        assert hash(p) == hash(p) and len({p, q}) == 2
+
 
 class TestDepolarizedPure:
     def test_endpoint_pure(self):
