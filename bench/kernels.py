@@ -16,14 +16,11 @@ Times ``concurrence``, ``validate_density``, ``pauli_decompose``,
   matrix, so this is what the sweep feeds the kernels.
 
 ``validate_density`` keeps the eigenpairs of one real ``eigh`` of the real
-members, and ``concurrence`` on a validated state starts from them.
-``concurrence`` is also timed on a fresh bare ``TwoQubitState`` of the real
-stack per call (``real_bare``), which runs that ``eigh`` itself, so the
-saving shows per kernel. Both kernels choose a route per member, so they
-are also timed on a ``mixed`` stack, whose members alternate between the
-real and the complex stack (real first), and on one state of each kind
-(``one_real``, ``one_complex``: the first member of each stack), timed over
-``ONE_STATE_CALLS`` calls per run.
+members, and ``concurrence`` starts from them. Both kernels choose a route
+per member, so they are also timed on a ``mixed`` stack, whose members
+alternate between the real and the complex stack (real first), and on one
+state of each kind (``one_real``, ``one_complex``: the first member of each
+stack), timed over ``ONE_STATE_CALLS`` calls per run.
 
 It also times ``check``'s samplers and the simulator on inputs of their own:
 
@@ -186,8 +183,6 @@ def main(argv=None) -> int:
     timings = {name: {kind: timed(lambda: kernel(state), args.repeats) for kind, state in stacks.items()}
                for name, kernel in kernels.items()}
     real_rho = stacks["real"].rho
-    timings["concurrence"]["real_bare"] = timed(lambda: twirlkit.concurrence(twirlkit.TwoQubitState(real_rho)),
-                                                args.repeats)
     odd = (np.arange(args.states) % 2 == 1)[:, None, None]
     routed = {"mixed": (twirlkit.validate_density(np.where(odd, complex_state.rho, real_rho)), 1),
               "one_real": (twirlkit.validate_density(real_rho[0]), ONE_STATE_CALLS),

@@ -240,7 +240,7 @@ def check_twirl_mc_agreement(config: CheckConfig) -> tuple[int, Terms]:
     rng = _rng(config, 19)
     worst = 0.0
     for rho in _random_states(config, 20, config.mc_states).rho:
-        report = twirl.twirl_monte_carlo(TwoQubitState(rho), MC_SAMPLES, int(rng.integers(0, 2**62)))
+        report = twirl.twirl_monte_carlo(validate_density(rho), MC_SAMPLES, int(rng.integers(0, 2**62)))
         worst = max(worst, report.trace_distance_to_analytic)
     return config.mc_states, [("trace distance to analytic", worst, TOLERANCES["mc_trace_distance"])]
 
@@ -276,7 +276,7 @@ def check_protocol_partner_optimality(config: CheckConfig) -> tuple[int, Terms]:
     # per state, 20 Alice settings, each followed by its 100 brute-force partners
     units = _units(rng, (len(pool.rho), 20, 101))
     a, b = units[:, :, 0], units[:, :, 1:]
-    best = protocol.optimal_partner(TwoQubitState(pool.rho[:, None]), a).value
+    best = protocol.optimal_partner(validate_density(pool.rho[:, None]), a).value
     brute = np.vecdot(b, (a @ pool.T)[:, :, None]).max(axis=-1)
     return best.size, [("brute-force partner - optimal", np.max(brute - best), TOLERANCES["entrywise"])]
 
@@ -390,7 +390,7 @@ def check_measures_discord_range(config: CheckConfig) -> tuple[int, Terms]:
     products = validate_density(tensor(a, b))
     res = measures.discord_grid_oracle(products)
     residual = hs_norm_sq(measures.cq_state(products, res.argmin_direction).rho - products.rho)
-    head = TwoQubitState(pool.rho[:50])
+    head = validate_density(pool.rho[:50])
     head_residual = hs_norm_sq(measures.cq_state(head, eigen.argmin_direction[:50]).rho - head.rho)
     return len(pool.rho) + 60, [
         ("-discord", np.max(-d), TOLERANCES["entrywise"]),

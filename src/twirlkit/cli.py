@@ -45,7 +45,7 @@ _COLUMNS = [
 _VALUE_COLUMNS = [c for c in _COLUMNS if c not in ("param", "ratio_defined")]
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepSpec:
     """One parameter sweep: family, grid, optional column subset, output."""
 

@@ -96,7 +96,7 @@ def cq_state(state: TwoQubitState, direction) -> TwoQubitState:
     return validate_density(_dephase(state.rho, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscordResult:
     """Geometric discord value with the minimizing projector direction.
 
@@ -292,7 +292,7 @@ def discord_eigen(state: TwoQubitState) -> DiscordResult:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KPair:
     """Branch quantities deciding whether z-dephasing is the closest one.
 
@@ -471,7 +471,7 @@ def entanglement_of_formation(state: TwoQubitState) -> float:
     return eof_from_concurrence(concurrence(state))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwirlComparison:
     """Discord and concurrence before and after the exact twirl (arrays for a stacked state)."""
 

@@ -46,7 +46,7 @@ from .qubit_algebra import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSetting:
     """A unit Bloch direction naming the spin observable n . sigma.
 
@@ -75,7 +75,7 @@ ALICE_LABELS = ("x", "y")
 BOB_LABELS = ("b", "b'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Probabilities of the four joint outcomes (+,+), (+,-), (-,+), (-,-);
     arrays for a stacked state or stacked settings."""
@@ -129,7 +129,7 @@ def outcome_probs(state: TwoQubitState, a, b) -> OutcomeDistribution:
     return OutcomeDistribution(**{key: _clamp_unit(p) for key, p in w.items()})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalPartner:
     """Bob's correlation-maximizing direction for a fixed Alice setting.
 
@@ -169,7 +169,7 @@ def error_rate(state: TwoQubitState, b, b_prime) -> float:
     return _clamp_unit(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinErrorRate:
     """Minimal error rate with the optimizing Bob settings.
 
@@ -234,7 +234,7 @@ def _chunks(n: int):
     return (slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolRun:
     """Record of one simulated key distribution run: one int8 code per round.
 

@@ -17,13 +17,15 @@ gets bit for bit the result it gets on its own, and every member is
 validated; an error raised for a stack names the index of the first
 failing member.
 
-Each member's eigensolve route is decided once, in ``_real_eigh``: a
-real symmetric ``eigh`` for a member whose imaginary part is exactly
-zero, a complex solve for any other. Every state holds that record, the
-real members' mask and eigenpairs (160 bytes per real member), which
-``validate_density`` seeds and ``measures.concurrence`` reuses. The
-decomposition of a state that ``validate_density`` returns skips
-``pauli_decompose``'s re-check; a state built directly keeps every check.
+Building a ``TwoQubitState`` validates it, and ``validate_density`` is
+that construction: there is no unchecked state. Each member's eigensolve
+route is decided once, in ``_real_eigh``: a real symmetric ``eigh`` for a
+member whose imaginary part is exactly zero, a complex solve for any
+other. Every state holds that record, the real members' mask and
+eigenpairs (160 bytes per real member), which construction sets and
+``measures.concurrence`` reuses. A state's decomposition takes no
+re-check; ``pauli_decompose`` and ``hermitian_eigenvalues``, which take
+raw matrices, keep their own.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ _B_OPS = _frozen(tensor(ID2, PAULIS))
 _AB_OPS = _frozen(tensor(PAULIS[:, None], PAULIS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliDecomposition:
     """Bloch vectors x (first qubit), y (second qubit) and correlation matrix T.
 
@@ -267,33 +269,49 @@ def _by_route(m: np.ndarray, record: tuple, on_real, on_other) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitState:
-    """A validated two-qubit density matrix with cached Pauli decomposition.
+    """A two-qubit density matrix, validated at construction, with cached
+    Pauli decomposition.
 
     ``rho`` is one 4x4 matrix or a (..., 4, 4) stack of them; ``x``, ``y``
-    and ``T`` then carry the same leading axes. Instances are immutable;
-    build them through :func:`validate_density` or the constructors in
-    :mod:`twirlkit.states`.
+    and ``T`` then carry the same leading axes. Building a state checks
+    every member: a finite 4x4 shape, Hermiticity, unit trace and
+    positivity. It raises OutOfRangeError, NonHermitianError,
+    TraceNotOneError or NotPositiveError naming the violated invariant and
+    its magnitude, and for a stack the index of the first failing member.
+    Instances are immutable.
 
-    Only :func:`validate_density` sets ``_validated`` (left out of repr and
-    equality), under which ``decomp`` skips ``pauli_decompose``'s checks,
-    and seeds ``_eigen_record``, which any other state computes on first use.
+    A real member's smallest eigenvalue comes from the eigenpairs of
+    ``_real_eigh``, which the state keeps as ``_eigen_record``, and any
+    other member's from a complex ``eigvalsh``: no member is solved twice.
     """
 
     rho: np.ndarray
-    _validated: bool = field(default=False, init=False, repr=False, compare=False)
+    _eigen_record: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", _frozen(np.asarray(self.rho, dtype=complex)))
+        m = _as_square(self.rho, 4)
+        defect = _hermitian_defect(m)
+        with np.errstate(over="ignore"):  # a trace past the float range is inf, which fails its gate
+            tr = np.trace(m, axis1=-2, axis2=-1)
+        record = _real_eigh(m)
+        smallest = _by_route(m, record, lambda w, v: w[:, 0],
+                             lambda c: np.linalg.eigvalsh(c)[:, 0]).reshape(m.shape[:-2])
+        _raise_first_failure(m.shape[:-2], (
+            (defect > HERMITIAN_ATOL, NonHermitianError,
+             lambda i: f"deviates from Hermitian by {defect[i]:.3e} (atol {HERMITIAN_ATOL:.1e})"),
+            (np.abs(tr - 1.0) > TRACE_ATOL, TraceNotOneError,
+             lambda i: f"trace is {complex(tr[i])}, differs from 1 by {abs(complex(tr[i]) - 1.0):.3e}"),
+            (smallest < EIGENVALUE_FLOOR, NotPositiveError,
+             lambda i: f"smallest eigenvalue {smallest[i]:.3e} below floor {EIGENVALUE_FLOOR:.1e}"),
+        ))
+        object.__setattr__(self, "rho", _frozen(m))
+        object.__setattr__(self, "_eigen_record", record)
 
     @cached_property
     def decomp(self) -> PauliDecomposition:
-        return _decompose(self.rho) if self._validated else pauli_decompose(self.rho)
-
-    @cached_property
-    def _eigen_record(self) -> tuple:
-        return _real_eigh(self.rho)
+        return _decompose(self.rho)
 
     @property
     def x(self) -> np.ndarray:
@@ -307,41 +325,11 @@ class TwoQubitState:
     def T(self) -> np.ndarray:
         return self.decomp.T
 
-    def purity(self) -> float:
-        """Tr(rho^2); an array of them for a stacked state."""
-        return hs_norm_sq(self.rho)
-
 
 def validate_density(rho) -> TwoQubitState:
-    """Check Hermiticity, unit trace and positivity, then wrap the matrix.
-
-    ``rho`` is one 4x4 matrix or a (..., 4, 4) stack; every member is
-    checked. Raises NonHermitianError, TraceNotOneError or
-    NotPositiveError naming the violated invariant and its magnitude, and
-    for a stack the index of the first failing member.
-
-    A real member's smallest eigenvalue comes from the eigenpairs of
-    ``_real_eigh``, which the returned state keeps, and any other member's
-    from a complex ``eigvalsh``: no member is solved twice.
-    """
-    m = _as_square(rho, 4)
-    defect = _hermitian_defect(m)
-    with np.errstate(over="ignore"):  # a trace past the float range is inf, which fails its gate
-        tr = np.trace(m, axis1=-2, axis2=-1)
-    record = _real_eigh(m)
-    smallest = _by_route(m, record, lambda w, v: w[:, 0], lambda c: np.linalg.eigvalsh(c)[:, 0]).reshape(m.shape[:-2])
-    _raise_first_failure(m.shape[:-2], (
-        (defect > HERMITIAN_ATOL, NonHermitianError,
-         lambda i: f"deviates from Hermitian by {defect[i]:.3e} (atol {HERMITIAN_ATOL:.1e})"),
-        (np.abs(tr - 1.0) > TRACE_ATOL, TraceNotOneError,
-         lambda i: f"trace is {complex(tr[i])}, differs from 1 by {abs(complex(tr[i]) - 1.0):.3e}"),
-        (smallest < EIGENVALUE_FLOOR, NotPositiveError,
-         lambda i: f"smallest eigenvalue {smallest[i]:.3e} below floor {EIGENVALUE_FLOOR:.1e}"),
-    ))
-    state = TwoQubitState(m)
-    object.__setattr__(state, "_validated", True)
-    vars(state)["_eigen_record"] = record
-    return state
+    """``TwoQubitState(rho)``: construction checks ``rho`` (see
+    :class:`TwoQubitState` for the checks and the errors they raise)."""
+    return TwoQubitState(rho)
 
 
 def _check_sampler_inputs(state: TwoQubitState, count, count_name: str, seed) -> None:

@@ -148,7 +148,7 @@ def trace_distance(a: TwoQubitState, b: TwoQubitState) -> float:
     return _item(0.5 * np.sum(np.abs(ev), axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwirlReport:
     """Monte Carlo twirl output with its distance to the exact projection."""
 

@@ -14,7 +14,7 @@ KERNELS = {
     **{name: STACKS for name in ("pauli_decompose", "discord_eigen", "discord_error_rate_bound",
                                  "discord_grid_oracle")},
     "validate_density": ROUTED,
-    "concurrence": ROUTED | {"real_bare"},
+    "concurrence": ROUTED,
     "check_pool": {"lane_block", "per_seed"},
     "x_state": {"stacked"},
     "twirl_monte_carlo": {"chunk"},
@@ -26,8 +26,8 @@ KERNELS = {
 
 def test_writes_every_kernel_on_both_stacks(tmp_path):
     # the six state kernels on the real and complex stacks (validate_density and the concurrence also on a
-    # mixed stack and on one state of each kind, the concurrence on a bare real stack), the samplers, the
-    # simulator and the sweep on their own inputs
+    # mixed stack and on one state of each kind), the samplers, the simulator and the sweep on their own
+    # inputs
     out = tmp_path / "bench.json"
     proc = subprocess.run([sys.executable, str(ROOT / "bench" / "kernels.py"), "--out", str(out),
                            "--states", "3", "--repeats", "2"], cwd=ROOT, capture_output=True, text=True, timeout=120)

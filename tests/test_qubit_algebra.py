@@ -5,6 +5,7 @@ builds Pauli tensor operators with np.kron and evaluates traces directly,
 without going through the library's decomposition path.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from twirlkit import (
     ID2,
+    SETTING_X,
+    SETTING_Y,
+    TwoQubitState,
+    discord_eigen,
+    k_values,
+    min_error_rate,
+    optimal_partner,
+    outcome_probs,
+    simulate_protocol,
+    twirl_discord_comparison,
+    twirl_monte_carlo,
     ID4,
     NonHermitianError,
     NotPositiveError,
@@ -33,6 +45,8 @@ from twirlkit import (
     SIGMA_Y,
     SIGMA_Z,
 )
+from twirlkit.cli import SweepSpec
+from twirlkit.states import pure_x_params
 
 # Independent Pauli literals for the oracle side.
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -186,6 +200,93 @@ class TestValidateDensity:
             s.rho[0, 0] = 0.5
 
 
+def _invalid(kind):
+    """A matrix that fails exactly one of construction's checks."""
+    m = np.eye(4, dtype=complex) / 4
+    if kind == "shape":
+        return np.eye(3) / 3
+    if kind == "finite":
+        m[1, 1] = np.nan
+    elif kind == "hermitian":
+        m[2, 0] = 1e-3j
+    elif kind == "trace":
+        m[0, 0] = 0.5
+    else:
+        m = np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex)
+    return m
+
+
+_INVALID = [
+    ("shape", OutOfRangeError, r"expected a 4x4 matrix, got shape \(3, 3\)"),
+    ("finite", OutOfRangeError, "matrix entries must be finite"),
+    ("hermitian", NonHermitianError, r"deviates from Hermitian by 1\.000e-03 \(atol 1\.0e-12\)"),
+    ("trace", TraceNotOneError, r"trace is \(1\.25\+0j\), differs from 1 by 2\.500e-01"),
+    ("negative", NotPositiveError, r"smallest eigenvalue -1\.000e\+00 below floor -1\.0e-10"),
+]
+
+
+class TestConstruction:
+    """Building a TwoQubitState validates it: each invalid input raises
+    validate_density's error and message from the constructor itself."""
+
+    @pytest.mark.parametrize("kind, error, message", _INVALID, ids=[c[0] for c in _INVALID])
+    def test_single(self, kind, error, message):
+        m = _invalid(kind)
+        for build in (TwoQubitState, validate_density):
+            with pytest.raises(error, match=f"^{message}$"):
+                build(m)
+
+    # every kind but the shape, which is the whole stack's (below)
+    @pytest.mark.parametrize("kind, error, message", _INVALID[1:], ids=[c[0] for c in _INVALID[1:]])
+    def test_member_six_of_a_stack(self, kind, error, message):
+        rhos = np.stack([random_state(seed).rho for seed in range(10)])
+        rhos[6] = _invalid(kind)
+        rhos[8] = _invalid("negative")
+        for build in (TwoQubitState, validate_density):
+            with pytest.raises(error, match=f"^state 6: {message}$"):
+                build(rhos)
+
+    def test_stack_of_the_wrong_shape(self):
+        # the shape is the whole stack's, so no member is named
+        with pytest.raises(OutOfRangeError, match=r"^expected a 4x4 matrix, got shape \(10, 3, 3\)$"):
+            TwoQubitState(np.stack([np.eye(3) / 3] * 10))
+
+    @pytest.mark.parametrize("kind, error, message", _INVALID, ids=[c[0] for c in _INVALID])
+    def test_replace(self, kind, error, message):
+        state = validate_density(ID4 / 4)
+        with pytest.raises(error, match=f"^{message}$"):
+            dataclasses.replace(state, rho=_invalid(kind))
+
+
+_W = werner(0.75)
+
+# every record that can hold an array; XStateParams is tested with its stacks in test_states
+_RECORDS = {
+    "TwoQubitState": lambda: validate_density(ID4 / 4),
+    "PauliDecomposition": lambda: pauli_decompose(ID4 / 4),
+    "MeasurementSetting": lambda: SETTING_X,
+    "OutcomeDistribution": lambda: outcome_probs(_W, SETTING_X, SETTING_X),
+    "OptimalPartner": lambda: optimal_partner(_W, SETTING_X),
+    "MinErrorRate": lambda: min_error_rate(_W),
+    "ProtocolRun": lambda: simulate_protocol(_W, 10, 0, SETTING_X, SETTING_Y),
+    "DiscordResult": lambda: discord_eigen(_W),
+    "KPair": lambda: k_values(pure_x_params(0.5)),
+    "TwirlComparison": lambda: twirl_discord_comparison(_W),
+    "TwirlReport": lambda: twirl_monte_carlo(_W, 10, 0),
+    "SweepSpec": lambda: SweepSpec(family="werner", grid=np.linspace(0.0, 1.0, 3)),
+}
+
+
+@pytest.mark.parametrize("name, make", list(_RECORDS.items()), ids=list(_RECORDS))
+def test_records_compare_and_hash_by_identity(name, make):
+    """Two records with equal fields compare without numpy's ambiguous
+    truth value: equal only when they are one object. A record hashes."""
+    r, again = make(), make()
+    assert type(r).__name__ == name
+    assert r == r and hash(r) == hash(r)
+    assert (r == again) is (r is again)
+
+
 class TestHermitianEigenvalues:
     def test_maximally_mixed(self):
         np.testing.assert_allclose(hermitian_eigenvalues(ID4 / 4), [0.25] * 4, atol=1e-15)
@@ -210,6 +311,8 @@ class TestHermitianEigenvalues:
         for seed in range(100):
             ev = hermitian_eigenvalues(random_state(seed).rho)
             assert np.all(np.diff(ev) <= 0)
-            assert abs(np.sum(ev) - 1.0) <= 1e-10
+            # every state passed construction's 1e-12 trace gate, and over
+            # these seeds the eigenvalue sum stays within 6.7e-16 (3 eps) of 1
+            assert abs(np.sum(ev) - 1.0) <= 16 * np.finfo(float).eps
             assert ev[-1] >= -1e-10
             assert ev[0] <= 1 + 1e-10

@@ -328,7 +328,6 @@ def test_hs_norm_sq_and_eigenvalues(stack, members):
     assert all(type(v) is float for v in singles)
     assert_bits(hs_norm_sq(stack.rho), singles)
     assert_bits(singles, [reference_hs_norm_sq(s.rho) for s in members])
-    assert_bits(stack.purity(), singles)
     singles = [hermitian_eigenvalues(s.rho) for s in members]
     assert_bits(hermitian_eigenvalues(stack.rho), singles)
     assert_bits(singles, [reference_eigenvalues(s.rho) for s in members])
@@ -628,6 +627,18 @@ def test_bad_member_in_decomposition_and_non_finite(members):
         validate_density(rhos)
 
 
+def _unchecked_state(rho):
+    """A TwoQubitState holding ``rho`` without construction's checks.
+
+    Building a state validates it, so a kernel's own guard against an
+    invalid state is reachable only through a state made this way: it
+    bypasses ``__post_init__`` and holds no eigen record.
+    """
+    state = object.__new__(TwoQubitState)
+    object.__setattr__(state, "rho", np.asarray(rho, dtype=complex))
+    return state
+
+
 def _stacked_error(call, rhos, index, error):
     """Check that ``call`` on the stack raises what it raises on member ``index``, named."""
     with pytest.raises(error) as single:
@@ -648,7 +659,7 @@ def test_bad_member_of_the_new_kernels(members):
     rhos = np.stack([s.rho for s in members[:10]])
     rhos[3] = rhos[7] = _broken("negative")
     z = (0.0, 0.0, 1.0)
-    _stacked_error(lambda m: outcome_probs(TwoQubitState(m), z, z), rhos, 3, NotADistributionError)
+    _stacked_error(lambda m: outcome_probs(_unchecked_state(m), z, z), rhos, 3, NotADistributionError)
     units = _units(np.random.default_rng(13), 10)
     units[5] *= 2.0
     _stacked_error(lambda a: correlation(members[0], a, z), units, 5, OutOfRangeError)
@@ -746,9 +757,9 @@ def test_bad_member_of_the_state_kernels(members):
     _stacked_error(lambda n: cq_state(members[0], n), units, 5, OutOfRangeError)
     rhos = np.stack([s.rho for s in members[:10]])
     rhos[3] = rhos[7] = _broken("negative")
-    _stacked_error(lambda m: cq_state(TwoQubitState(m), z), rhos, 3, NotPositiveError)
+    _stacked_error(lambda m: cq_state(_unchecked_state(m), z), rhos, 3, NotPositiveError)
     rhos[2, 1, 1] = rhos[4, 0, 0] = np.inf
-    _stacked_error(lambda m: trace_distance(TwoQubitState(m), members[0]), rhos, 2, OutOfRangeError)
+    _stacked_error(lambda m: trace_distance(_unchecked_state(m), members[0]), rhos, 2, OutOfRangeError)
 
 
 _THREE, _TWO_DIRS = random_state(np.arange(3)), np.eye(3)[:2]
@@ -800,16 +811,14 @@ def test_validate_density_keeps_the_real_eigenpairs(members):
     """Every validated state, single, stacked, on a (3, 4) grid, complex or
     mixed, holds the record of its route: the mask of its real members and
     bit for bit the (w, v) of np.linalg.eigh of their real parts, in C
-    order and read-only. A state built directly or by replace carries no
-    seeded record and computes the same one on first use. Repr, equality
-    and replace leave the private field out."""
+    order and read-only. A state rebuilt by replace holds the same record.
+    Repr and replace leave the private field out."""
     real, cplx = _real_and_complex(members)
     stacked = validate_density(np.stack([s.rho for s in real]))
     grid = validate_density(np.stack([s.rho for s in real[:12]]).reshape(3, 4, 4, 4))
     mixed = validate_density(np.stack([s.rho for s in _interleaved(real, cplx)]))
     complex_stack = validate_density(np.stack([s.rho for s in cplx]))
     for state in (*real, *cplx, stacked, grid, mixed, complex_stack):
-        assert "_eigen_record" in vars(state) and state._validated
         mask, w, v = state._eigen_record
         flat = state.rho.reshape(-1, 4, 4)
         assert mask.tolist() == [not np.any(rho.imag) for rho in flat]
@@ -821,33 +830,28 @@ def test_validate_density_keeps_the_real_eigenpairs(members):
     assert_bits(mixed._eigen_record[2], [s._eigen_record[2][0] for s in real[:6]])
     assert complex_stack._eigen_record[1].shape == (0, 4)
     for state in (real[0], cplx[0], stacked, mixed):
-        for bare in (TwoQubitState(state.rho), dataclasses.replace(state)):
-            assert "_eigen_record" not in vars(bare) and not bare._validated
-            for kept, computed in zip(state._eigen_record, bare._eigen_record):
-                assert_bits(computed, kept)
-        assert repr(state) == repr(TwoQubitState(state.rho))
+        for kept, computed in zip(state._eigen_record, dataclasses.replace(state)._eigen_record):
+            assert_bits(computed, kept)
+        assert repr(state) == f"TwoQubitState(rho={state.rho!r})"
     private = [f for f in dataclasses.fields(TwoQubitState) if f.name.startswith("_")]
-    assert [f.name for f in private] == ["_validated"]
-    assert not any(f.init or f.repr or f.compare for f in private)
+    assert [f.name for f in private] == ["_eigen_record"]
+    assert not any(f.init or f.repr for f in private)
 
 
 def test_concurrence_from_kept_eigenpairs(members, monkeypatch):
-    """The concurrence of a validated state, a real stack and a mixed
-    real/complex stack equals that of a bare state with the same rho, bit
-    for bit; a validated real state or stack runs no eigh of its own, and a
-    bare one runs the record's."""
+    """The concurrence of a real stack and of a mixed real/complex stack
+    equals each member's own, bit for bit; a real state or stack runs no
+    eigh of its own."""
     real, cplx = _real_and_complex(members)
     single, stacked = real[0], validate_density(np.stack([s.rho for s in real]))
-    mixed = validate_density(np.stack([s.rho for s in _interleaved(real, cplx)]))
-    for state in (single, stacked, mixed):
-        expected = concurrence(TwoQubitState(state.rho))
-        assert type(concurrence(state)) is type(expected)
-        assert_bits(concurrence(state), expected)
+    interleaved = _interleaved(real, cplx)
+    mixed = validate_density(np.stack([s.rho for s in interleaved]))
+    assert type(concurrence(single)) is float
+    for state, singles in ((stacked, real), (mixed, interleaved)):
+        assert_bits(concurrence(state), [concurrence(s) for s in singles])
     solves = _count_solves(monkeypatch, ("eigh",))
     concurrence(single), concurrence(stacked)
     assert solves == []
-    concurrence(TwoQubitState(stacked.rho))
-    assert solves == [("eigh", "_real_eigh", stacked.rho.shape)]
 
 
 def test_mixed_stack_solves_each_member_once(members, monkeypatch):
@@ -874,32 +878,20 @@ def test_mixed_stack_solves_each_member_once(members, monkeypatch):
         solves.clear()
         concurrence(validate_density(rho))
         assert solves == validation + spectrum
-        solves.clear()
-        concurrence(TwoQubitState(rho))
-        assert solves == (validation if kind == "real" else []) + spectrum
 
 
-def test_decomp_checks_only_states_built_directly(members, monkeypatch):
-    """A validated state takes its decomposition without pauli_decompose's
-    re-check, with the same bits; a state built directly keeps every check."""
+def test_decomp_skips_the_raw_matrix_check(members, monkeypatch):
+    """A state takes its decomposition without pauli_decompose's re-check,
+    with the same bits."""
     calls = []
     kernel = qubit_algebra.pauli_decompose
     monkeypatch.setattr(qubit_algebra, "pauli_decompose", lambda rho: calls.append(rho) or kernel(rho))
     rhos = np.stack([s.rho for s in members])
-    validated = validate_density(rhos)
     expected = kernel(rhos)
-    for name in ("x", "y", "T"):
-        assert_bits(getattr(validated.decomp, name), getattr(expected, name))
+    for state in (validate_density(rhos), TwoQubitState(rhos)):
+        for name in ("x", "y", "T"):
+            assert_bits(getattr(state.decomp, name), getattr(expected, name))
     assert calls == []
-    assert_bits(TwoQubitState(rhos).T, expected.T)
-    assert len(calls) == 1
-    skewed = np.eye(4, dtype=complex) / 4
-    skewed[0, 1] = 1e-3
-    with pytest.raises(NonHermitianError, match="^input deviates from Hermitian by 1.000e-03$"):
-        TwoQubitState(skewed).decomp
-    rhos[6] = skewed
-    with pytest.raises(NonHermitianError, match="^state 6: input deviates from Hermitian"):
-        TwoQubitState(rhos).decomp
 
 
 _SWEEP_SPECS = {"pure": None, "werner": None, "depolarized": 0.5}

@@ -15,6 +15,7 @@ from twirlkit import (
     bell,
     depolarized_pure,
     fidelity_phi_plus,
+    hs_norm_sq,
     load_state_file,
     pure_state,
     random_state,
@@ -245,7 +246,7 @@ class TestRandomState:
         assert np.max(np.abs(random_state(1).rho - random_state(2).rho)) > 1e-3
 
     def test_purity_spread(self):
-        purities = [random_state(seed).purity() for seed in range(10_000)]
+        purities = [hs_norm_sq(random_state(seed).rho) for seed in range(10_000)]
         mean = float(np.mean(purities))
         assert 0.25 < mean < 1.0
         assert min(purities) > 0.25
