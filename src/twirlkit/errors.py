@@ -25,10 +25,6 @@ class InvalidXParamsError(TwirlkitError, ValueError):
     """X-state parameters violate positivity or normalization."""
 
 
-class NotADistributionError(TwirlkitError, ValueError):
-    """Computed outcome probabilities are not a valid distribution."""
-
-
 class EmptySiftedSetError(TwirlkitError, RuntimeError):
     """No simulated rounds survived the sifting step."""
 

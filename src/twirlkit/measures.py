@@ -16,8 +16,8 @@ form's terms), and the before/after comparison under twirling.
 entanglement of formation, the error-rate bound, the discord form of the
 minimal error rate and the twirl comparison are batch-first: given a
 stacked state (see :mod:`twirlkit.qubit_algebra`) they return stacks, each
-member bit for bit its own single-state value, and on one state what they
-always returned. The X-state branch quantities and closed form are
+member bit for bit its own single-state value, and on one state a single
+value. The X-state branch quantities and closed form are
 batch-first in the same way over stacks of X-state parameters.
 
 The concurrence takes each member's route and real eigenpairs from the
@@ -47,7 +47,7 @@ from .qubit_algebra import (
     as_unit_vector,
     validate_density,
 )
-from .states import XStateParams, _in_range, _x_fields, _x_param_failures
+from .states import XStateParams, _in_range, _x_fields
 from .twirl import twirl_analytic
 
 # Improvements below this size are treated as ties by the oracle's scan and
@@ -67,7 +67,7 @@ _POLISH_ROUNDS = 2
 # 3.6e-15. The gate is in error-rate units because the square root turns an
 # excess of D_z near zero discord into a far larger error. Since
 # D <= D_z <= 1/2 wherever the gap is positive, D_z - D is at most twice the
-# gap, so this gate refuses every state that the earlier D_z - D <= 1e-12 did.
+# gap: at most 1e-12 on every state this gate accepts.
 _Z_MINIMUM_SLACK = 5e-13
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -326,10 +326,10 @@ def discord_x_closed_form(p: XStateParams) -> DiscordResult:
     """
     k = k_values(p)
     k1, k3 = np.asarray(k.k1), np.asarray(k.k3)
-    _raise_first_failure(k1.shape, (*_x_param_failures(p), (
+    _raise_first_failure(k1.shape, ((
         k1 > k3 + 1e-12, BranchConditionError,
         lambda i: f"k1 = {k1[i]:.6g} exceeds k3 = {k3[i]:.6g}; closed form does not apply",
-    )))
+    ),))
     r14, r23 = _x_fields(p)[4:6]
     return DiscordResult(
         value=_item(2.0 * (r14**2 + r23**2)),
@@ -359,9 +359,9 @@ def discord_error_rate_bound(state: TwoQubitState) -> tuple[float, float]:
     D_g is its minimum over all directions. So both sides are taken in the
     given frame, with no rotation built: lhs from ``discord_eigen`` and rhs
     from the residual along x/|x|, or along z when |x| <= 1e-12. A Bloch
-    vector near the z axis is used as it is, not snapped onto the axis. In
-    a frame where x keeps in-plane components the raw two-term bound, read
-    off that frame's rows of T, can fail.
+    vector near the z axis is used as it is. In a frame where x keeps
+    in-plane components the raw two-term bound, read off that frame's rows
+    of T, can fail.
 
     Args:
         state: the input state, or a stacked state.

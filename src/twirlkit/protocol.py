@@ -32,14 +32,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptySiftedSetError, NotADistributionError, OutOfRangeError
+from .errors import EmptySiftedSetError, OutOfRangeError
 from .qubit_algebra import (
     TwoQubitState,
     _check_broadcast,
     _check_sampler_inputs,
     _clamp_unit,
     _item,
-    _raise_first_failure,
     _read_only,
     _vector_norm,
     as_unit_vector,
@@ -108,24 +107,17 @@ def outcome_probs(state: TwoQubitState, a, b) -> OutcomeDistribution:
     """Born-rule probabilities for the joint measurement along a and b.
 
     w(s, s') = (1/4) [1 + s (a . x) + s' (b . y) + s s' a^T T b] for signs
-    s, s' in {+1, -1}, each clamped to [0, 1]. Raises NotADistributionError
-    when a probability falls below -1e-10, which signals an invalid state
-    slipped through. A stacked state or stacked settings give arrays; the
-    error then names the first failing member. Leading axes that do not
-    broadcast raise OutOfRangeError, as in ``correlation``.
+    s, s' in {+1, -1}, each clamped to [0, 1]: the state is valid, so a
+    value outside that range comes from rounding or from an eigenvalue
+    within construction's floor. A stacked state or stacked settings give
+    arrays. Leading axes that do not broadcast raise OutOfRangeError, as in
+    ``correlation``.
     """
-    av = MeasurementSetting.of(a).n
-    bv = MeasurementSetting.of(b).n
-    corr = correlation(state, av, bv)
-    ax, by = np.vecdot(av, state.x), np.vecdot(bv, state.y)
+    a, b = MeasurementSetting.of(a), MeasurementSetting.of(b)
+    corr = correlation(state, a, b)
+    ax, by = np.vecdot(a.n, state.x), np.vecdot(b.n, state.y)
     w = {key: 0.25 * (1.0 + s * ax + sp * by + s * sp * corr)
          for s, sp, key in ((1, 1, "w_pp"), (1, -1, "w_pm"), (-1, 1, "w_mp"), (-1, -1, "w_mm"))}
-    shape = np.shape(w["w_pp"])
-    an, bn = np.broadcast_to(av, shape + (3,)), np.broadcast_to(bv, shape + (3,))
-    _raise_first_failure(shape, [
-        (p < -1e-10, NotADistributionError, lambda i, key=key, p=p: f"{key} = {p[i]:.3e} for a={an[i]}, b={bn[i]}")
-        for key, p in w.items()
-    ])
     return OutcomeDistribution(**{key: _clamp_unit(p) for key, p in w.items()})
 
 

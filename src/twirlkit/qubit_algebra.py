@@ -11,8 +11,8 @@ The kernels are batch-first. ``validate_density``, ``pauli_decompose``,
 ``TwoQubitState`` may hold such a stack; every array derived from it
 (Bloch vectors, correlation matrices, directions, values) carries the
 same leading axes. One 4x4 matrix is the stack with no leading axes, so
-the per-state calls run the same code and return the same types as
-before: a float where a stack gives an array. Each member of a stack
+the per-state calls run the same code and return a float where a stack
+gives an array. Each member of a stack
 gets bit for bit the result it gets on its own, and every member is
 validated; an error raised for a stack names the index of the first
 failing member.
@@ -24,8 +24,9 @@ member whose imaginary part is exactly zero, a complex solve for any
 other. Every state holds that record, the real members' mask and
 eigenpairs (160 bytes per real member), which construction sets and
 ``measures.concurrence`` reuses. A state's decomposition takes no
-re-check; ``pauli_decompose`` and ``hermitian_eigenvalues``, which take
-raw matrices, keep their own.
+re-check. ``pauli_decompose`` and ``hermitian_eigenvalues``, which take
+raw matrices, apply construction's Hermitian rule (``_hermitian_failure``)
+with its message.
 """
 
 from __future__ import annotations
@@ -163,17 +164,25 @@ def _hermitian_defect(m: np.ndarray) -> np.ndarray:
         return np.max(np.abs(m - m.conj().mT), axis=(-2, -1))
 
 
+def _hermitian_failure(m: np.ndarray) -> tuple:
+    """The one Hermitian rule, as the (mask, error, message) triple
+    ``_raise_first_failure`` takes: a member of the (..., 4, 4) stack ``m``
+    fails when an entry deviates from its adjoint's by more than
+    HERMITIAN_ATOL."""
+    defect = _hermitian_defect(m)
+    return (defect > HERMITIAN_ATOL, NonHermitianError,
+            lambda i: f"deviates from Hermitian by {defect[i]:.3e} (atol {HERMITIAN_ATOL:.1e})")
+
+
 def hermitian_eigenvalues(a) -> np.ndarray:
     """Real eigenvalues of a Hermitian 4x4 matrix, sorted in descending
     order; a (..., 4) array of them for a (..., 4, 4) stack.
 
-    Raises NonHermitianError when a matrix deviates from its adjoint by
-    more than 1e-10 in any entry.
+    Raises NonHermitianError under ``_hermitian_failure``, construction's
+    rule and message.
     """
     m = _as_square(a, 4)
-    defect = _hermitian_defect(m)
-    message = "matrix deviates from Hermitian by {:.3e} (atol 1.0e-10)"
-    _raise_first_failure(m.shape[:-2], ((defect > 1e-10, NonHermitianError, lambda i: message.format(defect[i])),))
+    _raise_first_failure(m.shape[:-2], (_hermitian_failure(m),))
     return np.linalg.eigvalsh(m)[..., ::-1]
 
 
@@ -216,14 +225,12 @@ def pauli_decompose(rho) -> PauliDecomposition:
     or a (..., 4, 4) stack of them.
 
     The traces Tr[rho (s_i x I)], Tr[rho (I x s_j)] and Tr[rho (s_i x s_j)]
-    are real for Hermitian rho. An input whose entries deviate from
-    Hermitian by more than HERMITIAN_ATOL, the rule validate_density
-    applies, raises NonHermitianError; within it the real parts are kept.
+    are real for Hermitian rho. An input that fails ``_hermitian_failure``,
+    the rule validate_density applies, raises its NonHermitianError; within
+    it the real parts are kept.
     """
     m = _as_square(rho, 4)
-    defect = _hermitian_defect(m)
-    _raise_first_failure(m.shape[:-2], ((defect > HERMITIAN_ATOL, NonHermitianError,
-                                        lambda i: f"input deviates from Hermitian by {defect[i]:.3e}"),))
+    _raise_first_failure(m.shape[:-2], (_hermitian_failure(m),))
     return _decompose(m)
 
 
@@ -292,15 +299,13 @@ class TwoQubitState:
 
     def __post_init__(self):
         m = _as_square(self.rho, 4)
-        defect = _hermitian_defect(m)
         with np.errstate(over="ignore"):  # a trace past the float range is inf, which fails its gate
             tr = np.trace(m, axis1=-2, axis2=-1)
         record = _real_eigh(m)
         smallest = _by_route(m, record, lambda w, v: w[:, 0],
                              lambda c: np.linalg.eigvalsh(c)[:, 0]).reshape(m.shape[:-2])
         _raise_first_failure(m.shape[:-2], (
-            (defect > HERMITIAN_ATOL, NonHermitianError,
-             lambda i: f"deviates from Hermitian by {defect[i]:.3e} (atol {HERMITIAN_ATOL:.1e})"),
+            _hermitian_failure(m),
             (np.abs(tr - 1.0) > TRACE_ATOL, TraceNotOneError,
              lambda i: f"trace is {complex(tr[i])}, differs from 1 by {abs(complex(tr[i]) - 1.0):.3e}"),
             (smallest < EIGENVALUE_FLOOR, NotPositiveError,

@@ -110,6 +110,11 @@ class XStateParams:
     exp(i gamma). Any field may be an array: the fields broadcast
     together to a stack of parameter sets, so a set compares and hashes
     by identity.
+
+    Building a set checks it, also through ``dataclasses.replace``: it
+    raises InvalidXParamsError naming the violated positivity or
+    normalization constraint, and for a stack the index of the first
+    failing set.
     """
 
     rho11: float
@@ -120,6 +125,10 @@ class XStateParams:
     rho23: float
     gamma14: float = 0.0
     gamma13: float = 0.0
+
+    def __post_init__(self):
+        failures = _x_param_failures(self)
+        _raise_first_failure(failures[0][0].shape, failures)  # each mask has the sets' broadcast shape
 
 
 def _x_fields(p: XStateParams) -> list[np.ndarray]:
@@ -193,12 +202,10 @@ def x_state(p: XStateParams) -> TwoQubitState:
     """Density matrix with support on the diagonal and anti-diagonal only.
 
     The correlation matrix of such a state has T13 = T23 = T31 = T32 = 0.
-    Raises InvalidXParamsError naming the violated positivity or
-    normalization constraint. A stack of parameter sets gives a stacked
-    state, and its error names the first failing set.
+    ``p`` was checked when it was built. A stack of parameter sets gives a
+    stacked state.
     """
     d11, d22, d33, d44, r14, r23, g14, g13 = _x_fields(p)
-    _raise_first_failure(d11.shape, _x_param_failures(p))
     m = np.zeros(d11.shape + (4, 4), dtype=complex)
     m[..., 0, 0], m[..., 1, 1], m[..., 2, 2], m[..., 3, 3] = d11, d22, d33, d44
     m[..., 0, 3] = r14 * np.exp(1j * g14)

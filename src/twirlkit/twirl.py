@@ -144,7 +144,7 @@ def trace_distance(a: TwoQubitState, b: TwoQubitState) -> float:
     """Half the sum of absolute eigenvalues of a - b, member by member for
     stacks; OutOfRangeError when their leading axes do not broadcast."""
     _check_broadcast(a=a.rho.shape[:-2], b=b.rho.shape[:-2])
-    ev = np.linalg.eigvalsh(_as_square(a.rho - b.rho, 4))
+    ev = np.linalg.eigvalsh(a.rho - b.rho)
     return _item(0.5 * np.sum(np.abs(ev), axis=-1))
 
 

@@ -306,6 +306,12 @@ class TestHermitianEigenvalues:
         m[0, 3] = 1e-5
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(m)
+        # a defect of 1e-11 fails the one Hermitian rule, with one message, wherever it applies
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 3] = 1e-11
+        for call in (hermitian_eigenvalues, pauli_decompose, TwoQubitState):
+            with pytest.raises(NonHermitianError, match=r"^deviates from Hermitian by 1\.000e-11 \(atol 1\.0e-12\)$"):
+                call(m)
 
     def test_descending_and_sum_to_trace(self):
         for seed in range(100):

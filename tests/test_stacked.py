@@ -34,7 +34,6 @@ from twirlkit import (
     BranchConditionError,
     InvalidXParamsError,
     NonHermitianError,
-    NotADistributionError,
     NotPositiveError,
     OutOfRangeError,
     PauliDecomposition,
@@ -372,6 +371,9 @@ def test_outcome_probs(stack, members):
                                          for s, u, v in zip(members, a_rows, b_rows)])
         assert_bits(stacked.correlation(), [w.correlation() for w in singles])
     assert any(w == 0.0 for w in outcome_probs(stack, SETTING_X, SETTING_X).as_array().ravel())
+    # construction's floor admits an eigenvalue of -1e-10, which puts w_pm at -1e-10 before the clamp
+    edge = validate_density(np.diag([0.5 + 1e-10, -1e-10, 0.5, 0.0]))
+    assert outcome_probs(edge, (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)).w_pm == 0.0
     a, b = pairs[0]
     assert_bits(outcome_probs(members[0], a, SETTING_Y).as_array(),
                 [outcome_probs(members[0], u, SETTING_Y).as_array() for u in a])
@@ -470,18 +472,23 @@ def test_x_state_kernels(x_columns, take):
 ], ids=["negative", "sum", "negative-off", "rho14", "rho23", "branch"])
 def test_bad_x_member_names_its_index(x_columns, fields, error):
     # member 6 breaks one rule and member 8 the normalization; the error is
-    # member 6's, named, also when it is the branch and member 8's is a constraint
+    # member 6's, named. A constraint fails at construction, before any branch
+    # check, so where member 6 breaks the branch member 8 breaks it too.
     columns = [np.concatenate([c[40:46], c[:4]]) for c in x_columns]
     for k, v in enumerate(fields):
         columns[k][6] = v
     columns[0][8] = 0.9
-    calls = [discord_x_closed_form] if error is BranchConditionError else [x_state, discord_x_closed_form]
-    for call in calls:
-        with pytest.raises(error) as single:
-            call(_x_singles(columns)[6])
-        with pytest.raises(error) as stacked:
-            call(XStateParams(*columns))
-        assert str(stacked.value) == f"state 6: {single.value}"
+    if error is BranchConditionError:
+        with pytest.raises(InvalidXParamsError, match=r"^state 8: diagonal sum "):
+            XStateParams(*columns)
+        for k, v in enumerate(fields):
+            columns[k][8] = v
+    # construction raises a constraint's error; the closed form, the branch's
+    with pytest.raises(error) as single:
+        discord_x_closed_form(XStateParams(*(float(c[6]) for c in columns)))
+    with pytest.raises(error) as stacked:
+        discord_x_closed_form(XStateParams(*columns))
+    assert str(stacked.value) == f"state 6: {single.value}"
 
 
 def test_min_error_rate(stack, members):
@@ -620,23 +627,11 @@ def test_bad_member_raises_the_single_state_error(members, kind, error):
 def test_bad_member_in_decomposition_and_non_finite(members):
     rhos = np.stack([s.rho for s in members[:5]])
     rhos[3] = _broken("hermitian")
-    with pytest.raises(NonHermitianError, match=r"^state 3: input deviates from Hermitian"):
+    with pytest.raises(NonHermitianError, match=r"^state 3: deviates from Hermitian by 1\.000e-03 \(atol 1\.0e-12\)$"):
         pauli_decompose(rhos)
     rhos[1, 0, 0] = np.nan
     with pytest.raises(OutOfRangeError, match=r"^state 1: matrix entries must be finite"):
         validate_density(rhos)
-
-
-def _unchecked_state(rho):
-    """A TwoQubitState holding ``rho`` without construction's checks.
-
-    Building a state validates it, so a kernel's own guard against an
-    invalid state is reachable only through a state made this way: it
-    bypasses ``__post_init__`` and holds no eigen record.
-    """
-    state = object.__new__(TwoQubitState)
-    object.__setattr__(state, "rho", np.asarray(rho, dtype=complex))
-    return state
 
 
 def _stacked_error(call, rhos, index, error):
@@ -655,14 +650,9 @@ def test_bad_member_of_the_new_kernels(members):
     _stacked_error(hermitian_eigenvalues, rhos, 6, NonHermitianError)
     rhos[4, 1, 1] = np.inf
     _stacked_error(hs_norm_sq, rhos, 4, OutOfRangeError)
-    # a negative eigenvalue gives w_mp = -1/4 at a = b = z; validation would reject the matrix
-    rhos = np.stack([s.rho for s in members[:10]])
-    rhos[3] = rhos[7] = _broken("negative")
-    z = (0.0, 0.0, 1.0)
-    _stacked_error(lambda m: outcome_probs(_unchecked_state(m), z, z), rhos, 3, NotADistributionError)
     units = _units(np.random.default_rng(13), 10)
     units[5] *= 2.0
-    _stacked_error(lambda a: correlation(members[0], a, z), units, 5, OutOfRangeError)
+    _stacked_error(lambda a: correlation(members[0], a, (0.0, 0.0, 1.0)), units, 5, OutOfRangeError)
 
 
 def test_family_range_names_the_first_bad_value():
@@ -748,18 +738,12 @@ def test_optimal_partner(stack, members):
 
 
 def test_bad_member_of_the_state_kernels(members):
-    z = (0.0, 0.0, 1.0)
     units = _units(np.random.default_rng(17), 10)
     units[5] *= 2.0
     units[7] *= 2.0
     _stacked_error(lambda a: optimal_partner(members[0], a), units, 5, OutOfRangeError)
     _stacked_error(lambda b: error_rate(members[0], b, SETTING_Y), units, 5, OutOfRangeError)
     _stacked_error(lambda n: cq_state(members[0], n), units, 5, OutOfRangeError)
-    rhos = np.stack([s.rho for s in members[:10]])
-    rhos[3] = rhos[7] = _broken("negative")
-    _stacked_error(lambda m: cq_state(_unchecked_state(m), z), rhos, 3, NotPositiveError)
-    rhos[2, 1, 1] = rhos[4, 0, 0] = np.inf
-    _stacked_error(lambda m: trace_distance(_unchecked_state(m), members[0]), rhos, 2, OutOfRangeError)
 
 
 _THREE, _TWO_DIRS = random_state(np.arange(3)), np.eye(3)[:2]

@@ -164,6 +164,43 @@ class TestXState:
             x_state(XStateParams(0.5, 0.0, 0.0, 0.5, 0.6, 0.0))
 
 
+_INVALID_X = [
+    ("negative", (1.2, -0.2, 0.0, 0.0, 0.0, 0.0),
+     r"diagonal entries must be nonnegative, got \(1\.2, -0\.2, 0\.0, 0\.0\)"),
+    ("sum", (0.5, 0.5, 0.5, 0.5, 0.0, 0.0), r"diagonal sum 2\.0 differs from 1 beyond 1e-12"),
+    ("negative-off", (0.5, 0.0, 0.0, 0.5, -0.1, 0.0), r"off-diagonal magnitudes must be nonnegative"),
+    ("rho14", (0.5, 0.0, 0.0, 0.5, 0.6, 0.0), r"rho14 = 0\.6 exceeds sqrt\(rho11 rho44\) = 0\.5"),
+    ("rho23", (0.0, 0.5, 0.5, 0.0, 0.0, 0.6), r"rho23 = 0\.6 exceeds sqrt\(rho22 rho33\) = 0\.5"),
+]
+
+
+class TestXStateParamsConstruction:
+    """Building an XStateParams checks it: each constraint raises its
+    InvalidXParamsError and message from the constructor itself."""
+
+    @pytest.mark.parametrize("kind, values, message", _INVALID_X, ids=[c[0] for c in _INVALID_X])
+    def test_single(self, kind, values, message):
+        with pytest.raises(InvalidXParamsError, match=f"^{message}$"):
+            XStateParams(*values)
+
+    @pytest.mark.parametrize("kind, values, message", _INVALID_X, ids=[c[0] for c in _INVALID_X])
+    def test_member_six_of_a_stack(self, kind, values, message):
+        p = sample_x_params(np.random.default_rng(4), 10)
+        columns = [np.array(getattr(p, f.name)) for f in dataclasses.fields(XStateParams)]
+        for k, v in enumerate(values):
+            columns[k][6] = v
+        columns[0][8] = 0.9
+        with pytest.raises(InvalidXParamsError, match=f"^state 6: {message}$"):
+            XStateParams(*columns)
+
+    @pytest.mark.parametrize("kind, values, message", _INVALID_X, ids=[c[0] for c in _INVALID_X])
+    def test_replace(self, kind, values, message):
+        p = XStateParams(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
+        names = [f.name for f in dataclasses.fields(XStateParams)]
+        with pytest.raises(InvalidXParamsError, match=f"^{message}$"):
+            dataclasses.replace(p, **dict(zip(names, values)))
+
+
 def reference_sample_x_params(rng):
     """sample_x_params as it was before it took a count: one set per call."""
     d = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
