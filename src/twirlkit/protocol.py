@@ -13,15 +13,16 @@ both basis choices and both outcomes. Its summary counts and the
 per-round ledger are both read from that one array. Round k of a run
 reads one raw 64-bit word, word k of the seed's PCG64 stream (the layout
 is in ``simulate_protocol``). The simulator reads the words and fills the
-codes, and the summary counts them, in chunks of ``_CHUNK``. A round's
-code is one gather from a guide table keyed by its pairing and the top
-bits of its word; the few rounds whose bucket holds an outcome threshold
-are counted exactly against integer limits after the last chunk
-(``_decode``). The ledger
-writer builds the rows' bytes in blocks of 10^4 rounds that start at
-multiples of 10^4, so that past the first block every round number in a
-block has the same width. The memory beyond the one byte per round does
-not grow with the round count.
+codes in chunks of ``_CHUNK`` rounds, and the summary counts them two
+rounds at a time, in chunks of ``_CHUNK`` pairs. A round's code is one
+gather from a guide table keyed by its pairing and the top bits of its
+word; the few rounds whose bucket holds an outcome threshold are counted
+exactly against integer limits after the last chunk (``_decode``). The
+ledger writer builds the rows' bytes in blocks of 10^4 rounds that start
+at multiples of 10^4, so that past the first block every round number in
+a block has the same width. It keeps one row matrix per width and gathers
+each row's tail as one 16-byte element. The memory beyond the one byte
+per round does not grow with the round count.
 """
 
 from __future__ import annotations
@@ -197,11 +198,12 @@ def min_error_rate(state: TwoQubitState) -> MinErrorRate:
 
 # A ledger row after its round number, as NUL-padded ASCII: one tail per
 # round code (see ProtocolRun). The sifted flag is the basis match, the rule
-# simulate_protocol sifts by.
-_LEDGER_TAILS_ASCII = np.array([
+# simulate_protocol sifts by. The longest tail has 14 bytes; padded to 16,
+# a tail reads as one complex128, which take gathers a row at a time.
+_LEDGER_TAILS = np.array([
     f",{ALICE_LABELS[i]},{BOB_LABELS[j]},{s},{t},{int(i == j)}\n"
     for i in (0, 1) for j in (0, 1) for s in (1, -1) for t in (1, -1)
-], dtype="S14").view(np.uint8).reshape(16, 14)
+], dtype="S16").view(np.complex128)
 # The ledger writer's blocks of rows start at multiples of _LEDGER_BLOCK, so
 # past the first block a block's round numbers share their leading digits
 # and have one width. _LEDGER_DIGITS is the last four digits of every round
@@ -216,9 +218,11 @@ _LEDGER_DIGITS = (
 _LEDGER_FIRST_DIGITS = np.where(
     np.arange(_LEDGER_BLOCK, dtype=np.int16)[:, None] >= np.array((1000, 100, 10, 0), np.int16), _LEDGER_DIGITS, 0
 )
-# Rounds per chunk of the simulator and the summary count, so that only the
-# run's one byte per round grows with n.
-_CHUNK = 1 << 13
+# Rounds per chunk of the simulator, and pairs of rounds per chunk of the
+# summary count, so that only the run's one byte per round grows with n.
+# Larger chunks cut the fixed cost per chunk but raise the peak memory, as
+# the simulator holds three uint64 buffers of _CHUNK words.
+_CHUNK = 1 << 14
 
 
 def _chunks(n: int):
@@ -236,8 +240,8 @@ class ProtocolRun:
     the discarded (x, b') and (y, b) rounds stay for diagnostics. Raises
     OutOfRangeError unless ``n_rounds`` is an integer >= 0 and ``code`` a
     1-D int8 array of ``n_rounds`` entries in 0..15. A read-only ``code`` is
-    kept as it is; a writeable one is copied, and the caller's array stays
-    writeable.
+    kept as it is if it is contiguous; a writeable or strided one is copied,
+    and the caller's array stays writeable.
 
     ``m_sifted``, the per-basis mismatch rates ``empirical_delta_x``/``_y``,
     their sifted-count weighted mean ``empirical_delta``, ``mismatch_rate``
@@ -257,14 +261,28 @@ class ProtocolRun:
             )
         if n and (code.min() < 0 or code.max() > 15):
             raise OutOfRangeError(f"round codes must lie in 0..15, got {code.min()}..{code.max()}")
-        object.__setattr__(self, "code", _read_only(code.copy()) if code.flags.writeable else code)
+        kept = code.flags.c_contiguous and not code.flags.writeable
+        object.__setattr__(self, "code", code if kept else _read_only(code.copy()))
 
     @cached_property
     def _counts(self) -> np.ndarray:
-        """Rounds per code, as a (2, 2, 2, 2) table over (i, j, [s<0], [t<0])."""
-        counts = np.zeros(16, dtype=np.intp)
-        for s in _chunks(self.n_rounds):
-            counts += np.bincount(self.code[s], minlength=16)
+        """Rounds per code, as a (2, 2, 2, 2) table over (i, j, [s<0], [t<0]).
+
+        The codes are counted two rounds at a time. Read as uint16, the
+        codes c, c' of rounds 2k and 2k + 1 give c + 256 c' (c' + 256 c on a
+        big-endian machine), so one bincount per chunk of _CHUNK pairs fills
+        a table of pairs with 16 rows and 16 used columns. The two codes'
+        counts are its column and row sums, in either byte order. An odd
+        last round is added alone.
+        """
+        pairs = np.zeros((16, 256), dtype=np.intp)
+        flat = pairs.reshape(-1)[:15 * 256 + 16]
+        even = self.code[:self.n_rounds - self.n_rounds % 2].view(np.uint16)
+        for s in _chunks(even.size):
+            flat += np.bincount(even[s], minlength=flat.size)
+        counts = pairs[:, :16].sum(axis=0) + pairs[:, :16].sum(axis=1)
+        if self.n_rounds % 2:
+            counts[self.code[-1]] += 1
         return _read_only(counts.reshape(2, 2, 2, 2))
 
     def _rate(self, i, j) -> float:
@@ -303,20 +321,27 @@ class ProtocolRun:
 
         Each block of _LEDGER_BLOCK rows is one uint8 matrix with a row per
         round: the round number's leading digits, its last four digits and
-        the 14-byte tail of its code. The NUL padding is dropped and the
-        rest is written in one call.
+        the 16-byte tail of its code. The matrix is reused while the leading
+        digits keep their width, so its four digit columns are written once
+        per width and each block refills the leading digits and the tails,
+        the tails as one 16-byte gather per row. The NUL padding is dropped
+        and the rest is written in one call.
         """
+        rows = np.empty((0, 0), np.uint8)
         with open(path, "wb") as fh:
             fh.write(b"round,alice_basis,bob_basis,alice_bit,bob_bit,sifted\n")
             for lo in range(0, self.n_rounds, _LEDGER_BLOCK):
                 hi = min(lo + _LEDGER_BLOCK, self.n_rounds)
                 head = np.frombuffer(str(lo // _LEDGER_BLOCK).encode() if lo else b"", np.uint8)
-                rows = np.empty((hi - lo, head.size + 4 + 14), np.uint8)
-                rows[:, :head.size] = head
-                rows[:, head.size:-14] = (_LEDGER_DIGITS if lo else _LEDGER_FIRST_DIGITS)[:hi - lo]
-                # take with an intp index: fancy indexing by int8 casts it at half the speed
-                rows[:, -14:] = _LEDGER_TAILS_ASCII.take(self.code[lo:hi].astype(np.intp), axis=0)
-                fh.write(rows[rows != 0])
+                # a width's first block is short only if it is the run's last,
+                # so its hi - lo rows serve every block of the width
+                if rows.shape[1] != head.size + 20:
+                    rows = np.empty((hi - lo, head.size + 20), np.uint8)
+                    rows[:, head.size:-16] = (_LEDGER_DIGITS if lo else _LEDGER_FIRST_DIGITS)[:hi - lo]
+                block = rows[:hi - lo]
+                block[:, :head.size] = head
+                block[:, -16:].view(np.complex128)[:, 0] = _LEDGER_TAILS.take(self.code[lo:hi])
+                fh.write(block[block != 0])
 
 
 def _limits(thresholds: np.ndarray) -> np.ndarray:

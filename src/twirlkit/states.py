@@ -107,14 +107,15 @@ class XStateParams:
     Diagonal entries rho11..rho44, nonnegative off-diagonal magnitudes
     rho14 (outer block) and rho23 (inner block), and their phases in
     radians. The phases multiply the upper off-diagonal entries as
-    exp(i gamma). Any field may be an array: the fields broadcast
-    together to a stack of parameter sets, so a set compares and hashes
-    by identity.
+    exp(i gamma). Every field must be finite. Any field may be an array:
+    the fields broadcast together to a stack of parameter sets, so a set
+    compares and hashes by identity.
 
     Building a set checks it, also through ``dataclasses.replace``: it
-    raises InvalidXParamsError naming the violated positivity or
-    normalization constraint, and for a stack the index of the first
-    failing set.
+    raises InvalidXParamsError naming the first field that is not finite
+    or else the violated positivity or normalization constraint, and for
+    a stack the index of the first failing set. Fields that do not
+    broadcast together raise InvalidXParamsError naming their shapes.
     """
 
     rho11: float
@@ -132,19 +133,30 @@ class XStateParams:
 
 
 def _x_fields(p: XStateParams) -> list[np.ndarray]:
-    """The eight fields of ``p`` as float arrays broadcast to one shape."""
-    return np.broadcast_arrays(*(np.asarray(getattr(p, f.name), dtype=float) for f in fields(p)))
+    """The eight fields of ``p`` as float arrays broadcast to one shape.
+    Raises InvalidXParamsError naming their shapes when they do not broadcast."""
+    columns = [np.asarray(getattr(p, f.name), dtype=float) for f in fields(p)]
+    try:
+        return np.broadcast_arrays(*columns)
+    except ValueError:
+        shapes = ", ".join(f"{f.name} {c.shape}" for f, c in zip(fields(p), columns))
+        raise InvalidXParamsError(f"fields do not broadcast together: {shapes}") from None
 
 
 def _x_param_failures(p: XStateParams) -> tuple:
-    """The positivity and normalization checks of ``p`` as the (mask, error,
-    message) triples ``_raise_first_failure`` takes, in the order a single
-    parameter set is checked."""
-    names = [f.name for f in fields(p)][:6]
-    d11, d22, d33, d44, r14, r23 = columns = _x_fields(p)[:6]
+    """The finiteness, positivity and normalization checks of ``p`` as the
+    (mask, error, message) triples ``_raise_first_failure`` takes, in the
+    order a single parameter set is checked."""
+    names = [f.name for f in fields(p)]
+    columns = _x_fields(p)
+    d11, d22, d33, d44, r14, r23 = columns[:6]
 
-    def member(i):  # rho11..rho23 of set i: as given for one set, floats for a stack
+    def member(i):  # the fields of set i: as given for one set, floats for a stack
         return dict(zip(names, (getattr(p, n) for n in names) if not d11.shape else (float(c[i]) for c in columns)))
+
+    def non_finite(i):
+        name, value = next((n, v) for n, v in member(i).items() if not math.isfinite(v))
+        return f"{name} must be finite, got {value}"
 
     def oversized(off, a, b):
         def message(i):
@@ -152,16 +164,22 @@ def _x_param_failures(p: XStateParams) -> tuple:
             return f"{off} = {f[off]} exceeds sqrt({a} {b}) = {math.sqrt(f[a] * f[b])}"
         return message
 
-    # a product below zero has a negative factor, which the first check reports
-    return (
-        (np.minimum(np.minimum(d11, d22), np.minimum(d33, d44)) < 0.0, InvalidXParamsError,
-         lambda i: f"diagonal entries must be nonnegative, got {tuple(member(i).values())[:4]}"),
-        (np.abs(d11 + d22 + d33 + d44 - 1.0) > 1e-12, InvalidXParamsError,
-         lambda i: f"diagonal sum {sum(tuple(member(i).values())[:4])} differs from 1 beyond 1e-12"),
-        ((r14 < 0.0) | (r23 < 0.0), InvalidXParamsError, lambda i: "off-diagonal magnitudes must be nonnegative"),
-        (r14 > np.sqrt(np.maximum(d11 * d44, 0.0)) + 1e-12, InvalidXParamsError, oversized("rho14", "rho11", "rho44")),
-        (r23 > np.sqrt(np.maximum(d22 * d33, 0.0)) + 1e-12, InvalidXParamsError, oversized("rho23", "rho22", "rho33")),
-    )
+    # a product below zero has a negative factor, and a nan or an overflow
+    # below comes from a field that is not finite or not in [0, 1]: an
+    # earlier check reports each, so the arithmetic must not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (
+            (~np.logical_and.reduce([np.isfinite(c) for c in columns]), InvalidXParamsError, non_finite),
+            (np.minimum(np.minimum(d11, d22), np.minimum(d33, d44)) < 0.0, InvalidXParamsError,
+             lambda i: f"diagonal entries must be nonnegative, got {tuple(member(i).values())[:4]}"),
+            (np.abs(d11 + d22 + d33 + d44 - 1.0) > 1e-12, InvalidXParamsError,
+             lambda i: f"diagonal sum {sum(tuple(member(i).values())[:4])} differs from 1 beyond 1e-12"),
+            ((r14 < 0.0) | (r23 < 0.0), InvalidXParamsError, lambda i: "off-diagonal magnitudes must be nonnegative"),
+            (r14 > np.sqrt(np.maximum(d11 * d44, 0.0)) + 1e-12, InvalidXParamsError,
+             oversized("rho14", "rho11", "rho44")),
+            (r23 > np.sqrt(np.maximum(d22 * d33, 0.0)) + 1e-12, InvalidXParamsError,
+             oversized("rho23", "rho22", "rho33")),
+        )
 
 
 def sample_x_params(rng: np.random.Generator, count: int | None = None) -> XStateParams:

@@ -418,14 +418,15 @@ def reference_rounds_csv(run, path):
 
 
 class TestLedger:
-    # simulator chunk edges, then every round-number width and the edges of
-    # the writer's 10^4-row blocks
-    @pytest.mark.parametrize("n", [
-        7, _CHUNK + 1, 8 * _CHUNK - 1, 8 * _CHUNK, 8 * _CHUNK + 1,
+    # part and whole simulator chunks, then every round-number width and the
+    # edges of the writer's 10^4-row blocks; 1_000_001 crosses each width
+    # change of a 10^6-round run, where the writer replaces its row matrix
+    @pytest.mark.parametrize("name, n", [*((name, n) for name in ("werner", "pure") for n in (
+        7, _CHUNK // 2 + 1, 4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1,
         9, 10, 11, 99, 100, 1000, 9999, 10_000, 10_001, 20_000, 100_001,
-    ])
-    @pytest.mark.parametrize("state", [werner(0.75), pure_state(1.0)], ids=["werner", "pure"])
-    def test_matches_reference_writer(self, tmp_path, state, n):
+    )), ("werner", 1_000_001)])
+    def test_matches_reference_writer(self, tmp_path, name, n):
+        state = {"werner": werner(0.75), "pure": pure_state(1.0)}[name]
         mer = min_error_rate(state)
         run = simulate_protocol(state, n, 31, mer.b, mer.b_prime)
         run.write_rounds_csv(tmp_path / "fast.csv")
@@ -564,9 +565,10 @@ ASYMMETRIC = (random_state(3), (0.6, 0.0, 0.8), (0.0, -0.28, 0.96))
 
 class TestRoundCode:
     @pytest.mark.parametrize("seed", [0, 1, 42])
-    # several whole chunks, and an odd leftover after several chunks
+    # several whole chunks with one round less and one more, and an odd
+    # leftover after one chunk
     @pytest.mark.parametrize("n", [
-        1, 2, 7, 8 * _CHUNK - 1, 8 * _CHUNK, 8 * _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK - 1,
+        1, 2, 7, 4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1, _CHUNK + 1, 3 * _CHUNK // 2 - 1,
     ])
     @pytest.mark.parametrize("name", list(SIM_STATES))
     def test_matches_reference_simulator(self, tmp_path, name, n, seed):
@@ -575,7 +577,9 @@ class TestRoundCode:
         assert_matches_reference_simulator(tmp_path, state, n, seed, mer.b, mer.b_prime)
 
     @pytest.mark.parametrize("seed", [3, 4])  # at n = 1 seed 3 sifts one round, seed 4 none
-    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("n", [
+        1, _CHUNK // 2 - 1, _CHUNK // 2, _CHUNK // 2 + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
+    ])
     def test_each_pairing_gathers_its_own_thresholds(self, tmp_path, n, seed):
         assert raw_pairings(seed, 1).tolist() == {3: [0], 4: [2]}[seed]
         state, b, b_prime = ASYMMETRIC
@@ -642,6 +646,27 @@ class TestRoundCode:
         assert run.code[0] == 0
         code.flags.writeable = False
         assert ProtocolRun(3, code).code is code
+
+    # any codes, even and odd counts across several chunks; read-only at an
+    # odd byte offset, kept as it is, or strided, which the run copies
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(min_value=0, max_value=3 * _CHUNK + 1), seed=st.integers(min_value=0, max_value=2**32 - 1),
+           last=st.integers(min_value=0, max_value=15), offset=st.integers(min_value=0, max_value=1),
+           step=st.integers(min_value=1, max_value=2))
+    @example(n=0, seed=0, last=0, offset=0, step=1)
+    @example(n=1, seed=1, last=15, offset=0, step=1)
+    @example(n=2, seed=2, last=15, offset=1, step=1)
+    @example(n=_CHUNK - 1, seed=3, last=15, offset=1, step=1)
+    @example(n=_CHUNK + 1, seed=4, last=15, offset=0, step=1)
+    def test_counts_match_bincount(self, n, seed, last, offset, step):
+        buffer = np.random.default_rng(seed).integers(0, 16, offset + step * n).astype(np.int8)
+        if n:
+            buffer[-step] = last
+        buffer.flags.writeable = False
+        code = buffer[offset::step]
+        run = ProtocolRun(n, code)
+        assert (run.code is code) == (step == 1)
+        np.testing.assert_array_equal(run._counts, np.bincount(code, minlength=16).reshape(2, 2, 2, 2))
 
     def test_mismatch_rate_rejects_unknown_basis(self):
         run = simulate_protocol(werner(0.75), 100, 0, SETTING_X, SETTING_Y)
@@ -738,10 +763,11 @@ class TestDrawBases:
     and the uniforms those of random."""
 
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1])
-    # small n, and whole and partial chunks on either side of the chunk edges
+    # small n, half chunks, and whole and partial chunks on either side of
+    # the chunk edges
     @pytest.mark.parametrize("n", [
-        1, 2, 3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
-        3 * _CHUNK + 1, 4 * _CHUNK, 100_001,
+        1, 2, 3, 7, _CHUNK // 2 - 1, _CHUNK // 2, _CHUNK // 2 + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+        3 * _CHUNK // 2 + 1, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 100_001,
     ])
     def test_same_stream_as_integers_then_random(self, n, seed):
         words = np.random.PCG64(seed).random_raw(n)

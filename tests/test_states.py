@@ -200,6 +200,31 @@ class TestXStateParamsConstruction:
         with pytest.raises(InvalidXParamsError, match=f"^{message}$"):
             dataclasses.replace(p, **dict(zip(names, values)))
 
+    # each field in turn nan, inf or -inf, in an otherwise valid set
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(XStateParams)])
+    def test_non_finite_field(self, name, value):
+        valid = XStateParams(0.4, 0.3, 0.2, 0.1, 0.15, 0.1, gamma14=0.7, gamma13=2.1)
+        message = f"{name} must be finite, got {value}"
+        with pytest.raises(InvalidXParamsError, match=f"^{message}$"):
+            XStateParams(**{**dataclasses.asdict(valid), name: value})
+        with pytest.raises(InvalidXParamsError, match=f"^{message}$"):
+            dataclasses.replace(valid, **{name: value})
+        # member 6 is the first to fail, before member 8's normalization
+        p = sample_x_params(np.random.default_rng(4), 10)
+        columns = {f.name: np.array(getattr(p, f.name)) for f in dataclasses.fields(XStateParams)}
+        columns[name][6] = value
+        columns["rho11"][8] = 0.9
+        with pytest.raises(InvalidXParamsError, match=f"^state 6: {message}$"):
+            XStateParams(**columns)
+
+    def test_fields_that_do_not_broadcast(self):
+        shapes = r"rho11 \(2,\), rho22 \(3,\), rho33 \(\), rho44 \(\), rho14 \(\), rho23 \(\), gamma14 \(\), gamma13 \(\)"
+        with pytest.raises(InvalidXParamsError, match=f"^fields do not broadcast together: {shapes}$"):
+            XStateParams(np.full(2, 0.25), np.full(3, 0.25), 0.25, 0.25, 0.0, 0.0)
+        with pytest.raises(InvalidXParamsError, match=f"^fields do not broadcast together: {shapes}$"):
+            dataclasses.replace(XStateParams(0.25, np.full(3, 0.25), 0.25, 0.25, 0.0, 0.0), rho11=np.full(2, 0.25))
+
 
 def reference_sample_x_params(rng):
     """sample_x_params as it was before it took a count: one set per call."""
